@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, economics],
         help="significance level below which weak applicants stay out",
     )
-    p.add_argument("--eps", type=float, help=f"bisection tolerance (default {DEFAULT_EPS})")
+    p.add_argument("--eps", type=float, help=f"alpha_hat clamp margin (default {DEFAULT_EPS})")
 
     sub.add_parser(
         "loss-sweep",

@@ -1,22 +1,23 @@
 """Participation threshold and critical significance level.
 
-Participation is monotone in the applicant's belief: if a belief ``mu``
-enters the trial, every higher belief does too.  That makes the marginal
-belief ``mu_tau(alpha)`` a bisection target.  The critical significance
-level ``alpha_hat`` is where that marginal belief crosses the baseline
-rate; below it no weak applicant ever finds the test worth gaming, above
-it some do.  Both solvers work purely through best responses, so they
-stay agnostic about how beliefs are distributed.
+The marginal belief ``mu_tau(alpha)`` is a bisection target on the
+participation predicate, which assumes participation is monotone in
+belief: true for baselines up to about 0.6, not in general.  The critical
+level ``alpha_hat`` is where a weak belief (``mu <= mu_b``) first enters.
+Weak applicants always buy ``n_min`` samples, so it has a closed form that
+needs no search and no best response.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, best_response
 from .errors import DomainError
+from .stats import std_normal_quantile, std_normal_sf
 
-#: Tolerance used by the bisection solvers when none is given.
+#: Default threshold bisection tolerance and critical-level clamp margin.
 DEFAULT_EPS = 1e-6
 
 
@@ -37,13 +38,13 @@ class ParticipationThreshold:
 
 @dataclass(frozen=True, slots=True)
 class CriticalAlpha:
-    """Significance level at which the marginal belief meets the baseline.
+    """Significance level at which a weak belief first enters the trial.
 
-    ``epsilon`` records the achieved distance |mu_tau(alpha_hat) - mu_b|.
-    ``status`` is ``"interior"``, ``"at_floor"`` (the crossing sits at or
-    below the search floor), or ``"no_feasible_alpha"`` (the marginal
-    belief stays above the baseline over the whole search range, e.g.
-    when revenue cannot cover the cheapest trial).
+    No belief at or below the baseline participates below ``alpha_hat``.
+    ``status`` is ``"interior"``, ``"at_floor"`` (the level is at most
+    ``eps`` and reported as ``eps``) or ``"no_feasible_alpha"`` (above
+    ``1 - eps``, e.g. when revenue cannot cover the cheapest trial; reported
+    as ``1 - eps``).  The level is exact, so ``epsilon`` is always 0.0.
     """
 
     alpha_hat: float
@@ -85,48 +86,42 @@ def critical_alpha_closed_form(inst: EconomicInstance) -> float:
 
     An applicant whose belief equals the baseline passes with probability
     exactly ``alpha`` no matter the trial size, so it participates exactly
-    when ``R * alpha`` covers the cheapest trial: the crossing sits at
-    ``(c0 + c * n_min) / R``.
+    when ``R * alpha`` covers the cheapest trial: ``(c0 + c * n_min) / R``.
+    This is :func:`critical_alpha` whenever the baseline belief is the
+    first weak belief to enter, which always holds for ``mu_b <= 1/2``.
     """
     return (inst.c0 + inst.c * inst.n_min) / inst.R
 
 
 def critical_alpha(inst: EconomicInstance, eps: float = DEFAULT_EPS) -> CriticalAlpha:
-    """Significance level where the marginal belief crosses the baseline.
+    """Level at which some belief ``mu <= mu_b`` first participates.
 
-    Outer bisection over ``alpha`` on the predicate ``mu_tau(alpha) <=
-    mu_b`` (valid because the marginal belief is non-increasing in
-    ``alpha``), with the inner threshold solved two orders of magnitude
-    tighter so predicate noise cannot dominate.  The loop keeps bisecting
-    until both the bracket and the achieved belief gap are within
-    ``eps``, or float resolution is reached.
+    A weak belief buys ``n_min`` samples and enters at ``alpha`` exactly when
+    ``Phi^{-1}(1 - alpha) <= g(mu) = (z s(mu) - (mu_b - mu) sqrt(n_min)) / s(mu_b)``,
+    with ``z = Phi^{-1}(1 - k)``, ``k = (c0 + c n_min) / R`` and ``s`` the
+    Bernoulli standard deviation, so ``alpha_hat = sf(max g)`` over
+    ``[BELIEF_FLOOR, mu_b]``.  For ``k < 1/2``, ``g`` is concave with its
+    peak at ``(1 + x) / 2``, ``x = sqrt(n_min / (z^2 + n_min))``; otherwise
+    it is convex and an end wins.  A maximiser at ``mu_b`` gives exactly ``k``.
     """
     _check_eps(eps)
-    mu_b = inst.mu_b
-    inner_eps = eps * 1e-2
+    alpha_hat = k = critical_alpha_closed_form(inst)
+    if 0.0 < k < 1.0:
+        mu_b = inst.mu_b
+        root_n, s_b = math.sqrt(inst.n_min), math.sqrt(mu_b * (1.0 - mu_b))
+        z = -std_normal_quantile(k)
 
-    def mu_tau(a: float) -> float:
-        return participation_threshold(a, inst, inner_eps).mu_tau
+        def g(mu: float) -> float:
+            return (z * math.sqrt(mu * (1.0 - mu)) - (mu_b - mu) * root_n) / s_b
 
-    lo, hi = eps, 1.0 - eps
-    mt_lo = mu_tau(lo)
-    if mt_lo <= mu_b:
-        return CriticalAlpha(lo, abs(mt_lo - mu_b), "at_floor")
-    mt_hi = mu_tau(hi)
-    if mt_hi > mu_b:
-        return CriticalAlpha(hi, abs(mt_hi - mu_b), "no_feasible_alpha")
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        mt = mu_tau(mid)
-        if mt <= mu_b:
-            hi = mid
+        if z > 0.0:  # the peak exceeds 1/2, so never falls below the floor
+            best = min(0.5 * (1.0 + root_n / math.sqrt(z * z + inst.n_min)), mu_b)
         else:
-            lo = mid
-        width = hi - lo
-        if width <= eps and abs(mt - mu_b) <= eps:
-            break
-        if width <= 4e-16 * max(hi, 1.0):
-            break
-    alpha_hat = 0.5 * (lo + hi)
-    achieved = abs(mu_tau(alpha_hat) - mu_b)
-    return CriticalAlpha(alpha_hat, achieved, "interior")
+            best = mu_b if g(mu_b) >= g(BELIEF_FLOOR) else BELIEF_FLOOR
+        if best != mu_b:
+            alpha_hat = std_normal_sf(g(best))
+    if alpha_hat <= eps:
+        return CriticalAlpha(eps, 0.0, "at_floor")
+    if alpha_hat > 1.0 - eps:
+        return CriticalAlpha(1.0 - eps, 0.0, "no_feasible_alpha")
+    return CriticalAlpha(alpha_hat, 0.0, "interior")

@@ -75,7 +75,7 @@ def test_criterion_1_solver_matches_exhaustive_scan():
 
 
 def test_criterion_2_critical_alpha_closed_form_agreement():
-    """Search-based critical level matches (c0 + c*n_min)/R to 2e-6."""
+    """Critical level matches (c0 + c*n_min)/R to 2e-6 for mu_b <= 0.6."""
     rng = random.Random(42)
     worst = 0.0
     for _ in range(200):

@@ -79,7 +79,7 @@ def test_critical_alpha_subcommand_with_preset(capsys):
     code = main(["critical-alpha", "--config", "cardiovascular"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "alpha_hat: 0.0396425" in out
+    assert "alpha_hat: 0.0396427" in out
     assert "closed_form: 0.0396427" in out
     assert "status: interior" in out
 

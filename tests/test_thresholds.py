@@ -1,12 +1,17 @@
 """Participation threshold and critical significance level solvers.
 
 Interior thresholds are checked against an independent bisection that
-uses only the exhaustive best-response scan, and the critical level is
-checked against its closed form.  Clamp statuses and solver complexity
-(the number of best responses consulted) are pinned down explicitly.
+uses only the exhaustive best-response scan.  The critical level is
+checked against a weak-belief utility scan that shares no code with the
+package, and against the nested bisection search it replaced, which
+stays here as an oracle for baselines up to 0.6.  Clamp statuses and
+solver complexity (the number of best responses consulted) are pinned
+down explicitly.
 """
 
 import math
+import random
+import statistics
 
 import pytest
 
@@ -145,3 +150,140 @@ def test_interior_threshold_consistent_with_scan_solver():
         fast = best_response(0.05, mu0, INST).participates
         slow = best_response_bruteforce(0.05, mu0, INST).participates
         assert fast == slow
+
+
+def search_critical_alpha(inst, eps=thresholds.DEFAULT_EPS):
+    """Critical level by bisection over ``alpha`` on ``mu_tau(alpha) <= mu_b``.
+
+    Valid only while participation is monotone in belief (baselines up to
+    about 0.6); above that it can land on an effective-side crossing and
+    overshoot.  The inner threshold is solved two orders of magnitude
+    tighter than ``eps`` so predicate noise cannot dominate.
+    """
+    mu_b = inst.mu_b
+
+    def mu_tau(a):
+        return participation_threshold(a, inst, eps * 1e-2).mu_tau
+
+    lo, hi = eps, 1.0 - eps
+    if mu_tau(lo) <= mu_b:
+        return thresholds.CriticalAlpha(lo, 0.0, "at_floor")
+    if mu_tau(hi) > mu_b:
+        return thresholds.CriticalAlpha(hi, 0.0, "no_feasible_alpha")
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        mt = mu_tau(mid)
+        if mt <= mu_b:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= eps and abs(mt - mu_b) <= eps:
+            break
+        if hi - lo <= 4e-16 * max(hi, 1.0):
+            break
+    return thresholds.CriticalAlpha(0.5 * (lo + hi), 0.0, "interior")
+
+
+_NORMAL = statistics.NormalDist()
+
+
+def max_weak_utility(alpha, inst, points=256):
+    """Best profit of any belief in ``[BELIEF_FLOOR, mu_b]`` at ``alpha``.
+
+    A weak belief's best trial is ``n_min``.  The profit is scanned on a
+    uniform belief grid and the best cell refined by golden-section search,
+    with the test quantile taken from :class:`statistics.NormalDist`.
+    """
+    mu_b = inst.mu_b
+    ds = _NORMAL.inv_cdf(1.0 - alpha) * math.sqrt(mu_b * (1.0 - mu_b))
+    root_n = math.sqrt(inst.n_min)
+    cost = inst.c0 + inst.c * inst.n_min
+
+    def u(mu):
+        v = (ds - (mu - mu_b) * root_n) / math.sqrt(mu * (1.0 - mu))
+        return inst.R * 0.5 * math.erfc(v / math.sqrt(2.0)) - cost
+
+    xs = [BELIEF_FLOOR + (mu_b - BELIEF_FLOOR) * i / points for i in range(points)] + [mu_b]
+    values = [u(x) for x in xs]
+    best = max(range(len(xs)), key=values.__getitem__)
+    a, b = xs[max(best - 1, 0)], xs[min(best + 1, points)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(60):
+        m1, m2 = b - inv_phi * (b - a), a + inv_phi * (b - a)
+        if u(m1) < u(m2):
+            a = m1
+        else:
+            b = m2
+    return max(values[best], u(0.5 * (a + b)))
+
+
+def weak_participates(alpha, inst):
+    return max_weak_utility(alpha, inst) >= 0.0
+
+
+def assert_brackets_weak_entry(inst, result):
+    """No weak belief enters at 0.99 x alpha_hat, some do at 1.01 x."""
+    if result.status == "at_floor":
+        assert weak_participates(result.alpha_hat, inst), inst
+    elif result.status == "no_feasible_alpha":
+        assert not weak_participates(result.alpha_hat, inst), inst
+    else:
+        assert not weak_participates(0.99 * result.alpha_hat, inst), inst
+        if 1.01 * result.alpha_hat < 1.0:
+            assert weak_participates(1.01 * result.alpha_hat, inst), inst
+
+
+def test_critical_alpha_interior_maximiser_above_0_6():
+    # The first weak belief to enter is about 0.70, not the baseline: the
+    # paper's (c0 + c*n_min)/R says 1.60e-3 and the search says 6.3e-4.
+    inst = EconomicInstance(R=271.7, c0=3.56e-3, c=0.432, mu_b=0.838, n_min=1, n_max=100_000)
+    result = critical_alpha(inst)
+    assert result.status == "interior"
+    assert abs(result.alpha_hat - 4.7301e-4) <= 1e-8
+    assert result.epsilon == 0.0
+    assert_brackets_weak_entry(inst, result)
+
+
+def test_critical_alpha_convex_branch_floor_enters_first():
+    # k = (c0 + c*n_min)/R is about 0.93, so the maximand is convex and the
+    # floor belief enters before the baseline does.
+    inst = EconomicInstance(R=11.186388, c0=10.386046, c=0.0089012, mu_b=0.298067, n_min=1, n_max=500)
+    result = critical_alpha(inst)
+    assert result.status == "interior"
+    assert abs(result.alpha_hat - 0.74372) <= 1e-5
+    assert result.alpha_hat < critical_alpha_closed_form(inst)
+    assert_brackets_weak_entry(inst, result)
+
+
+def test_critical_alpha_free_trials_at_floor():
+    free = EconomicInstance(R=1.0, c0=0.0, c=0.0, mu_b=0.5, n_min=1, n_max=500)
+    assert critical_alpha(free) == thresholds.CriticalAlpha(thresholds.DEFAULT_EPS, 0.0, "at_floor")
+
+
+def test_critical_alpha_matches_weak_belief_scan_and_search():
+    rng = random.Random(2025)
+    concave_interior = convex_floor = searched = 0
+    statuses = set()
+    for _ in range(320):
+        mu_b = rng.uniform(0.05, 0.95)
+        n_min = rng.choice([1, 1, 1, 2, 10, 50])
+        c0 = 10.0 ** rng.uniform(-4.0, 2.0)
+        c = 10.0 ** rng.uniform(-6.0, 0.0)
+        k = 10.0 ** rng.uniform(-6.5, 0.05)
+        inst = EconomicInstance((c0 + c * n_min) / k, c0, c, mu_b, n_min, n_min + rng.randrange(100, 5000))
+        result = critical_alpha(inst)
+        statuses.add(result.status)
+        assert_brackets_weak_entry(inst, result)
+        if result.status == "interior" and result.alpha_hat < 0.99 * k:
+            if k < 0.5:
+                concave_interior += 1
+            else:
+                convex_floor += 1
+        if mu_b <= 0.6:
+            searched += 1
+            search = search_critical_alpha(inst)
+            assert search.status == result.status, inst
+            assert abs(search.alpha_hat - result.alpha_hat) <= 2e-6, inst
+    # Every branch of the formula and every status is exercised.
+    assert statuses == {"interior", "at_floor", "no_feasible_alpha"}
+    assert concave_interior >= 10 and convex_floor >= 3 and searched >= 150
