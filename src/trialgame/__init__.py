@@ -13,7 +13,6 @@ from .agent import (
     BELIEF_FLOOR,
     BestResponse,
     CurvatureRegion,
-    CurvatureRegions,
     EconomicInstance,
     best_response,
     best_response_bruteforce,
@@ -35,11 +34,9 @@ from .loss import (
     LossBreakdown,
     LossWeights,
     QuadratureSpec,
-    SweepTable,
     loss_components,
     optimal_alpha,
     sweep_alpha,
-    total_loss,
 )
 from .stats import (
     Prior,
@@ -68,7 +65,6 @@ __all__ = [
     "ConfigError",
     "CriticalAlpha",
     "CurvatureRegion",
-    "CurvatureRegions",
     "DEFAULT_EPS",
     "DomainError",
     "EconomicInstance",
@@ -79,7 +75,6 @@ __all__ = [
     "QuadratureSpec",
     "RunConfig",
     "SearchRangeError",
-    "SweepTable",
     "TrialGameError",
     "TruncatedNormalPrior",
     "available_presets",
@@ -102,7 +97,6 @@ __all__ = [
     "std_normal_quantile",
     "std_normal_sf",
     "sweep_alpha",
-    "total_loss",
     "utility",
     "utility_slope",
 ]

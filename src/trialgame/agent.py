@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, SearchRangeError
+from .errors import DomainError, SearchRangeError, reject
 from .stats import std_normal_pdf, std_normal_quantile, std_normal_sf
 
 # Beliefs are clamped away from {0, 1} so the Bernoulli variance never
@@ -66,8 +66,7 @@ class EconomicInstance:
             problems.append(f"n_min must be at least 1, got {self.n_min!r}")
         if self.n_max < self.n_min:
             problems.append(f"n_max must be >= n_min, got {self.n_max!r}")
-        if problems:
-            raise DomainError("invalid EconomicInstance: " + "; ".join(problems))
+        reject(self, problems)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,13 +86,6 @@ class CurvatureRegion:
     n_lo: float
     n_hi: float
     shape: str  # "concave" or "convex"
-
-
-@dataclass(frozen=True, slots=True)
-class CurvatureRegions:
-    """Ordered, contiguous curvature regions covering [n_min, n_max]."""
-
-    regions: tuple[CurvatureRegion, ...]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -209,8 +201,29 @@ def _curvature_breaks(d: float, mu0: float, mu_b: float) -> tuple[float, float] 
     return (t_lo * t_lo, t_hi * t_hi)
 
 
-def curvature_regions(alpha: float, mu0: float, inst: EconomicInstance) -> CurvatureRegions:
-    """Partition of [n_min, n_max] by the curvature of expected profit."""
+def _spans(
+    breaks: tuple[float, float] | None, lo: float, hi: float
+) -> list[tuple[float, float, bool]]:
+    """Pieces of ``[lo, hi]`` with one curvature sign, as ``(a, b, concave)``.
+
+    With curvature breaks, only pieces of positive length are kept, so a
+    degenerate ``lo == hi`` yields none.
+    """
+    if breaks is None:
+        return [(lo, hi, True)]
+    n1, n2 = breaks
+    spans = []
+    for plo, phi, concave in ((0.0, n1, True), (n1, n2, False), (n2, math.inf, True)):
+        a, b = max(plo, lo), min(phi, hi)
+        if a < b:
+            spans.append((a, b, concave))
+    return spans
+
+
+def curvature_regions(
+    alpha: float, mu0: float, inst: EconomicInstance
+) -> tuple[CurvatureRegion, ...]:
+    """Ordered, contiguous partition of [n_min, n_max] by the curvature of expected profit."""
     _check_alpha(alpha)
     _check_belief(mu0)
     if mu0 <= inst.mu_b:
@@ -219,20 +232,12 @@ def curvature_regions(alpha: float, mu0: float, inst: EconomicInstance) -> Curva
         )
     lo, hi = float(inst.n_min), float(inst.n_max)
     breaks = _curvature_breaks(_upper_quantile(alpha), mu0, inst.mu_b)
-    if breaks is None:
-        pieces = [(lo, hi, "concave")]
-    else:
+    pieces = _spans(breaks, lo, hi)
+    if not pieces:
+        # Degenerate n_min = n_max: classify the single admissible size.
         n1, n2 = breaks
-        pieces = []
-        for plo, phi, shape in ((0.0, n1, "concave"), (n1, n2, "convex"), (n2, math.inf, "concave")):
-            a, b = max(plo, lo), min(phi, hi)
-            if a < b:
-                pieces.append((a, b, shape))
-        if not pieces:
-            # Degenerate n_min = n_max: classify the single admissible size.
-            shape = "convex" if n1 < lo < n2 else "concave"
-            pieces = [(lo, hi, shape)]
-    return CurvatureRegions(tuple(CurvatureRegion(a, b, s) for a, b, s in pieces))
+        pieces = [(lo, hi, not n1 < lo < n2)]
+    return tuple(CurvatureRegion(a, b, "concave" if c else "convex") for a, b, c in pieces)
 
 
 def _concave_argmax(u_of, a: int, b: int) -> int:
@@ -289,20 +294,11 @@ def best_response(alpha: float, mu0: float, inst: EconomicInstance) -> BestRespo
     else:
         candidates = {n_min, n_max}
         breaks = _curvature_breaks(d, mu0, mu_b)
-        if breaks is None:
-            spans = [(float(n_min), float(n_max), True)]
-        else:
-            n1, n2 = breaks
-            spans = []
-            for plo, phi, concave in ((0.0, n1, True), (n1, n2, False), (n2, math.inf, True)):
-                a, b = max(plo, float(n_min)), min(phi, float(n_max))
-                if a < b:
-                    spans.append((a, b, concave))
-            for r in breaks:
-                if n_min <= r <= n_max:
-                    candidates.add(int(math.floor(r)))
-                    candidates.add(int(math.ceil(r)))
-        for a_real, b_real, concave in spans:
+        for r in breaks or ():
+            if n_min <= r <= n_max:
+                candidates.add(int(math.floor(r)))
+                candidates.add(int(math.ceil(r)))
+        for a_real, b_real, concave in _spans(breaks, float(n_min), float(n_max)):
             a, b = int(math.ceil(a_real)), int(math.floor(b_real))
             a, b = max(a, n_min), min(b, n_max)
             if a > b:

@@ -150,7 +150,9 @@ def _resolve_instance(args, cfg: RunConfig | None) -> EconomicInstance:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if cfg is None:
+    try:
+        if cfg is not None:
+            return dataclasses.replace(cfg.instance, **overrides)
         missing = [f for f in ("R", "c0", "c", "mu_b") if f not in overrides]
         if missing:
             raise ConfigError(
@@ -159,23 +161,9 @@ def _resolve_instance(args, cfg: RunConfig | None) -> EconomicInstance:
                     for f in missing
                 ]
             )
-        try:
-            return EconomicInstance(
-                R=overrides["R"],
-                c0=overrides["c0"],
-                c=overrides["c"],
-                mu_b=overrides["mu_b"],
-                n_min=overrides.get("n_min", 1),
-                n_max=overrides.get("n_max", 100_000),
-            )
-        except DomainError as exc:
-            raise ConfigError([str(exc)]) from exc
-    if not overrides:
-        return cfg.instance
-    try:
-        return dataclasses.replace(cfg.instance, **overrides)
+        return EconomicInstance(**overrides)
     except DomainError as exc:
-        raise ConfigError([str(exc)]) from exc
+        raise ConfigError(exc.problems) from exc
 
 
 def _resolve_output(args, cfg: RunConfig | None, command: str) -> str:
@@ -246,9 +234,11 @@ def cmd_loss_sweep(args) -> None:
         raise ConfigError(["prior: required by the loss-sweep command"])
     grid = cfg.alpha_grid if cfg.alpha_grid is not None else default_alpha_grid()
     out = _resolve_output(args, cfg, "loss-sweep")
-    table = sweep_alpha(grid, cfg.instance, cfg.prior, cfg.weights, cfg.quadrature)
-    index = [table.columns.index(c) for c in SWEEP_COLUMNS]
-    rows = [tuple(row[i] for i in index) for row in table.rows]
+    breakdowns = sweep_alpha(grid, cfg.instance, cfg.prior, cfg.weights, cfg.quadrature)
+    rows = [
+        (a, b.mu_tau, b.fp_particip, b.fn_particip, b.fn_abstain, b.fn_particip + b.fn_abstain, b.total)
+        for a, b in zip(grid, breakdowns)
+    ]
     _emit_csv(out, SWEEP_COLUMNS, rows, args)
 
 

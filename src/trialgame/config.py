@@ -17,27 +17,23 @@ short-circuited: one failed load reports every offending field by path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .agent import EconomicInstance
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .loss import LossWeights, QuadratureSpec
 from .stats import TruncatedNormalPrior
 
 _TOP_KEYS = {"instance", "prior", "weights", "quadrature", "grids", "output", "description"}
-_INSTANCE_KEYS = {"R", "c0", "c", "mu_b", "n_min", "n_max"}
-_PRIOR_KEYS = {"mean", "sd", "lo", "hi"}
-_WEIGHT_KEYS = {"lambda_fp", "lambda_fn"}
-_QUAD_KEYS = {"panels", "scheme"}
 _GRID_KEYS = {"alpha", "R", "c0"}
 _GRID_SPEC_KEYS = {"values", "start", "stop", "points", "spacing"}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated, materialised contents of one configuration file."""
 
@@ -83,110 +79,42 @@ def _check_unknown(obj: dict, allowed: set[str], path: str, problems: list[str])
         problems.append(f"{path}{key}: unknown key")
 
 
-def _parse_instance(obj, problems: list[str]) -> EconomicInstance | None:
+def _parse_section(obj, section: str, record, problems: list[str], *, require_all: bool = False):
+    """Build ``record`` from one config section, or report why it cannot be built.
+
+    Checks here are JSON-side only: an object, known keys, the required keys
+    (fields without a default, or all with ``require_all``), and a finite
+    number or non-bool integer per value.  The record's own validation
+    supplies every range check, each problem reported under ``section.``.
+    """
     if not isinstance(obj, dict):
-        problems.append("instance: expected an object")
+        problems.append(f"{section}: expected an object")
         return None
+    fields = dataclasses.fields(record)
+    _check_unknown(obj, {f.name for f in fields}, f"{section}.", problems)
+    kwargs = {}
     seen = len(problems)
-    _check_unknown(obj, _INSTANCE_KEYS, "instance.", problems)
-    ok = True
-    for key in ("R", "c0", "c", "mu_b"):
-        if key not in obj:
-            problems.append(f"instance.{key}: required")
-            ok = False
-        elif not _is_number(obj[key]):
-            problems.append(f"instance.{key}: expected a finite number, got {obj[key]!r}")
-            ok = False
-    for key in ("n_min", "n_max"):
-        if key in obj and not _is_int(obj[key]):
-            problems.append(f"instance.{key}: expected an integer, got {obj[key]!r}")
-            ok = False
-    if not ok:
-        return None
-    kwargs = {k: obj[k] for k in ("n_min", "n_max") if k in obj}
-    if not obj["R"] > 0.0:
-        problems.append(f"instance.R: must be positive, got {obj['R']!r}")
-    if not obj["c0"] >= 0.0:
-        problems.append(f"instance.c0: must be nonnegative, got {obj['c0']!r}")
-    if not obj["c"] >= 0.0:
-        problems.append(f"instance.c: must be nonnegative, got {obj['c']!r}")
-    if not 0.0 < obj["mu_b"] < 1.0:
-        problems.append(f"instance.mu_b: must lie strictly between 0 and 1, got {obj['mu_b']!r}")
-    if kwargs.get("n_min", 1) < 1:
-        problems.append(f"instance.n_min: must be at least 1, got {kwargs['n_min']!r}")
-    elif kwargs.get("n_max", 100_000) < kwargs.get("n_min", 1):
-        problems.append(f"instance.n_max: must be >= n_min, got {kwargs['n_max']!r}")
+    for f in fields:
+        path, value = f"{section}.{f.name}", obj.get(f.name)
+        if f.name not in obj:
+            if require_all or f.default is dataclasses.MISSING:
+                problems.append(f"{path}: required")
+        elif f.type in (int, "int"):
+            if _is_int(value):
+                kwargs[f.name] = value
+            else:
+                problems.append(f"{path}: expected an integer, got {value!r}")
+        elif _is_number(value):
+            kwargs[f.name] = float(value)
+        else:
+            problems.append(f"{path}: expected a finite number, got {value!r}")
     if len(problems) > seen:
         return None
-    return EconomicInstance(
-        R=float(obj["R"]), c0=float(obj["c0"]), c=float(obj["c"]), mu_b=float(obj["mu_b"]), **kwargs
-    )
-
-
-def _parse_prior(obj, problems: list[str]) -> TruncatedNormalPrior | None:
-    if not isinstance(obj, dict):
-        problems.append("prior: expected an object")
+    try:
+        return record(**kwargs)
+    except DomainError as exc:
+        problems.extend(f"{section}.{p}" for p in exc.problems)
         return None
-    _check_unknown(obj, _PRIOR_KEYS, "prior.", problems)
-    ok = True
-    for key in _PRIOR_KEYS:
-        if key not in obj:
-            problems.append(f"prior.{key}: required")
-            ok = False
-        elif not _is_number(obj[key]):
-            problems.append(f"prior.{key}: expected a finite number, got {obj[key]!r}")
-            ok = False
-    if not ok:
-        return None
-    if not obj["sd"] > 0.0:
-        problems.append(f"prior.sd: must be positive, got {obj['sd']!r}")
-        return None
-    if not 0.0 < obj["lo"] < obj["hi"] < 1.0:
-        problems.append(
-            f"prior.lo/prior.hi: need 0 < lo < hi < 1, got lo={obj['lo']!r} hi={obj['hi']!r}"
-        )
-        return None
-    return TruncatedNormalPrior(
-        mean=float(obj["mean"]), sd=float(obj["sd"]), lo=float(obj["lo"]), hi=float(obj["hi"])
-    )
-
-
-def _parse_weights(obj, problems: list[str]) -> LossWeights | None:
-    if not isinstance(obj, dict):
-        problems.append("weights: expected an object")
-        return None
-    _check_unknown(obj, _WEIGHT_KEYS, "weights.", problems)
-    vals = {}
-    for key in _WEIGHT_KEYS:
-        if key not in obj:
-            problems.append(f"weights.{key}: required")
-        elif not _is_number(obj[key]) or obj[key] < 0.0:
-            problems.append(f"weights.{key}: expected a nonnegative number, got {obj[key]!r}")
-        else:
-            vals[key] = float(obj[key])
-    if len(vals) < 2:
-        return None
-    if vals["lambda_fp"] == 0.0 and vals["lambda_fn"] == 0.0:
-        problems.append("weights: at least one of lambda_fp, lambda_fn must be positive")
-        return None
-    return LossWeights(**vals)
-
-
-def _parse_quadrature(obj, problems: list[str]) -> QuadratureSpec | None:
-    if not isinstance(obj, dict):
-        problems.append("quadrature: expected an object")
-        return None
-    _check_unknown(obj, _QUAD_KEYS, "quadrature.", problems)
-    panels = obj.get("panels", 2000)
-    scheme = obj.get("scheme", "simpson")
-    ok = True
-    if not _is_int(panels) or panels < 10 or panels % 2:
-        problems.append(f"quadrature.panels: expected an even integer >= 10, got {panels!r}")
-        ok = False
-    if scheme != "simpson":
-        problems.append(f"quadrature.scheme: only 'simpson' is supported, got {scheme!r}")
-        ok = False
-    return QuadratureSpec(panels=panels) if ok else None
 
 
 def _parse_grid(obj, path: str, problems: list[str], *, positive: bool, unit: bool) -> list[float] | None:
@@ -257,13 +185,17 @@ def load_config(path: str | Path) -> RunConfig:
     if "instance" not in raw:
         problems.append("instance: required")
     else:
-        instance = _parse_instance(raw["instance"], problems)
+        instance = _parse_section(raw["instance"], "instance", EconomicInstance, problems)
 
-    prior = _parse_prior(raw["prior"], problems) if "prior" in raw else None
-    weights = _parse_weights(raw["weights"], problems) if "weights" in raw else LossWeights()
-    quadrature = (
-        _parse_quadrature(raw["quadrature"], problems) if "quadrature" in raw else QuadratureSpec()
-    )
+    prior = None
+    if "prior" in raw:
+        prior = _parse_section(raw["prior"], "prior", TruncatedNormalPrior, problems)
+    weights = LossWeights()
+    if "weights" in raw:
+        weights = _parse_section(raw["weights"], "weights", LossWeights, problems, require_all=True)
+    quadrature = QuadratureSpec()
+    if "quadrature" in raw:
+        quadrature = _parse_section(raw["quadrature"], "quadrature", QuadratureSpec, problems)
 
     alpha_grid = r_grid = c0_grid = None
     if "grids" in raw:
@@ -290,12 +222,11 @@ def load_config(path: str | Path) -> RunConfig:
 
     if problems:
         raise ConfigError(problems)
-    assert instance is not None
     return RunConfig(
         instance=instance,
         prior=prior,
-        weights=weights if weights is not None else LossWeights(),
-        quadrature=quadrature if quadrature is not None else QuadratureSpec(),
+        weights=weights,
+        quadrature=quadrature,
         alpha_grid=alpha_grid,
         r_grid=r_grid,
         c0_grid=c0_grid,

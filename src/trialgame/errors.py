@@ -8,7 +8,21 @@ class TrialGameError(Exception):
 
 
 class DomainError(TrialGameError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation.
+
+    ``problems`` lists what is wrong: one ``"<field> must ..."`` entry per
+    offending field when a record rejects its values, else the message.
+    """
+
+    def __init__(self, message: str, problems: list[str] | None = None):
+        super().__init__(message)
+        self.problems = [message] if problems is None else list(problems)
+
+
+def reject(record: object, problems: list[str]) -> None:
+    """Raise one :class:`DomainError` listing every problem of ``record``, if any."""
+    if problems:
+        raise DomainError(f"invalid {type(record).__name__}: " + "; ".join(problems), problems)
 
 
 class SearchRangeError(TrialGameError, ValueError):

@@ -24,7 +24,7 @@ from .agent import (
     _check_alpha,
     best_response,
 )
-from .errors import DomainError
+from .errors import DomainError, reject
 from .stats import Prior
 from .thresholds import DEFAULT_EPS, critical_alpha, participation_threshold
 
@@ -37,12 +37,14 @@ class LossWeights:
     lambda_fn: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.lambda_fp >= 0.0 and self.lambda_fn >= 0.0):
-            raise DomainError(
-                f"loss weights must be nonnegative, got ({self.lambda_fp!r}, {self.lambda_fn!r})"
-            )
+        problems = [
+            f"{name} must be a nonnegative finite number, got {value!r}"
+            for name, value in (("lambda_fp", self.lambda_fp), ("lambda_fn", self.lambda_fn))
+            if not (value >= 0.0 and math.isfinite(value))
+        ]
         if self.lambda_fp == 0.0 and self.lambda_fn == 0.0:
-            raise DomainError("at least one loss weight must be positive")
+            problems.append("lambda_fp or lambda_fn must be positive, got both 0")
+        reject(self, problems)
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,42 +52,31 @@ class QuadratureSpec:
     """Composite Simpson rule resolution, per smooth segment."""
 
     panels: int = 2000
-    scheme: str = "simpson"
 
     def __post_init__(self) -> None:
-        if self.panels < 10 or self.panels % 2 != 0:
-            raise DomainError(f"panels must be an even count of at least 10, got {self.panels!r}")
-        if self.scheme != "simpson":
-            raise DomainError(f"unsupported quadrature scheme {self.scheme!r}")
+        p = self.panels
+        if isinstance(p, bool) or not isinstance(p, int) or p < 10 or p % 2:
+            reject(self, [f"panels must be an even integer of at least 10, got {p!r}"])
 
 
 @dataclass(frozen=True, slots=True)
 class LossBreakdown:
     """Loss components at one significance level, all conditional rates.
 
-    ``fp_abstain`` is identically zero and kept only to make the
-    four-channel accounting explicit.  When the prior has no mass on one
-    side of the baseline the components conditioned on that side are
-    reported as zero and the matching ``no_*_mass`` flag is set.
+    The fourth channel, weak applicants that abstain, is never approved and
+    so is not reported.  When the prior has no mass on one side of the
+    baseline the components conditioned on that side are reported as zero
+    and the matching ``no_*_mass`` flag is set.
     """
 
     fp_particip: float
     fn_particip: float
     fn_abstain: float
-    fp_abstain: float
     total: float
     mu_tau: float
     threshold_status: str
     no_weak_mass: bool = False
     no_effective_mass: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class SweepTable:
-    """Named columns of per-alpha results, ready for serialization."""
-
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
 
 
 def _simpson(f, a: float, b: float, panels: int) -> float:
@@ -150,7 +141,6 @@ def loss_components(
         fp_particip=fp_particip,
         fn_particip=fn_particip,
         fn_abstain=fn_abstain,
-        fp_abstain=0.0,
         total=total,
         mu_tau=mu_tau,
         threshold_status=th.status,
@@ -161,17 +151,6 @@ def loss_components(
 
 def _clip01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-
-
-def total_loss(
-    alpha: float,
-    inst: EconomicInstance,
-    prior: Prior,
-    weights: LossWeights,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Weighted sum of the error components at ``alpha``."""
-    return loss_components(alpha, inst, prior, quad, weights).total
 
 
 def optimal_alpha(
@@ -199,7 +178,7 @@ def optimal_alpha(
     best_loss = math.inf
     for i in range(grid_resolution):
         a = a0 + i * step
-        value = total_loss(a, inst, prior, weights, quad)
+        value = loss_components(a, inst, prior, quad, weights).total
         if value < best_loss:
             best_a, best_loss = a, value
     return best_a
@@ -211,13 +190,8 @@ def sweep_alpha(
     prior: Prior,
     weights: LossWeights | None = None,
     quad: QuadratureSpec = QuadratureSpec(),
-) -> SweepTable:
-    """Loss decomposition along an increasing grid of significance levels.
-
-    Besides the loss columns, each row carries the pass probability of a
-    best-responding applicant at three probe beliefs (the quartile points
-    of the prior support), a cheap fingerprint of agent-side behaviour.
-    """
+) -> list[LossBreakdown]:
+    """Loss decomposition at each level of an increasing grid, in grid order."""
     if not alpha_grid:
         raise DomainError("alpha grid must be nonempty")
     for a, b in zip(alpha_grid, alpha_grid[1:]):
@@ -225,42 +199,4 @@ def sweep_alpha(
             raise DomainError("alpha grid must be strictly increasing")
     if not (0.0 < alpha_grid[0] and alpha_grid[-1] < 1.0):
         raise DomainError("alpha grid must lie strictly within (0, 1)")
-    if weights is None:
-        weights = LossWeights()
-    lo, hi = prior.support
-    probes = tuple(
-        min(max(lo + f * (hi - lo), BELIEF_FLOOR), BELIEF_CEIL) for f in (0.25, 0.5, 0.75)
-    )
-    columns = (
-        "alpha",
-        "mu_tau",
-        "fp_particip",
-        "fn_particip",
-        "fn_abstain",
-        "fn_total",
-        "total_loss",
-        "pass_lo",
-        "pass_mid",
-        "pass_hi",
-        "threshold_status",
-    )
-    rows = []
-    for a in alpha_grid:
-        bd = loss_components(a, inst, prior, quad, weights)
-        passes = tuple(best_response(a, mu, inst).pass_prob for mu in probes)
-        rows.append(
-            (
-                a,
-                bd.mu_tau,
-                bd.fp_particip,
-                bd.fn_particip,
-                bd.fn_abstain,
-                bd.fn_particip + bd.fn_abstain,
-                bd.total,
-                passes[0],
-                passes[1],
-                passes[2],
-                bd.threshold_status,
-            )
-        )
-    return SweepTable(columns, tuple(rows))
+    return [loss_components(a, inst, prior, quad, weights) for a in alpha_grid]

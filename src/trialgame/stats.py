@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from .errors import DomainError
+from .errors import DomainError, reject
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -190,19 +190,21 @@ class TruncatedNormalPrior:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (self.sd > 0.0 and math.isfinite(self.sd)):
-            raise DomainError(f"TruncatedNormalPrior requires sd > 0, got {self.sd!r}")
-        if not (0.0 < self.lo < self.hi < 1.0):
-            raise DomainError(
-                f"TruncatedNormalPrior requires 0 < lo < hi < 1, got lo={self.lo!r} hi={self.hi!r}"
-            )
+        problems = []
         if not math.isfinite(self.mean):
-            raise DomainError(f"TruncatedNormalPrior requires a finite mean, got {self.mean!r}")
-        if self._mass() <= 0.0:
-            raise DomainError(
-                "TruncatedNormalPrior support carries no probability mass "
-                f"(mean={self.mean!r}, sd={self.sd!r}, support=[{self.lo!r}, {self.hi!r}])"
+            problems.append(f"mean must be a finite number, got {self.mean!r}")
+        if not (self.sd > 0.0 and math.isfinite(self.sd)):
+            problems.append(f"sd must be a positive finite number, got {self.sd!r}")
+        if not 0.0 < self.lo < 1.0:
+            problems.append(f"lo must lie strictly between 0 and 1, got {self.lo!r}")
+        if not self.lo < self.hi < 1.0:
+            problems.append(f"hi must lie strictly between lo and 1, got {self.hi!r}")
+        if not problems and self._mass() <= 0.0:
+            problems.append(
+                f"support must carry probability mass, got [{self.lo!r}, {self.hi!r}] "
+                f"under mean={self.mean!r}, sd={self.sd!r}"
             )
+        reject(self, problems)
 
     def _mass(self) -> float:
         return std_normal_cdf((self.hi - self.mean) / self.sd) - std_normal_cdf(

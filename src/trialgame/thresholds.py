@@ -44,11 +44,10 @@ class CriticalAlpha:
     ``status`` is ``"interior"``, ``"at_floor"`` (the level is at most
     ``eps`` and reported as ``eps``) or ``"no_feasible_alpha"`` (above
     ``1 - eps``, e.g. when revenue cannot cover the cheapest trial; reported
-    as ``1 - eps``).  The level is exact, so ``epsilon`` is always 0.0.
+    as ``1 - eps``).
     """
 
     alpha_hat: float
-    epsilon: float
     status: str
 
 
@@ -121,7 +120,7 @@ def critical_alpha(inst: EconomicInstance, eps: float = DEFAULT_EPS) -> Critical
         if best != mu_b:
             alpha_hat = std_normal_sf(g(best))
     if alpha_hat <= eps:
-        return CriticalAlpha(eps, 0.0, "at_floor")
+        return CriticalAlpha(eps, "at_floor")
     if alpha_hat > 1.0 - eps:
-        return CriticalAlpha(1.0 - eps, 0.0, "no_feasible_alpha")
-    return CriticalAlpha(alpha_hat, 0.0, "interior")
+        return CriticalAlpha(1.0 - eps, "no_feasible_alpha")
+    return CriticalAlpha(alpha_hat, "interior")

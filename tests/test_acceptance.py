@@ -172,13 +172,9 @@ def test_criterion_5_missed_approval_curve_shapes():
     ):
         cfg = load_config(preset_path(name))
         alpha_hat = critical_alpha_closed_form(cfg.instance)
-        table = sweep_alpha(
-            cfg.alpha_grid, cfg.instance, cfg.prior, cfg.weights, cfg.quadrature
-        )
-        alpha_col = table.columns.index("alpha")
-        fn_col = table.columns.index("fn_particip")
-        alphas = [row[alpha_col] for row in table.rows]
-        curve = [row[fn_col] for row in table.rows]
+        alphas = cfg.alpha_grid
+        rows = sweep_alpha(alphas, cfg.instance, cfg.prior, cfg.weights, cfg.quadrature)
+        curve = [bd.fn_particip for bd in rows]
         peak = max(curve)
         # A rise must clear 1e-3 to count at this grid resolution; the
         # mean-0.67 prior keeps a vanishing sliver of mass near the

@@ -46,6 +46,7 @@ def test_instance_validation_reports_every_problem():
     message = str(excinfo.value)
     for fragment in ("R must be", "c0 must be", "c must be", "mu_b must", "n_min must"):
         assert fragment in message
+    assert [p.split()[0] for p in excinfo.value.problems] == ["R", "c0", "c", "mu_b", "n_min", "n_max"]
 
 
 def test_instance_rejects_inverted_size_range():
@@ -203,7 +204,7 @@ def test_utility_slope_domain_checks():
 def test_curvature_regions_frozen_partition():
     # Frozen from the sign quadratic: breaks at n = 0.000172... and
     # n = 9.8606519...; only the upper one falls inside [1, 500].
-    regions = curvature_regions(0.001, 0.99, INST).regions
+    regions = curvature_regions(0.001, 0.99, INST)
     assert [r.shape for r in regions] == ["convex", "concave"]
     assert regions[0].n_lo == 1.0
     assert abs(regions[0].n_hi - 9.860651933216221) < 1e-9
@@ -211,7 +212,7 @@ def test_curvature_regions_frozen_partition():
 
 
 def test_curvature_regions_single_concave_case():
-    regions = curvature_regions(0.05, 0.6, INST).regions
+    regions = curvature_regions(0.05, 0.6, INST)
     assert len(regions) == 1
     assert regions[0].shape == "concave"
     assert (regions[0].n_lo, regions[0].n_hi) == (1.0, 500.0)
@@ -219,7 +220,7 @@ def test_curvature_regions_single_concave_case():
 
 def test_curvature_regions_tile_the_size_range():
     for alpha, mu0 in ((0.001, 0.99), (0.05, 0.6), (0.3, 0.52), (1e-4, 0.8)):
-        regions = curvature_regions(alpha, mu0, INST).regions
+        regions = curvature_regions(alpha, mu0, INST)
         assert regions[0].n_lo == float(INST.n_min)
         assert regions[-1].n_hi == float(INST.n_max)
         for left, right in zip(regions, regions[1:]):
@@ -245,7 +246,7 @@ def test_curvature_regions_match_second_differences():
 
 def test_curvature_regions_degenerate_range_classified():
     single = EconomicInstance(1.0, 0.05, 0.002, 0.5, n_min=5, n_max=5)
-    regions = curvature_regions(0.001, 0.99, single).regions
+    regions = curvature_regions(0.001, 0.99, single)
     assert len(regions) == 1
     assert regions[0].shape == "convex"  # 5 sits between the two breaks
 

@@ -6,7 +6,15 @@ import sys
 
 import pytest
 
-from trialgame import best_response, critical_alpha, participation_threshold
+from trialgame import (
+    LossWeights,
+    QuadratureSpec,
+    TruncatedNormalPrior,
+    best_response,
+    critical_alpha,
+    loss_components,
+    participation_threshold,
+)
 from trialgame.agent import EconomicInstance
 from trialgame.cli import HEATMAP_COLUMNS, SWEEP_COLUMNS, main
 
@@ -14,6 +22,7 @@ INSTANCE_FLAGS = [
     "--R", "1", "--c0", "0.05", "--c", "0.002", "--mu-b", "0.5", "--n-max", "500",
 ]
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
+PRIOR = TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
 
 
 def sweep_config(tmp_path, **extra):
@@ -105,6 +114,15 @@ def test_loss_sweep_writes_expected_csv(tmp_path, capsys):
     assert lines[0] == "alpha,mu_tau,fp_particip,fn_particip,fn_abstain,fn_total,total_loss"
     assert len(lines) == 5
     assert lines[1].startswith("0.02,")
+    # Each row is the loss decomposition at its level, fn_total their sum.
+    alpha, mu_tau, fp, fn_p, fn_a, fn_total, total = map(float, lines[3].split(","))
+    bd = loss_components(0.1, INST, PRIOR, QuadratureSpec(panels=50), LossWeights())
+    assert alpha == 0.1
+    for got, want in zip(
+        (mu_tau, fp, fn_p, fn_a, fn_total, total),
+        (bd.mu_tau, bd.fp_particip, bd.fn_particip, bd.fn_abstain, bd.fn_particip + bd.fn_abstain, bd.total),
+    ):
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
 
 
 def test_loss_sweep_output_from_config(tmp_path, capsys):
@@ -180,6 +198,18 @@ def test_config_validation_exits_two(tmp_path, capsys):
     code = main(["critical-alpha", "--config", str(path)])
     assert code == 2
     assert "instance.R" in capsys.readouterr().err
+    # A prior with no mass on its support is a configuration problem too,
+    # reported alongside the others.
+    out_path = tmp_path / "sweep.csv"
+    cfg = sweep_config(
+        tmp_path,
+        instance={"R": 1.0, "c0": 0.05, "c": 0.002, "mu_b": 1.5},
+        prior={"mean": 50.0, "sd": 0.04, "lo": 0.1, "hi": 0.2},
+    )
+    assert main(["loss-sweep", "--config", str(cfg), "--output", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert "instance.mu_b" in err and "prior.support" in err
+    assert not out_path.exists()
 
 
 def test_unknown_preset_exits_four(capsys):

@@ -22,7 +22,7 @@ FULL = {
     "instance": {"R": 2.0, "c0": 0.1, "c": 0.001, "mu_b": 0.45, "n_min": 2, "n_max": 300},
     "prior": {"mean": 0.6, "sd": 0.05, "lo": 0.35, "hi": 0.75},
     "weights": {"lambda_fp": 2.0, "lambda_fn": 0.5},
-    "quadrature": {"panels": 200, "scheme": "simpson"},
+    "quadrature": {"panels": 200},
     "grids": {
         "alpha": {"values": [0.01, 0.05, 0.2]},
         "R": {"start": 1.0, "stop": 5.0, "points": 5, "spacing": "linear"},
@@ -66,24 +66,36 @@ def test_minimal_config_gets_defaults(tmp_path):
 def test_all_problems_reported_at_once(tmp_path):
     payload = {
         "instance": {"R": -3.0, "c0": 0.05, "c": 0.002, "mu_b": 1.7},
-        "prior": {"mean": 0.6, "sd": -1.0, "lo": 0.3, "hi": 0.7},
+        "prior": {"mean": 50.0, "sd": 0.04, "lo": 0.1, "hi": 0.2},
+        "weights": {"lambda_fp": 0.0, "lambda_fn": 0.0},
+        "quadrature": {"panels": 401},
         "grids": {"alpha": {"values": [0.5, 0.2]}},
         "mystery": 1,
     }
     with pytest.raises(ConfigError) as excinfo:
         load_config(write(tmp_path, payload))
     message = str(excinfo.value)
-    assert "instance.R" in message
-    assert "instance.mu_b" in message
-    assert "prior.sd" in message
+    assert "instance.R must be" in message
+    assert "instance.mu_b must" in message
+    assert "prior.support must carry probability mass" in message
+    assert "weights.lambda_fp or lambda_fn must be positive" in message
+    assert "quadrature.panels must be an even integer" in message
     assert "grids.alpha" in message
     assert "mystery: unknown key" in message
-    assert len(excinfo.value.problems) >= 5
+    assert len(excinfo.value.problems) == 7
+
+    payload["prior"] = {"mean": 0.6, "sd": -1.0, "lo": 0.3, "hi": 0.7}
+    with pytest.raises(ConfigError, match="prior.sd must be"):
+        load_config(write(tmp_path, payload))
 
 
 def test_unknown_nested_keys_rejected(tmp_path):
     payload = dict(FULL, instance=dict(FULL["instance"], bonus=1))
     with pytest.raises(ConfigError, match="instance.bonus: unknown key"):
+        load_config(write(tmp_path, payload))
+    # Simpson is the only rule, so the quadrature section takes no scheme.
+    payload = dict(FULL, quadrature={"panels": 200, "scheme": "simpson"})
+    with pytest.raises(ConfigError, match="quadrature.scheme: unknown key"):
         load_config(write(tmp_path, payload))
 
 

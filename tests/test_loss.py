@@ -23,7 +23,6 @@ from trialgame import (
     loss_components,
     optimal_alpha,
     sweep_alpha,
-    total_loss,
 )
 from trialgame.loss import _simpson
 
@@ -69,16 +68,18 @@ def test_weights_validation():
         LossWeights(lambda_fp=-1.0, lambda_fn=1.0)
     with pytest.raises(DomainError):
         LossWeights(lambda_fp=0.0, lambda_fn=0.0)
+    with pytest.raises(DomainError):
+        LossWeights(lambda_fp=math.inf, lambda_fn=1.0)
+    with pytest.raises(DomainError) as excinfo:
+        LossWeights(lambda_fp=math.nan, lambda_fn=-1.0)
+    assert [p.split()[0] for p in excinfo.value.problems] == ["lambda_fp", "lambda_fn"]
     assert LossWeights().lambda_fp == 1.0
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(DomainError):
-        QuadratureSpec(panels=7)
-    with pytest.raises(DomainError):
-        QuadratureSpec(panels=8)
-    with pytest.raises(DomainError):
-        QuadratureSpec(scheme="midpoint")
+    for panels in (7, 8, 401, 12.0, True, "400"):
+        with pytest.raises(DomainError, match="panels must be"):
+            QuadratureSpec(panels=panels)
     assert QuadratureSpec().panels == 2000
 
 
@@ -87,7 +88,6 @@ def test_loss_components_frozen_regression():
         bd = loss_components(alpha, INST, PRIOR)
         for field, value in expected.items():
             assert abs(getattr(bd, field) - value) < 1e-12, (alpha, field)
-        assert bd.fp_abstain == 0.0
         assert bd.threshold_status == "interior"
         assert not bd.no_weak_mass and not bd.no_effective_mass
 
@@ -123,7 +123,6 @@ def test_loss_components_weighted_total_identity():
     bd = loss_components(0.1, INST, PRIOR, weights=weights)
     expected = 2.5 * bd.fp_particip + 0.5 * (bd.fn_particip + bd.fn_abstain)
     assert abs(bd.total - expected) < 1e-15
-    assert total_loss(0.1, INST, PRIOR, weights) == bd.total
 
 
 def test_loss_components_all_conditional_rates_in_unit_interval():
@@ -131,7 +130,6 @@ def test_loss_components_all_conditional_rates_in_unit_interval():
         bd = loss_components(alpha, INST, PRIOR, QuadratureSpec(panels=100))
         for value in (bd.fp_particip, bd.fn_particip, bd.fn_abstain):
             assert 0.0 <= value <= 1.0
-        assert bd.fp_abstain == 0.0
 
 
 def test_loss_components_prior_entirely_effective():
@@ -173,9 +171,9 @@ def test_optimal_alpha_is_grid_argmin():
     a0 = critical_alpha(INST).alpha_hat
     a1 = 1.0 - 1e-6
     grid = [a0 + i * (a1 - a0) / 39 for i in range(40)]
-    losses = [total_loss(a, INST, PRIOR, weights, quad) for a in grid]
+    losses = [loss_components(a, INST, PRIOR, quad, weights).total for a in grid]
     assert best == grid[losses.index(min(losses))]
-    assert total_loss(best, INST, PRIOR, weights, quad) <= losses[0]
+    assert loss_components(best, INST, PRIOR, quad, weights).total <= losses[0]
 
 
 def test_optimal_alpha_rejects_degenerate_grid():
@@ -185,34 +183,13 @@ def test_optimal_alpha_rejects_degenerate_grid():
 
 def test_sweep_alpha_structure_and_identities():
     grid = [0.01, 0.03, 0.052, 0.1, 0.3]
-    table = sweep_alpha(grid, INST, PRIOR, quad=QuadratureSpec(panels=100))
-    assert table.columns == (
-        "alpha",
-        "mu_tau",
-        "fp_particip",
-        "fn_particip",
-        "fn_abstain",
-        "fn_total",
-        "total_loss",
-        "pass_lo",
-        "pass_mid",
-        "pass_hi",
-        "threshold_status",
-    )
-    assert len(table.rows) == len(grid)
-    for a, row in zip(grid, table.rows):
-        record = dict(zip(table.columns, row))
-        assert record["alpha"] == a
-        assert abs(record["fn_total"] - (record["fn_particip"] + record["fn_abstain"])) < 1e-15
-        assert record["threshold_status"] in {"interior", "all_participate", "none_participate"}
-    # Probe columns report the pass chance of best responders at the
-    # quartile beliefs of the prior support.
-    lo, hi = PRIOR.support
-    probes = [lo + f * (hi - lo) for f in (0.25, 0.5, 0.75)]
-    record = dict(zip(table.columns, table.rows[3]))
-    assert record["pass_lo"] == best_response(0.1, probes[0], INST).pass_prob
-    assert record["pass_mid"] == best_response(0.1, probes[1], INST).pass_prob
-    assert record["pass_hi"] == best_response(0.1, probes[2], INST).pass_prob
+    quad = QuadratureSpec(panels=100)
+    weights = LossWeights(lambda_fp=2.0, lambda_fn=0.5)
+    rows = sweep_alpha(grid, INST, PRIOR, weights, quad)
+    # One breakdown per level, in grid order, each the single-level result.
+    assert rows == [loss_components(a, INST, PRIOR, quad, weights) for a in grid]
+    for bd in rows:
+        assert bd.threshold_status in {"interior", "all_participate", "none_participate"}
 
 
 def test_sweep_alpha_rejects_bad_grids():

@@ -195,8 +195,12 @@ def test_prior_validation():
     with pytest.raises(DomainError):
         TruncatedNormalPrior(mean=math.nan, sd=0.04, lo=0.4, hi=0.7)
     # Support so far into the tail that it carries no numerical mass.
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="support must carry probability mass"):
         TruncatedNormalPrior(mean=0.99, sd=1e-4, lo=0.01, hi=0.02)
+    # Every offending field is reported at once.
+    with pytest.raises(DomainError) as excinfo:
+        TruncatedNormalPrior(mean=math.inf, sd=0.0, lo=0.0, hi=1.5)
+    assert [p.split()[0] for p in excinfo.value.problems] == ["mean", "sd", "lo", "hi"]
 
 
 @given(

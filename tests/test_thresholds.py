@@ -119,13 +119,13 @@ def test_critical_alpha_search_matches_closed_form(inst):
     result = critical_alpha(inst)
     assert result.status == "interior"
     assert abs(result.alpha_hat - critical_alpha_closed_form(inst)) < 2e-6
-    assert result.epsilon <= 1e-5
 
 
 def test_critical_alpha_reports_achieved_belief_gap():
+    # At alpha_hat the marginal participant is the baseline belief itself.
     result = critical_alpha(CARDIO)
     achieved = abs(participation_threshold(result.alpha_hat, CARDIO, 1e-8).mu_tau - CARDIO.mu_b)
-    assert abs(result.epsilon - achieved) < 1e-7
+    assert achieved < 1e-7
 
 
 def test_critical_alpha_at_floor_status():
@@ -167,9 +167,9 @@ def search_critical_alpha(inst, eps=thresholds.DEFAULT_EPS):
 
     lo, hi = eps, 1.0 - eps
     if mu_tau(lo) <= mu_b:
-        return thresholds.CriticalAlpha(lo, 0.0, "at_floor")
+        return thresholds.CriticalAlpha(lo, "at_floor")
     if mu_tau(hi) > mu_b:
-        return thresholds.CriticalAlpha(hi, 0.0, "no_feasible_alpha")
+        return thresholds.CriticalAlpha(hi, "no_feasible_alpha")
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         mt = mu_tau(mid)
@@ -181,7 +181,7 @@ def search_critical_alpha(inst, eps=thresholds.DEFAULT_EPS):
             break
         if hi - lo <= 4e-16 * max(hi, 1.0):
             break
-    return thresholds.CriticalAlpha(0.5 * (lo + hi), 0.0, "interior")
+    return thresholds.CriticalAlpha(0.5 * (lo + hi), "interior")
 
 
 _NORMAL = statistics.NormalDist()
@@ -240,7 +240,6 @@ def test_critical_alpha_interior_maximiser_above_0_6():
     result = critical_alpha(inst)
     assert result.status == "interior"
     assert abs(result.alpha_hat - 4.7301e-4) <= 1e-8
-    assert result.epsilon == 0.0
     assert_brackets_weak_entry(inst, result)
 
 
@@ -257,7 +256,7 @@ def test_critical_alpha_convex_branch_floor_enters_first():
 
 def test_critical_alpha_free_trials_at_floor():
     free = EconomicInstance(R=1.0, c0=0.0, c=0.0, mu_b=0.5, n_min=1, n_max=500)
-    assert critical_alpha(free) == thresholds.CriticalAlpha(thresholds.DEFAULT_EPS, 0.0, "at_floor")
+    assert critical_alpha(free) == thresholds.CriticalAlpha(thresholds.DEFAULT_EPS, "at_floor")
 
 
 def test_critical_alpha_matches_weak_belief_scan_and_search():
