@@ -13,9 +13,13 @@ minus a fixed cost and a per-sample cost; abstaining earns exactly zero.
 
 The expected-utility curve over real-valued ``n`` is pieced together from
 at most three curvature regions (the sign of the second derivative is
-governed by a quadratic in ``sqrt(n)``), so the integer optimum can be
-found with a handful of forward-difference binary searches instead of an
-exhaustive scan.  The exhaustive scan is retained as an oracle.
+governed by a quadratic in ``sqrt(n)``).  On each concave region the
+first-order condition ``utility_slope = 0`` has at most one root, which a
+bracketed Newton iteration in ``sqrt(n)`` finds from logarithms alone, with
+no normal tail evaluated.  The integer optimum lies within a sample of that
+root, so the best response scores a handful of sizes around each root plus
+the ends of the convex region, and nothing else.  The exhaustive scan is
+retained as an oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ BELIEF_FLOOR = 1e-6
 BELIEF_CEIL = 1.0 - 1e-6
 
 _SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,26 +245,43 @@ def curvature_regions(
     return tuple(CurvatureRegion(a, b, "concave" if c else "convex") for a, b, c in pieces)
 
 
-def _concave_argmax(u_of, a: int, b: int) -> int:
-    """Largest-utility integer in [a, b] for a concave utility sequence.
+def _slope_root(k: float, ds: float, dmu: float, sigma0: float, a: int, b: int) -> float:
+    """Real trial size in ``[a, b]`` where the slope of expected profit vanishes.
 
-    Binary search on the sign of the forward difference u(n+1) - u(n),
-    which is non-increasing on a concave stretch.
+    ``[a, b]`` must lie in one concave region.  In ``t = sqrt(n)``,
+    ``h(t) = ln((slope + c) / c) = k - v^2/2 - ln t`` has the sign of the
+    slope, with ``v = (ds - dmu*t)/s_0`` and ``k = ln(R*dmu/(2*s_0*c)) -
+    ln sqrt(2*pi)``.  There ``h'(t) = v*dmu/s_0 - 1/t < 0`` (the curvature
+    quadratic of :func:`_curvature_breaks`), so ``h`` has at most one root.
+    When ``h`` keeps one sign over the span the end it points to is returned.
+    Otherwise Newton steps start where ``h`` would vanish if ``ln t`` kept
+    its value at ``a``, each replaced by bisection if it would leave the
+    bracket, until a step moves ``n`` by less than a quarter sample.
     """
-    if a >= b:
-        return a
-    if u_of(a + 1) - u_of(a) <= 0.0:
-        return a
-    if u_of(b) - u_of(b - 1) > 0.0:
-        return b
-    lo, hi = a, b - 1  # forward difference positive at lo, nonpositive at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if u_of(mid + 1) - u_of(mid) > 0.0:
-            lo = mid
+    t_lo, t_hi = math.sqrt(a), math.sqrt(b)
+    v = (ds - dmu * t_lo) / sigma0
+    h_lo = k - 0.5 * v * v - math.log(t_lo)
+    if h_lo <= 0.0:
+        return float(a)
+    v_hi = (ds - dmu * t_hi) / sigma0
+    if k - 0.5 * v_hi * v_hi - math.log(t_hi) >= 0.0:
+        return float(b)
+    t = (ds + sigma0 * math.sqrt(2.0 * h_lo + v * v)) / dmu
+    if not t_lo < t < t_hi:
+        t = 0.5 * (t_lo + t_hi)
+    while True:
+        v = (ds - dmu * t) / sigma0
+        h = k - 0.5 * v * v - math.log(t)
+        if h > 0.0:
+            t_lo = t
         else:
-            hi = mid
-    return hi
+            t_hi = t
+        t_next = t - h / (v * dmu / sigma0 - 1.0 / t)
+        if not t_lo < t_next < t_hi:
+            t_next = 0.5 * (t_lo + t_hi)
+        if abs(t_next * t_next - t * t) < 0.25:
+            return t_next * t_next
+        t = t_next
 
 
 def best_response(alpha: float, mu0: float, inst: EconomicInstance) -> BestResponse:
@@ -267,9 +289,17 @@ def best_response(alpha: float, mu0: float, inst: EconomicInstance) -> BestRespo
 
     On the weak side (``mu0 <= mu_b``) more samples only hurt, so the only
     candidate is ``n_min``.  On the effective side the curvature partition
-    reduces the search to binary searches within concave stretches plus
-    endpoint checks in the convex window.  Exact utility ties resolve to
-    the smaller trial size, and a tie with zero resolves to participating.
+    splits ``[n_min, n_max]`` into concave and convex spans.  A convex span
+    peaks at an end; a concave one peaks within a sample of the root of
+    ``utility_slope`` (:func:`_slope_root`), so the four sizes from
+    ``floor(root) - 1`` to ``floor(root) + 2`` that lie in the span are
+    scored.  Each candidate's utility and pass chance are computed once.
+
+    Exact utility ties resolve to the smaller trial size, and a tie with
+    zero resolves to participating.  Where the pass chance rounds to its
+    limit the utility is flat in floating point (always so far enough out
+    when ``c = 0``); the answer is then the smallest size that reaches the
+    best utility, found by bisection.
     """
     _check_alpha(alpha)
     _check_belief(mu0)
@@ -282,48 +312,60 @@ def best_response(alpha: float, mu0: float, inst: EconomicInstance) -> BestRespo
     dmu = mu0 - mu_b
     ds = d * math.sqrt(mu_b * (1.0 - mu_b))
 
-    def p_of(n: int) -> float:
+    def score(n: int) -> tuple[float, float]:
         v = (ds - dmu * math.sqrt(n)) / sigma0
-        return 0.5 * math.erfc(v / _SQRT2)
-
-    def u_of(n: int) -> float:
-        return R * p_of(n) - (c0 + c * n)
+        p = 0.5 * math.erfc(v / _SQRT2)
+        return R * p - (c0 + c * n), p
 
     if dmu <= 0.0:
-        candidates = [n_min]
+        sizes = [n_min]
     else:
-        candidates = {n_min, n_max}
-        breaks = _curvature_breaks(d, mu0, mu_b)
-        for r in breaks or ():
-            if n_min <= r <= n_max:
-                candidates.add(int(math.floor(r)))
-                candidates.add(int(math.ceil(r)))
-        for a_real, b_real, concave in _spans(breaks, float(n_min), float(n_max)):
-            a, b = int(math.ceil(a_real)), int(math.floor(b_real))
-            a, b = max(a, n_min), min(b, n_max)
+        # Without a per-sample cost the slope never reaches zero.
+        k = math.log(R * dmu / (2.0 * sigma0 * c)) - _LOG_SQRT_2PI if c > 0.0 else math.inf
+        lo, hi = float(n_min), float(n_max)
+        # With curvature breaks, n_min == n_max leaves no span of positive length.
+        spans = _spans(_curvature_breaks(d, mu0, mu_b), lo, hi) or [(lo, hi, False)]
+        candidates = set()
+        for a_real, b_real, concave in spans:
+            a, b = max(math.ceil(a_real), n_min), min(math.floor(b_real), n_max)
             if a > b:
                 continue
-            candidates.add(a)
-            candidates.add(b)
-            if concave and b > a:
-                candidates.add(_concave_argmax(u_of, a, b))
-        candidates = sorted(candidates)
+            if concave:
+                root = math.floor(_slope_root(k, ds, dmu, sigma0, a, b))
+                candidates.update(range(max(a, root - 1), min(b, root + 2) + 1))
+            else:
+                candidates.add(a)
+                candidates.add(b)
+        sizes = sorted(candidates)
 
-    best_n = 0
-    best_u = -math.inf
-    for n in candidates:
-        u = u_of(n)
+    best_n, best_u, best_p = 0, -math.inf, 0.0
+    for n in sizes:
+        u, p = score(n)
         if u > best_u:
-            best_n, best_u = n, u
+            best_n, best_u, best_p = n, u, p
+    # A scored size below best_n scored strictly less.  An unscored one that
+    # ties marks a flat top (the pass chance rounded to its limit), which the
+    # utility rises to and stays on: bisect for its first size.
+    if best_n > n_min and best_n - 1 not in sizes:
+        u, p = score(best_n - 1)
+        if u == best_u:
+            lo_n, best_n, best_p = n_min, best_n - 1, p
+            while lo_n < best_n:
+                mid = (lo_n + best_n) // 2
+                u, p = score(mid)
+                if u >= best_u:
+                    best_n, best_p = mid, p
+                else:
+                    lo_n = mid + 1
     if best_u >= 0.0:
-        return BestResponse(True, best_n, p_of(best_n), best_u)
+        return BestResponse(True, best_n, best_p, best_u)
     return BestResponse(False, 0, 0.0, 0.0)
 
 
 def best_response_bruteforce(alpha: float, mu0: float, inst: EconomicInstance) -> BestResponse:
     """Exhaustive reference solver scanning every admissible trial size.
 
-    Kept deliberately simple so it can arbitrate the region-based solver.
+    Kept deliberately simple so it can arbitrate the first-order solver.
     Refuses ranges beyond a million sizes, where scanning stops being a
     reasonable oracle.
     """

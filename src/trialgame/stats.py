@@ -199,17 +199,20 @@ class TruncatedNormalPrior:
             problems.append(f"lo must lie strictly between 0 and 1, got {self.lo!r}")
         if not self.lo < self.hi < 1.0:
             problems.append(f"hi must lie strictly between lo and 1, got {self.hi!r}")
-        if not problems and self._mass() <= 0.0:
-            problems.append(
-                f"support must carry probability mass, got [{self.lo!r}, {self.hi!r}] "
-                f"under mean={self.mean!r}, sd={self.sd!r}"
-            )
+        if not problems:
+            low = std_normal_cdf((self.lo - self.mean) / self.sd)
+            mass = std_normal_cdf((self.hi - self.mean) / self.sd) - low
+            if mass <= 0.0:
+                problems.append(
+                    f"support must carry probability mass, got [{self.lo!r}, {self.hi!r}] "
+                    f"under mean={self.mean!r}, sd={self.sd!r}"
+                )
         reject(self, problems)
-
-    def _mass(self) -> float:
-        return std_normal_cdf((self.hi - self.mean) / self.sd) - std_normal_cdf(
-            (self.lo - self.mean) / self.sd
-        )
+        # Constant per prior, so computed once.  Plain attributes, not
+        # fields: equality, hashing and repr see only the four parameters.
+        object.__setattr__(self, "_low", low)
+        object.__setattr__(self, "_mass", mass)
+        object.__setattr__(self, "_scale", self.sd * mass)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -218,12 +221,11 @@ class TruncatedNormalPrior:
     def pdf(self, mu: float) -> float:
         if mu < self.lo or mu > self.hi:
             return 0.0
-        return std_normal_pdf((mu - self.mean) / self.sd) / (self.sd * self._mass())
+        return std_normal_pdf((mu - self.mean) / self.sd) / self._scale
 
     def cdf(self, mu: float) -> float:
         if mu <= self.lo:
             return 0.0
         if mu >= self.hi:
             return 1.0
-        low = std_normal_cdf((self.lo - self.mean) / self.sd)
-        return (std_normal_cdf((mu - self.mean) / self.sd) - low) / self._mass()
+        return (std_normal_cdf((mu - self.mean) / self.sd) - self._low) / self._mass

@@ -43,7 +43,7 @@ def report(name: str, ok: bool, detail: str) -> str:
 
 
 def test_criterion_1_solver_matches_exhaustive_scan():
-    """500 random instances: region solver equals the exhaustive scan."""
+    """500 random instances: best_response equals the exhaustive scan."""
     rng = random.Random(11)
     started = time.monotonic()
     worst = 0.0

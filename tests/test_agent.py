@@ -1,7 +1,8 @@
 """Applicant model: pass probability, utility, curvature, best response.
 
-The region-based best-response solver is held to the exhaustive scan as
-its oracle; curvature region boundaries are cross-checked against finite
+The first-order best-response solver is held to two oracles: the
+exhaustive scan, and the forward-difference binary search it replaced
+(kept below).  Curvature region boundaries are cross-checked against finite
 second differences of the utility itself.  Point values are frozen from
 independent closed-form evaluation (scipy.stats.norm) or from the scan.
 """
@@ -12,6 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trialgame import agent
 from trialgame import (
     BestResponse,
     DomainError,
@@ -38,6 +40,77 @@ PASS_0_05_06_100 = 0.6414994872716355
 BEST_N = 166
 BEST_UTILITY = 0.4472444943225101
 BEST_PASS = 0.8292444943225101
+
+
+def _concave_argmax(u_of, a, b):
+    """Largest-utility integer in [a, b] for a concave utility sequence.
+
+    Binary search on the sign of the forward difference u(n+1) - u(n),
+    which is non-increasing on a concave stretch.
+    """
+    if a >= b:
+        return a
+    if u_of(a + 1) - u_of(a) <= 0.0:
+        return a
+    if u_of(b) - u_of(b - 1) > 0.0:
+        return b
+    lo, hi = a, b - 1  # forward difference positive at lo, nonpositive at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if u_of(mid + 1) - u_of(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def best_response_binary_search(alpha, mu0, inst):
+    """Region solver that binary-searches forward differences, as an oracle.
+
+    Same curvature partition as ``best_response``, but each concave span is
+    searched with :func:`_concave_argmax` instead of solving the first-order
+    condition; the span ends are candidates too.
+    """
+    d = agent._upper_quantile(alpha)
+    mu_b = inst.mu_b
+    n_min, n_max = inst.n_min, inst.n_max
+    sigma0 = math.sqrt(mu0 * (1.0 - mu0))
+    dmu = mu0 - mu_b
+    ds = d * math.sqrt(mu_b * (1.0 - mu_b))
+
+    def p_of(n):
+        v = (ds - dmu * math.sqrt(n)) / sigma0
+        return 0.5 * math.erfc(v / math.sqrt(2.0))
+
+    def u_of(n):
+        return inst.R * p_of(n) - (inst.c0 + inst.c * n)
+
+    if dmu <= 0.0:
+        candidates = [n_min]
+    else:
+        candidates = {n_min, n_max}
+        breaks = agent._curvature_breaks(d, mu0, mu_b)
+        for r in breaks or ():
+            if n_min <= r <= n_max:
+                candidates.add(int(math.floor(r)))
+                candidates.add(int(math.ceil(r)))
+        for a_real, b_real, concave in agent._spans(breaks, float(n_min), float(n_max)):
+            a, b = max(math.ceil(a_real), n_min), min(math.floor(b_real), n_max)
+            if a > b:
+                continue
+            candidates.add(a)
+            candidates.add(b)
+            if concave and b > a:
+                candidates.add(_concave_argmax(u_of, a, b))
+        candidates = sorted(candidates)
+    best_n, best_u = 0, -math.inf
+    for n in candidates:
+        u = u_of(n)
+        if u > best_u:
+            best_n, best_u = n, u
+    if best_u >= 0.0:
+        return BestResponse(True, best_n, p_of(best_n), best_u)
+    return BestResponse(False, 0, 0.0, 0.0)
 
 
 def test_instance_validation_reports_every_problem():
@@ -293,9 +366,12 @@ def test_best_response_flat_utility_resolves_to_smallest_size():
 
 
 def test_best_response_agrees_with_exhaustive_scan():
+    # Each draw is checked as drawn and again with c = 0, where the utility
+    # only rises and flattens once the pass chance rounds to 1: the first
+    # size to reach the top must win the tie.
     rng = random.Random(20240817)
     for _ in range(60):
-        inst = EconomicInstance(
+        fields = dict(
             R=10.0 ** rng.uniform(-1.0, 3.0),
             c0=10.0 ** rng.uniform(-4.0, 1.0),
             c=10.0 ** rng.uniform(-6.0, 0.0),
@@ -305,12 +381,41 @@ def test_best_response_agrees_with_exhaustive_scan():
         )
         alpha = 10.0 ** rng.uniform(-4.0, math.log10(0.5))
         mu0 = rng.uniform(1e-6, 1.0 - 1e-6)
-        fast = best_response(alpha, mu0, inst)
-        slow = best_response_bruteforce(alpha, mu0, inst)
-        assert fast.participates == slow.participates
-        assert fast.n_star == slow.n_star
-        assert fast.utility == slow.utility
-        assert fast.pass_prob == slow.pass_prob
+        for inst in (EconomicInstance(**fields), EconomicInstance(**{**fields, "c": 0.0})):
+            fast = best_response(alpha, mu0, inst)
+            slow = best_response_bruteforce(alpha, mu0, inst)
+            assert fast.participates == slow.participates
+            assert fast.n_star == slow.n_star
+            assert fast.utility == slow.utility
+            assert fast.pass_prob == slow.pass_prob
+    # Pass chance 1.0 from n = 381 on; the whole plateau ties.
+    free = EconomicInstance(R=130.17, c0=2.187, c=0.0, mu_b=0.7657, n_min=1, n_max=500)
+    assert best_response(3.11e-5, 0.9475, free) == BestResponse(True, 381, 1.0, 130.17 - 2.187)
+
+
+def test_best_response_matches_binary_search_oracle():
+    rng = random.Random(7)
+    interior = 0
+    for _ in range(4000):
+        n_min = rng.randrange(1, 30)
+        inst = EconomicInstance(
+            R=10.0 ** rng.uniform(-1.0, 3.0),
+            c0=10.0 ** rng.uniform(-4.0, 1.0),
+            c=10.0 ** rng.uniform(-6.0, 0.0),
+            mu_b=rng.uniform(0.05, 0.95),
+            n_min=n_min,
+            n_max=n_min + int(10.0 ** rng.uniform(1.0, 6.0)),
+        )
+        alpha = 10.0 ** rng.uniform(-4.0, math.log10(0.5))
+        mu0 = rng.uniform(1e-6, 1.0 - 1e-6)
+        br = best_response(alpha, mu0, inst)
+        assert br == best_response_binary_search(alpha, mu0, inst)
+        if br.participates and inst.n_min < br.n_star < inst.n_max:
+            # An interior optimum sits where the first-order condition holds.
+            interior += 1
+            assert utility_slope(alpha, mu0, br.n_star - 1, inst) > 0.0
+            assert utility_slope(alpha, mu0, br.n_star + 1, inst) < 0.0
+    assert interior > 500
 
 
 @given(

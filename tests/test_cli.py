@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, CSV emission, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -123,6 +124,17 @@ def test_loss_sweep_writes_expected_csv(tmp_path, capsys):
         (bd.mu_tau, bd.fp_particip, bd.fn_particip, bd.fn_abstain, bd.fn_particip + bd.fn_abstain, bd.total),
     ):
         assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+def test_loss_sweep_preset_bytes_are_pinned(tmp_path):
+    # A change to the solvers' arithmetic or to the CSV writer moves this
+    # digest; a faster solver that returns the same answers does not.
+    out_path = tmp_path / "sweep.csv"
+    args = ["loss-sweep", "--config", "fn-curves-062", "--output", str(out_path), "--quiet"]
+    assert main(args) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "665855948a44f603aad221176fcb32d569ce8625e4d3346fbf4512420c502b53"
+    )
 
 
 def test_loss_sweep_output_from_config(tmp_path, capsys):

@@ -5,6 +5,7 @@ Reference values are frozen from independent implementations
 enumeration of small cases; properties are exercised with hypothesis.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy import stats as sps
 
+from trialgame import stats
 from trialgame import (
     DomainError,
     TruncatedNormalPrior,
@@ -201,6 +203,29 @@ def test_prior_validation():
     with pytest.raises(DomainError) as excinfo:
         TruncatedNormalPrior(mean=math.inf, sd=0.0, lo=0.0, hi=1.5)
     assert [p.split()[0] for p in excinfo.value.problems] == ["mean", "sd", "lo", "hi"]
+
+
+def test_prior_normaliser_computed_once(prior, monkeypatch):
+    # Bit-identical to renormalising on every call...
+    low = std_normal_cdf((0.4 - 0.62) / 0.04)
+    mass = std_normal_cdf((0.7 - 0.62) / 0.04) - low
+    for mu in (0.41, 0.5, 0.62, 0.69):
+        z = (mu - 0.62) / 0.04
+        assert prior.pdf(mu) == std_normal_pdf(z) / (0.04 * mass)
+        assert prior.cdf(mu) == (std_normal_cdf(z) - low) / mass
+    # ...but the normaliser is not recomputed: pdf takes no CDF, cdf one.
+    calls = []
+    monkeypatch.setattr(stats, "std_normal_cdf", lambda z: calls.append(z) or std_normal_cdf(z))
+    prior.pdf(0.6)
+    assert calls == []
+    prior.cdf(0.6)
+    assert len(calls) == 1
+    # The cache is invisible to the record's identity.
+    twin = TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
+    assert prior == twin and hash(prior) == hash(twin)
+    assert prior != TruncatedNormalPrior(mean=0.62, sd=0.05, lo=0.4, hi=0.7)
+    assert repr(prior) == "TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)"
+    assert [f.name for f in dataclasses.fields(prior)] == ["mean", "sd", "lo", "hi"]
 
 
 @given(
