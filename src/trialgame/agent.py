@@ -18,7 +18,9 @@ first-order condition ``utility_slope = 0`` has at most one root, which a
 bracketed Newton iteration in ``sqrt(n)`` finds from logarithms alone, with
 no normal tail evaluated.  The integer optimum lies within a sample of that
 root, so the best response scores a handful of sizes around each root plus
-the ends of the convex region, and nothing else.  The exhaustive scan is
+the ends of the convex region, and nothing else.  What depends only on the
+level is set up once by ``_level``; the threshold bisection and the loss
+integrals then ask ``_respond`` for each belief.  The exhaustive scan is
 retained as an oracle.
 """
 
@@ -284,6 +286,71 @@ def _slope_root(k: float, ds: float, dmu: float, sigma0: float, a: int, b: int) 
         t = t_next
 
 
+def _level(alpha: float, inst: EconomicInstance) -> tuple:
+    """Checked ``alpha`` and the best response's belief-independent constants.
+
+    ``(d, mu_b, d * s_b, R, c0, c, n_min, n_max)`` with ``d = Phi^{-1}(1 - alpha)``.
+    """
+    _check_alpha(alpha)
+    d = _upper_quantile(alpha)
+    mu_b = inst.mu_b
+    ds = d * math.sqrt(mu_b * (1.0 - mu_b))
+    return d, mu_b, ds, inst.R, inst.c0, inst.c, inst.n_min, inst.n_max
+
+
+def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
+    """:func:`best_response` at a :func:`_level` as ``(utility, n_star, pass_prob)``.
+
+    Abstaining is ``(0.0, 0, 0.0)``.
+    """
+    _check_belief(mu0)
+    d, mu_b, ds, R, c0, c, n_min, n_max = level
+    sigma0 = math.sqrt(mu0 * (1.0 - mu0))
+    dmu = mu0 - mu_b
+    if dmu <= 0.0:
+        sizes = [n_min]
+    else:
+        # Without a per-sample cost the slope never reaches zero.
+        k = math.log(R * dmu / (2.0 * sigma0 * c)) - _LOG_SQRT_2PI if c > 0.0 else math.inf
+        lo, hi = float(n_min), float(n_max)
+        # With curvature breaks, n_min == n_max leaves no span of positive length.
+        spans = _spans(_curvature_breaks(d, mu0, mu_b), lo, hi) or [(lo, hi, False)]
+        # The spans are ordered, so sizes never decrease; a repeat never wins.
+        sizes = []
+        for a_real, b_real, concave in spans:
+            a, b = max(math.ceil(a_real), n_min), min(math.floor(b_real), n_max)
+            if a > b:
+                continue
+            if concave:
+                root = math.floor(_slope_root(k, ds, dmu, sigma0, a, b))
+                sizes += range(max(a, root - 1), min(b, root + 2) + 1)
+            else:
+                sizes += (a, b)
+
+    best_n, best_u, best_p = 0, -math.inf, 0.0
+    for n in sizes:
+        p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
+        u = R * p - (c0 + c * n)
+        if u > best_u:
+            best_n, best_u, best_p = n, u, p
+    # A scored size below best_n scored strictly less.  An unscored one that
+    # ties marks a flat top (the pass chance rounded to its limit), which the
+    # utility rises to and stays on: bisect for its first size, probing
+    # best_n - 1 first.
+    lo_n, n = n_min, best_n - 1
+    if best_n > n_min and n not in sizes:
+        while lo_n < best_n:
+            p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
+            if R * p - (c0 + c * n) == best_u:
+                best_n, best_p = n, p
+            else:
+                lo_n = n + 1
+            n = (lo_n + best_n) // 2
+    if best_u >= 0.0:
+        return best_u, best_n, best_p
+    return 0.0, 0, 0.0
+
+
 def best_response(alpha: float, mu0: float, inst: EconomicInstance) -> BestResponse:
     """Participation decision and optimal integer trial size.
 
@@ -293,73 +360,21 @@ def best_response(alpha: float, mu0: float, inst: EconomicInstance) -> BestRespo
     peaks at an end; a concave one peaks within a sample of the root of
     ``utility_slope`` (:func:`_slope_root`), so the four sizes from
     ``floor(root) - 1`` to ``floor(root) + 2`` that lie in the span are
-    scored.  Each candidate's utility and pass chance are computed once.
+    scored, and the winner's pass chance is kept, not recomputed.
 
     Exact utility ties resolve to the smaller trial size, and a tie with
     zero resolves to participating.  Where the pass chance rounds to its
     limit the utility is flat in floating point (always so far enough out
-    when ``c = 0``); the answer is then the smallest size that reaches the
-    best utility, found by bisection.
+    when ``c = 0``); the answer is then the smallest size whose utility
+    equals the best, found by bisection.
+
+    Where ``c / R`` is near the float resolution (``c`` in [1e-14, 1e-9]
+    with ``R`` up to 1,000) the utility is flat or noisy over several sizes
+    near the root, so ``n_star`` can miss the scan's by a few samples, with
+    a utility at most an ulp or two of ``R`` lower.
     """
-    _check_alpha(alpha)
-    _check_belief(mu0)
-    d = _upper_quantile(alpha)
-    mu_b = inst.mu_b
-    n_min, n_max = inst.n_min, inst.n_max
-    R, c0, c = inst.R, inst.c0, inst.c
-
-    sigma0 = math.sqrt(mu0 * (1.0 - mu0))
-    dmu = mu0 - mu_b
-    ds = d * math.sqrt(mu_b * (1.0 - mu_b))
-
-    def score(n: int) -> tuple[float, float]:
-        v = (ds - dmu * math.sqrt(n)) / sigma0
-        p = 0.5 * math.erfc(v / _SQRT2)
-        return R * p - (c0 + c * n), p
-
-    if dmu <= 0.0:
-        sizes = [n_min]
-    else:
-        # Without a per-sample cost the slope never reaches zero.
-        k = math.log(R * dmu / (2.0 * sigma0 * c)) - _LOG_SQRT_2PI if c > 0.0 else math.inf
-        lo, hi = float(n_min), float(n_max)
-        # With curvature breaks, n_min == n_max leaves no span of positive length.
-        spans = _spans(_curvature_breaks(d, mu0, mu_b), lo, hi) or [(lo, hi, False)]
-        candidates = set()
-        for a_real, b_real, concave in spans:
-            a, b = max(math.ceil(a_real), n_min), min(math.floor(b_real), n_max)
-            if a > b:
-                continue
-            if concave:
-                root = math.floor(_slope_root(k, ds, dmu, sigma0, a, b))
-                candidates.update(range(max(a, root - 1), min(b, root + 2) + 1))
-            else:
-                candidates.add(a)
-                candidates.add(b)
-        sizes = sorted(candidates)
-
-    best_n, best_u, best_p = 0, -math.inf, 0.0
-    for n in sizes:
-        u, p = score(n)
-        if u > best_u:
-            best_n, best_u, best_p = n, u, p
-    # A scored size below best_n scored strictly less.  An unscored one that
-    # ties marks a flat top (the pass chance rounded to its limit), which the
-    # utility rises to and stays on: bisect for its first size.
-    if best_n > n_min and best_n - 1 not in sizes:
-        u, p = score(best_n - 1)
-        if u == best_u:
-            lo_n, best_n, best_p = n_min, best_n - 1, p
-            while lo_n < best_n:
-                mid = (lo_n + best_n) // 2
-                u, p = score(mid)
-                if u >= best_u:
-                    best_n, best_p = mid, p
-                else:
-                    lo_n = mid + 1
-    if best_u >= 0.0:
-        return BestResponse(True, best_n, best_p, best_u)
-    return BestResponse(False, 0, 0.0, 0.0)
+    u, n_star, p = _respond(_level(alpha, inst), mu0)
+    return BestResponse(n_star > 0, n_star, p, u)
 
 
 def best_response_bruteforce(alpha: float, mu0: float, inst: EconomicInstance) -> BestResponse:

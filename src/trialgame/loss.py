@@ -17,13 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .agent import (
-    BELIEF_CEIL,
-    BELIEF_FLOOR,
-    EconomicInstance,
-    _check_alpha,
-    best_response,
-)
+from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _level, _respond
 from .errors import DomainError, reject
 from .stats import Prior
 from .thresholds import DEFAULT_EPS, critical_alpha, participation_threshold
@@ -103,7 +97,7 @@ def loss_components(
     over intervals bounded by it and by the baseline, which is what keeps
     the Simpson rule honest across the participation kink.
     """
-    _check_alpha(alpha)
+    level = _level(alpha, inst)
     if weights is None:
         weights = LossWeights()
     th = participation_threshold(alpha, inst, threshold_eps)
@@ -116,10 +110,10 @@ def loss_components(
     mass_eff = 1.0 - mass_weak
 
     def pass_density(mu: float) -> float:
-        return best_response(alpha, mu, inst).pass_prob * prior.pdf(mu)
+        return _respond(level, mu)[2] * prior.pdf(mu)
 
     def fail_density(mu: float) -> float:
-        return (1.0 - best_response(alpha, mu, inst).pass_prob) * prior.pdf(mu)
+        return (1.0 - _respond(level, mu)[2]) * prior.pdf(mu)
 
     no_weak = mass_weak <= 0.0
     no_eff = mass_eff <= 0.0

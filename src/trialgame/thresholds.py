@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, best_response
+from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _level, _respond
 from .errors import DomainError
 from .stats import std_normal_quantile, std_normal_sf
 
@@ -66,14 +66,15 @@ def participation_threshold(
     ``eps``; ``epsilon`` carries the final half-width.
     """
     _check_eps(eps)
+    level = _level(alpha, inst)
     lo, hi = BELIEF_FLOOR, BELIEF_CEIL
-    if best_response(alpha, lo, inst).participates:
+    if _respond(level, lo)[1]:  # n_star, which is 0 only when abstaining
         return ParticipationThreshold(lo, 0.0, "all_participate")
-    if not best_response(alpha, hi, inst).participates:
+    if not _respond(level, hi)[1]:
         return ParticipationThreshold(hi, 0.0, "none_participate")
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
-        if best_response(alpha, mid, inst).participates:
+        if _respond(level, mid)[1]:
             hi = mid
         else:
             lo = mid

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from trialgame import agent
 from trialgame import (
+    BELIEF_CEIL,
+    BELIEF_FLOOR,
     BestResponse,
     DomainError,
     EconomicInstance,
@@ -391,6 +393,61 @@ def test_best_response_agrees_with_exhaustive_scan():
     # Pass chance 1.0 from n = 381 on; the whole plateau ties.
     free = EconomicInstance(R=130.17, c0=2.187, c=0.0, mu_b=0.7657, n_min=1, n_max=500)
     assert best_response(3.11e-5, 0.9475, free) == BestResponse(True, 381, 1.0, 130.17 - 2.187)
+
+
+def test_best_response_near_scan_when_cost_is_at_float_resolution():
+    # With c/R near the float resolution the utility is flat or noisy over
+    # several sizes around the slope root, so the four scored sizes can miss
+    # the scan's first maximum by a few samples.  The utility given up stays
+    # within float noise, and it is always the utility of the size returned.
+    rng = random.Random(1409)
+    for _ in range(400):  # 4 of these miss the scan's n_star
+        n_min = rng.randrange(1, 30)
+        inst = EconomicInstance(
+            R=10.0 ** rng.uniform(-1.0, 3.0),
+            c0=10.0 ** rng.uniform(-4.0, 1.0),
+            c=10.0 ** rng.uniform(-14.0, -9.0),
+            mu_b=rng.uniform(0.05, 0.95),
+            n_min=n_min,
+            n_max=rng.randrange(40, 5000),
+        )
+        alpha = 10.0 ** rng.uniform(-4.0, math.log10(0.5))
+        mu0 = rng.uniform(1e-6, 1.0 - 1e-6)
+        fast = best_response(alpha, mu0, inst)
+        scan = best_response_bruteforce(alpha, mu0, inst)
+        assert fast.participates == scan.participates
+        assert scan.utility - fast.utility <= 2.0 * math.ulp(inst.R)
+        if fast.participates:
+            assert fast.utility == utility(alpha, mu0, fast.n_star, inst)
+    # Flat tops whose bisection probes a size above the top utility.
+    for alpha, mu0, inst in (
+        (
+            0.0007417190520160559,
+            0.7969085780710236,
+            EconomicInstance(267.2026769023252, 0.22297513033451077, 3.960568443645264e-14,
+                             0.7322312051010205, 12, 27997),
+        ),
+        (
+            0.05069051425145473,
+            0.7905330423398049,
+            EconomicInstance(10.718378784627628, 9.11541926523247, 1.7613829159079663e-14,
+                             0.7659689185576608, 11, 56872),
+        ),
+    ):
+        br = best_response(alpha, mu0, inst)
+        assert br.utility == utility(alpha, mu0, br.n_star, inst)
+
+
+def test_kernel_validates_level_and_belief():
+    level = agent._level(0.05, INST)
+    assert agent._respond(level, 0.6) == (BEST_UTILITY, BEST_N, BEST_PASS)
+    assert agent._respond(level, BELIEF_FLOOR) == (0.0, 0, 0.0)
+    for mu0 in (0.0, 0.5 * BELIEF_FLOOR, BELIEF_CEIL + 1e-9, 1.0, math.nan):
+        with pytest.raises(DomainError, match="belief"):
+            agent._respond(level, mu0)
+    for alpha in (0.0, 1.0, -0.1, 1.5, math.nan):
+        with pytest.raises(DomainError, match="significance level"):
+            agent._level(alpha, INST)
 
 
 def test_best_response_matches_binary_search_oracle():

@@ -127,14 +127,19 @@ def test_loss_sweep_writes_expected_csv(tmp_path, capsys):
 
 
 def test_loss_sweep_preset_bytes_are_pinned(tmp_path):
-    # A change to the solvers' arithmetic or to the CSV writer moves this
-    # digest; a faster solver that returns the same answers does not.
-    out_path = tmp_path / "sweep.csv"
-    args = ["loss-sweep", "--config", "fn-curves-062", "--output", str(out_path), "--quiet"]
-    assert main(args) == 0
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
-        "665855948a44f603aad221176fcb32d569ce8625e4d3346fbf4512420c502b53"
-    )
+    # A change to the solvers' arithmetic or to the CSV writer moves these
+    # digests; a faster solver that returns the same answers does not.
+    # cardiovascular reaches n_max = 100,000 and the curvature breaks, which
+    # the n_max = 500 of fn-curves-062 does not.
+    pinned = {
+        "fn-curves-062": "665855948a44f603aad221176fcb32d569ce8625e4d3346fbf4512420c502b53",
+        "cardiovascular": "28bd41cf850eb5597d7d67af9e2fa013a6e2855855929b1f2c1d2cbf1ba5228a",
+    }
+    for preset, digest in pinned.items():
+        out_path = tmp_path / f"sweep-{preset}.csv"
+        args = ["loss-sweep", "--config", preset, "--output", str(out_path), "--quiet"]
+        assert main(args) == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, preset
 
 
 def test_loss_sweep_output_from_config(tmp_path, capsys):

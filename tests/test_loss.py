@@ -1,9 +1,11 @@
 """Regulator loss decomposition, quadrature accuracy, sweeps.
 
 Quadrature is validated against analytic integrals and adaptive
-scipy.integrate.quad references; component values on the standard unit
-instance are frozen for regression.  Conditional-mass edge cases (priors
-entirely on one side of the baseline) are exercised explicitly.
+scipy.integrate.quad references, and the per-level solver against the
+per-node form that asks the public best response at every Simpson node;
+component values on the standard unit instance are frozen for regression.
+Conditional-mass edge cases (priors entirely on one side of the baseline)
+are exercised explicitly.
 """
 
 import math
@@ -13,15 +15,21 @@ from scipy import integrate
 from scipy import stats as sps
 
 from trialgame import (
+    BELIEF_CEIL,
+    BELIEF_FLOOR,
     DomainError,
     EconomicInstance,
+    LossBreakdown,
     LossWeights,
     QuadratureSpec,
     TruncatedNormalPrior,
     best_response,
     critical_alpha,
+    load_config,
     loss_components,
     optimal_alpha,
+    participation_threshold,
+    preset_path,
     sweep_alpha,
 )
 from trialgame.loss import _simpson
@@ -116,6 +124,50 @@ def test_loss_components_match_adaptive_quadrature():
     # Refining the panels closes most of the endpoint gap.
     fine = loss_components(alpha, inst, PRIOR, QuadratureSpec(panels=20000), threshold_eps=1e-9)
     assert abs(fine.fn_particip - fn_ref / mass_eff) < abs(bd.fn_particip - fn_ref / mass_eff) / 4.0
+
+
+def loss_components_per_node(alpha, inst, prior, quad, weights):
+    """The loss decomposition with one public ``best_response`` per Simpson node.
+
+    Same threshold, limits and summation order as ``loss_components``, so
+    the two must agree exactly.
+    """
+    th = participation_threshold(alpha, inst)
+    mu_b = inst.mu_b
+    lo, hi = max(prior.support[0], BELIEF_FLOOR), min(prior.support[1], BELIEF_CEIL)
+    mass_weak = prior.cdf(mu_b)
+    mass_eff = 1.0 - mass_weak
+
+    def clip(x):
+        return min(max(x, 0.0), 1.0)
+
+    def pass_density(mu):
+        return best_response(alpha, mu, inst).pass_prob * prior.pdf(mu)
+
+    def fail_density(mu):
+        return (1.0 - best_response(alpha, mu, inst).pass_prob) * prior.pdf(mu)
+
+    a, b = max(th.mu_tau, lo), min(mu_b, hi)
+    fp = clip(_simpson(pass_density, a, b, quad.panels) / mass_weak)
+    a, b = max(th.mu_tau, mu_b, lo), hi
+    fn = clip(_simpson(fail_density, a, b, quad.panels) / mass_eff)
+    abstain = clip((prior.cdf(max(th.mu_tau, mu_b)) - mass_weak) / mass_eff)
+    total = weights.lambda_fp * fp + weights.lambda_fn * (fn + abstain)
+    return LossBreakdown(fp, fn, abstain, total, th.mu_tau, th.status)
+
+
+@pytest.mark.parametrize("preset", ["cardiovascular", "fn-curves-062"])
+def test_loss_components_match_per_node_best_responses(preset):
+    cfg = load_config(preset_path(preset))
+    args = (cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
+    statuses, weak_rows = set(), 0
+    for alpha in (1e-4, 0.003, 0.02, 0.05, 0.1, 0.3, 0.9):
+        bd = loss_components(alpha, *args)
+        assert bd == loss_components_per_node(alpha, *args), alpha
+        statuses.add(bd.threshold_status)
+        weak_rows += bd.fp_particip > 0.0  # weak beliefs participate
+    assert statuses == {"interior", "all_participate"}
+    assert weak_rows >= 3
 
 
 def test_loss_components_weighted_total_identity():

@@ -1,7 +1,8 @@
 """Participation threshold and critical significance level solvers.
 
 Interior thresholds are checked against an independent bisection that
-uses only the exhaustive best-response scan.  The critical level is
+uses only the exhaustive best-response scan, and every status against the
+same bisection asking the public ``best_response``.  The critical level is
 checked against a weak-belief utility scan that shares no code with the
 package, and against the nested bisection search it replaced, which
 stays here as an oracle for baselines up to 0.6.  Clamp statuses and
@@ -78,15 +79,17 @@ def test_threshold_non_increasing_in_alpha():
 
 
 def test_threshold_uses_logarithmically_many_best_responses(monkeypatch):
+    # The bisection sets up the level once and asks the per-belief kernel
+    # for each best response, so counting kernel calls counts best responses.
     calls = 0
-    real = thresholds.best_response
+    real = thresholds._respond
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(thresholds, "best_response", counting)
+    monkeypatch.setattr(thresholds, "_respond", counting)
     th = thresholds.participation_threshold(0.1, INST)
     assert th.status == "interior"
     # Two endpoint probes plus one call per halving of the belief range.
@@ -106,6 +109,34 @@ def test_threshold_tolerance_validation():
 CARDIO = EconomicInstance(R=3560.0, c0=141.0, c=0.128, mu_b=0.5, n_min=1, n_max=100_000)
 ONCO = EconomicInstance(R=5000.0, c0=648.0, c=0.136, mu_b=0.5, n_min=1, n_max=100_000)
 VACCINE = EconomicInstance(R=17720.0, c0=886.0, c=0.05, mu_b=0.5, n_min=1, n_max=100_000)
+
+
+def bisect_public_best_response(alpha, inst, eps=thresholds.DEFAULT_EPS):
+    """The threshold bisection, asking the public ``best_response`` per belief."""
+    lo, hi = BELIEF_FLOOR, BELIEF_CEIL
+    if best_response(alpha, lo, inst).participates:
+        return thresholds.ParticipationThreshold(lo, 0.0, "all_participate")
+    if not best_response(alpha, hi, inst).participates:
+        return thresholds.ParticipationThreshold(hi, 0.0, "none_participate")
+    while hi - lo > eps:
+        mid = 0.5 * (lo + hi)
+        if best_response(alpha, mid, inst).participates:
+            hi = mid
+        else:
+            lo = mid
+    return thresholds.ParticipationThreshold(0.5 * (lo + hi), 0.5 * (hi - lo), "interior")
+
+
+def test_threshold_matches_bisection_on_public_best_response():
+    broke = EconomicInstance(R=1.0, c0=2.0, c=0.002, mu_b=0.5, n_min=1, n_max=500)
+    high_baseline = EconomicInstance(R=271.7, c0=3.56e-3, c=0.432, mu_b=0.838, n_max=20_000)
+    statuses = set()
+    for inst in (INST, CARDIO, ONCO, broke, high_baseline):
+        for alpha in (1e-4, 0.003, 0.03, 0.1, 0.3, 0.9):
+            th = participation_threshold(alpha, inst)
+            assert th == bisect_public_best_response(alpha, inst), (inst, alpha)
+            statuses.add(th.status)
+    assert statuses == {"interior", "all_participate", "none_participate"}
 
 
 def test_critical_alpha_closed_form_frozen_values():
