@@ -19,7 +19,7 @@ bracketed Newton iteration in ``sqrt(n)`` finds from logarithms alone, with
 no normal tail evaluated.  The integer optimum lies within a sample of that
 root, so the best response scores a handful of sizes around each root plus
 the ends of the convex region, and nothing else.  What depends only on the
-level is set up once by ``_level``; the threshold bisection and the loss
+level is set up once by ``_level``; the threshold and the loss
 integrals then ask ``_respond`` for each belief.  The exhaustive scan is
 retained as an oracle.
 """

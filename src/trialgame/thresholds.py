@@ -1,8 +1,14 @@
 """Participation threshold and critical significance level.
 
-The marginal belief ``mu_tau(alpha)`` is a bisection target on the
+The marginal belief ``mu_tau(alpha)`` is defined by a bisection on the
 participation predicate, which assumes participation is monotone in
-belief: true for baselines up to about 0.6, not in general.  The critical
+belief: true for baselines up to about 0.6, not in general.  The kernel is
+asked only where that bisection's answer is in doubt.  For a fixed trial
+size the belief that breaks even is a root of a quadratic, so iterating
+between break-even beliefs and the best size there locates the crossing;
+an evaluated bracket around it then answers every other midpoint of a
+replayed bisection.  The two returned ends are checked, and if either
+fails the bisection is rerun asking at every midpoint.  The critical
 level ``alpha_hat`` is where a weak belief (``mu <= mu_b``) first enters.
 Weak applicants always buy ``n_min`` samples, so it has a closed form that
 needs no search and no best response.
@@ -56,29 +62,113 @@ def _check_eps(eps: float) -> None:
         raise DomainError(f"tolerance must lie in (0, 0.5), got {eps!r}")
 
 
+def _break_even(level: tuple, n: int) -> float | None:
+    """Lowest belief in the clamped range at which ``n`` samples break even.
+
+    ``R * p(n, mu) = c0 + c * n`` means ``v(mu) = z`` with ``k = (c0 + c n) / R``,
+    ``z = Phi^{-1}(1 - k)``, ``r = sqrt(n)``, ``A = d s_b + mu_b r`` and
+    ``v = (A - r mu) / s(mu)``.  Squaring gives the quadratic
+    ``(A - r mu)^2 = z^2 mu (1 - mu)``, whose roots count when
+    ``(A - r mu) z >= 0``.  ``None`` when no such root lies in range.
+    """
+    mu_b, ds, R, c0, c = level[1:6]
+    k = (c0 + c * n) / R
+    if not 0.0 < k < 1.0:
+        return None
+    z = -std_normal_quantile(k)
+    r = math.sqrt(n)
+    a = ds + mu_b * r
+    b = 2.0 * a * r + z * z
+    disc = z * z * (z * z + 4.0 * a * (r - a))
+    if b <= 0.0 or disc < 0.0:  # both roots at or below 0, or none real
+        return None
+    q = r * r + z * z
+    big = (b + math.sqrt(disc)) / (2.0 * q)
+    for mu in (a * a / (q * big), big):
+        if BELIEF_FLOOR <= mu <= BELIEF_CEIL and (a - r * mu) * z >= 0.0:
+            return mu
+    return None
+
+
+#: Half-width of the evaluated bracket closed around a break-even belief.
+_BRACKET = 1e-10
+
+
+def _bracket(level: tuple, n_ceil: int) -> tuple[float, float]:
+    """Evaluated beliefs ``(a, b)``, ``a < b``, where ``a`` abstains and ``b`` participates.
+
+    Starts from the lowest break-even belief of ``n_min``, ``n_max`` and
+    ``n_ceil`` (the best size at the ceiling), asks the kernel there and
+    moves to the break-even belief of the size it returns until that size
+    repeats.  Then the other side of a ``_BRACKET`` bracket is asked.  The
+    clamp ends are returned for whatever this cannot settle.
+    """
+    a, b = BELIEF_FLOOR, BELIEF_CEIL
+
+    def ask(mu: float) -> int:
+        nonlocal a, b
+        n = _respond(level, mu)[1]
+        if n and mu < b:
+            b = mu
+        elif not n and mu > a:
+            a = mu
+        return n
+
+    roots = [_break_even(level, n) for n in {*level[6:], n_ceil}]  # n_min, n_max, n_ceil
+    roots = [mu for mu in roots if mu is not None]
+    if not roots:
+        return a, b
+    mu, n_seen = min(roots), None
+    while True:
+        n = ask(mu)
+        if not n or n == n_seen:
+            break
+        n_seen, mu_next = n, _break_even(level, n)
+        if mu_next is None or not mu_next < mu:
+            break
+        mu = mu_next
+    ask(max(mu - _BRACKET, BELIEF_FLOOR) if n else min(mu + _BRACKET, BELIEF_CEIL))
+    return (a, b) if a < b else (BELIEF_FLOOR, BELIEF_CEIL)
+
+
 def participation_threshold(
     alpha: float, inst: EconomicInstance, eps: float = DEFAULT_EPS
 ) -> ParticipationThreshold:
     """Lowest belief that still participates, to within ``eps``.
 
-    Bisects the clamped belief range on the participation predicate and
-    returns the bracket midpoint once the bracket is narrower than
-    ``eps``; ``epsilon`` carries the final half-width.
+    The answer is the bisection of the clamped belief range on the
+    participation predicate, stopped once the bracket is narrower than
+    ``eps``: the bracket midpoint, with ``epsilon`` its half-width.  The
+    kernel is asked only where that answer is in doubt.  :func:`_bracket`
+    locates the crossing from closed-form break-even beliefs and leaves an
+    evaluated abstaining belief ``a`` and participating belief ``b``.  The
+    bisection is then replayed: a midpoint at or below ``a`` goes low, one
+    at or above ``b`` goes high, and only one strictly between is asked.
+    Where participation is monotone this is the plain bisection, bit for
+    bit.  Both returned ends are then asked, unless they already were; if
+    either fails, participation is not monotone and the replay runs again
+    asking at every midpoint, which is the plain bisection.
     """
     _check_eps(eps)
     level = _level(alpha, inst)
-    lo, hi = BELIEF_FLOOR, BELIEF_CEIL
-    if _respond(level, lo)[1]:  # n_star, which is 0 only when abstaining
-        return ParticipationThreshold(lo, 0.0, "all_participate")
-    if not _respond(level, hi)[1]:
-        return ParticipationThreshold(hi, 0.0, "none_participate")
-    while hi - lo > eps:
-        mid = 0.5 * (lo + hi)
-        if _respond(level, mid)[1]:
-            hi = mid
-        else:
-            lo = mid
-    return ParticipationThreshold(0.5 * (lo + hi), 0.5 * (hi - lo), "interior")
+    if _respond(level, BELIEF_FLOOR)[1]:  # n_star, which is 0 only when abstaining
+        return ParticipationThreshold(BELIEF_FLOOR, 0.0, "all_participate")
+    n_ceil = _respond(level, BELIEF_CEIL)[1]
+    if not n_ceil:
+        return ParticipationThreshold(BELIEF_CEIL, 0.0, "none_participate")
+    a, b = _bracket(level, n_ceil)
+    while True:
+        lo, hi, lo_asked, hi_asked = BELIEF_FLOOR, BELIEF_CEIL, True, True
+        while hi - lo > eps:
+            mid = 0.5 * (lo + hi)
+            asked = a < mid < b
+            if mid >= b or asked and _respond(level, mid)[1]:
+                hi, hi_asked = mid, asked
+            else:
+                lo, lo_asked = mid, asked
+        if (lo_asked or not _respond(level, lo)[1]) and (hi_asked or _respond(level, hi)[1]):
+            return ParticipationThreshold(0.5 * (lo + hi), 0.5 * (hi - lo), "interior")
+        a, b = BELIEF_FLOOR, BELIEF_CEIL
 
 
 def critical_alpha_closed_form(inst: EconomicInstance) -> float:

@@ -171,7 +171,7 @@ def test_criterion_5_missed_approval_curve_shapes():
         ("fn-curves-067", False),
     ):
         cfg = load_config(preset_path(name))
-        alpha_hat = critical_alpha_closed_form(cfg.instance)
+        alpha_hat = critical_alpha(cfg.instance).alpha_hat
         alphas = cfg.alpha_grid
         rows = sweep_alpha(alphas, cfg.instance, cfg.prior, cfg.weights, cfg.quadrature)
         curve = [bd.fn_particip for bd in rows]

@@ -142,6 +142,21 @@ def test_loss_sweep_preset_bytes_are_pinned(tmp_path):
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, preset
 
 
+def test_heatmap_preset_bytes_are_pinned(tmp_path):
+    # The category presets' full R x c0 grids, each through the closed-form
+    # critical level.
+    pinned = {
+        "cardiovascular": "da88b515e2173a1c862beb5e884d54f6fe3b5a4feca019303fae685368fbe8f3",
+        "oncology": "3b44dd6534a4d7af5aeca114d0493acd490a78af2b4f491119abaa95bd901aa1",
+        "vaccine": "1325898f3f0e55bdbf3e25cba926e8bc18628542006ef27376549e15108dd1c9",
+    }
+    for preset, digest in pinned.items():
+        out_path = tmp_path / f"heat-{preset}.csv"
+        args = ["heatmap", "--config", preset, "--output", str(out_path), "--quiet"]
+        assert main(args) == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, preset
+
+
 def test_loss_sweep_output_from_config(tmp_path, capsys):
     out_path = tmp_path / "from-config.csv"
     cfg = sweep_config(tmp_path, output=str(out_path))

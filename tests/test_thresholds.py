@@ -26,7 +26,9 @@ from trialgame import (
     best_response_bruteforce,
     critical_alpha,
     critical_alpha_closed_form,
+    load_config,
     participation_threshold,
+    preset_path,
 )
 
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
@@ -79,7 +81,7 @@ def test_threshold_non_increasing_in_alpha():
 
 
 def test_threshold_uses_logarithmically_many_best_responses(monkeypatch):
-    # The bisection sets up the level once and asks the per-belief kernel
+    # The threshold sets up the level once and asks the per-belief kernel
     # for each best response, so counting kernel calls counts best responses.
     calls = 0
     real = thresholds._respond
@@ -92,9 +94,9 @@ def test_threshold_uses_logarithmically_many_best_responses(monkeypatch):
     monkeypatch.setattr(thresholds, "_respond", counting)
     th = thresholds.participation_threshold(0.1, INST)
     assert th.status == "interior"
-    # Two endpoint probes plus one call per halving of the belief range.
-    expected = 2 + math.ceil(math.log2((BELIEF_CEIL - BELIEF_FLOOR) / thresholds.DEFAULT_EPS))
-    assert 12 <= calls <= expected + 2
+    # Two clamp probes, the break-even iteration and its bracket, and the
+    # two returned ends; the plain bisection would ask about 22.
+    assert calls <= 8
 
 
 def test_threshold_tolerance_validation():
@@ -111,20 +113,42 @@ ONCO = EconomicInstance(R=5000.0, c0=648.0, c=0.136, mu_b=0.5, n_min=1, n_max=10
 VACCINE = EconomicInstance(R=17720.0, c0=886.0, c=0.05, mu_b=0.5, n_min=1, n_max=100_000)
 
 
-def bisect_public_best_response(alpha, inst, eps=thresholds.DEFAULT_EPS):
-    """The threshold bisection, asking the public ``best_response`` per belief."""
+def bisect_predicate(participates, eps=thresholds.DEFAULT_EPS):
+    """The plain threshold bisection on a participation predicate."""
     lo, hi = BELIEF_FLOOR, BELIEF_CEIL
-    if best_response(alpha, lo, inst).participates:
+    if participates(lo):
         return thresholds.ParticipationThreshold(lo, 0.0, "all_participate")
-    if not best_response(alpha, hi, inst).participates:
+    if not participates(hi):
         return thresholds.ParticipationThreshold(hi, 0.0, "none_participate")
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
-        if best_response(alpha, mid, inst).participates:
+        if participates(mid):
             hi = mid
         else:
             lo = mid
     return thresholds.ParticipationThreshold(0.5 * (lo + hi), 0.5 * (hi - lo), "interior")
+
+
+def bisect_public_best_response(alpha, inst, eps=thresholds.DEFAULT_EPS):
+    """The threshold bisection, asking the public ``best_response`` per belief."""
+    return bisect_predicate(lambda mu: best_response(alpha, mu, inst).participates, eps)
+
+
+def random_instance(rng, mu_b_range):
+    """Economics drawn like the point-query benchmark's, with a chosen baseline range."""
+    R = 10.0 ** rng.uniform(0.0, 4.0)
+    return EconomicInstance(
+        R=R,
+        c0=R * 10.0 ** rng.uniform(-4.0, -1.0),
+        c=R * 10.0 ** rng.uniform(-7.0, -3.0),
+        mu_b=rng.uniform(*mu_b_range),
+        n_min=1,
+        n_max=rng.choice([500, 100_000]),
+    )
+
+
+def log_uniform_alpha(rng):
+    return math.exp(rng.uniform(math.log(1e-4), math.log(0.9)))
 
 
 def test_threshold_matches_bisection_on_public_best_response():
@@ -137,6 +161,82 @@ def test_threshold_matches_bisection_on_public_best_response():
             assert th == bisect_public_best_response(alpha, inst), (inst, alpha)
             statuses.add(th.status)
     assert statuses == {"interior", "all_participate", "none_participate"}
+
+
+@pytest.mark.parametrize("preset", [
+    "cardiovascular", "oncology", "vaccine", "fn-curves-053", "fn-curves-062", "fn-curves-067",
+])
+def test_threshold_matches_bisection_on_every_preset_alpha(preset):
+    cfg = load_config(preset_path(preset))
+    for alpha in cfg.alpha_grid:
+        assert participation_threshold(alpha, cfg.instance) == bisect_public_best_response(
+            alpha, cfg.instance
+        ), alpha
+
+
+def test_threshold_matches_bisection_where_participation_is_monotone():
+    # Baselines up to 0.6 keep participation monotone in belief, so the
+    # replayed bisection must return the plain bisection's bits.
+    rng = random.Random(606)
+    statuses = set()
+    for _ in range(2000):
+        inst = random_instance(rng, (0.05, 0.6))
+        alpha = log_uniform_alpha(rng)
+        th = participation_threshold(alpha, inst)
+        assert th == bisect_public_best_response(alpha, inst), (inst, alpha)
+        statuses.add(th.status)
+    assert "interior" in statuses and "all_participate" in statuses
+
+
+def test_threshold_brackets_a_crossing_for_high_baselines():
+    # Above 0.6 participation can be non-monotone, and a lower crossing
+    # than the plain bisection's may be returned; either way the lower end
+    # of the bracket abstains and the upper end participates.
+    rng = random.Random(607)
+    interior = 0
+    for _ in range(600):
+        inst = random_instance(rng, (0.6 + 1e-9, 0.95))
+        alpha = log_uniform_alpha(rng)
+        th = participation_threshold(alpha, inst)
+        if th.status != "interior":
+            assert th == bisect_public_best_response(alpha, inst), (inst, alpha)
+            continue
+        interior += 1
+        assert 0.0 < th.epsilon <= 0.5 * thresholds.DEFAULT_EPS
+        assert not best_response(alpha, th.mu_tau - th.epsilon, inst).participates, (inst, alpha)
+        assert best_response(alpha, th.mu_tau + th.epsilon, inst).participates, (inst, alpha)
+    assert interior >= 300
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_threshold_falls_back_to_bisection_when_an_end_fails(monkeypatch, end):
+    # A kernel whose answer flips at one end of the plain bisection's final
+    # bracket is non-monotone exactly where the replay infers instead of
+    # asking, so the check of that end fails and every midpoint is asked.
+    alpha = 0.1
+    level = thresholds._level(alpha, INST)
+    real = thresholds._respond
+    plain = bisect_public_best_response(alpha, INST)
+    flipped = plain.mu_tau - plain.epsilon if end == "lo" else plain.mu_tau + plain.epsilon
+    calls = 0
+
+    def kernel(level, mu):
+        nonlocal calls
+        calls += 1
+        answer = real(level, mu)
+        if mu != flipped:
+            return answer
+        return (0.0, 0, 0.0) if answer[1] else (1.0, INST.n_min, 1.0)
+
+    def participates(mu):
+        return bool(kernel(level, mu)[1])
+
+    assert participates(flipped) == (end == "lo")  # the end now answers the wrong way
+    expected = bisect_predicate(participates)
+    calls = 0
+    monkeypatch.setattr(thresholds, "_respond", kernel)
+    assert thresholds.participation_threshold(alpha, INST) == expected != plain
+    assert calls > 22  # the replay, its failed check and the full bisection
 
 
 def test_critical_alpha_closed_form_frozen_values():
