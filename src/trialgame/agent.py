@@ -18,8 +18,8 @@ first-order condition ``utility_slope = 0`` has at most one root, which a
 bracketed Newton iteration in ``sqrt(n)`` finds from logarithms alone, with
 no normal tail evaluated.  The integer optimum lies within a sample of that
 root, so the best response scores a handful of sizes around each root plus
-the ends of the convex region, and nothing else.  What depends only on the
-level is set up once by ``_level``; the threshold and the loss
+the ends of the convex region, in one pass, and nothing else.  What depends
+only on the level is set up once by ``_level``; the threshold and the loss
 integrals then ask ``_respond`` for each belief.  The exhaustive scan is
 retained as an oracle.
 """
@@ -186,159 +186,155 @@ def utility_slope(alpha: float, mu0: float, n: float, inst: EconomicInstance) ->
     return std_normal_pdf(v) * inst.R * dmu / (2.0 * sigma0 * rootn) - inst.c
 
 
-def _curvature_breaks(d: float, mu0: float, mu_b: float) -> tuple[float, float] | None:
-    """Real trial sizes where the utility's curvature changes sign.
+def _curvature_breaks(ds: float, dmu: float, var0: float) -> tuple[float, float]:
+    """Real trial sizes ``(n1, n2)`` bounding the window where the utility is convex.
 
     With ``v(n) = (d*s_b - dmu*sqrt(n)) / s_0`` the second derivative of
     expected profit is ``R * dmu * pdf(v) / (4 * s_0 * n^{3/2}) *
     (v * dmu * sqrt(n) / s_0 - 1)``, so in ``t = sqrt(n)`` its sign is
     ruled by the quadratic ``t^2 - (d*s_b/dmu)*t + s_0^2/dmu^2``
     (positive value means concave).  The root product is always positive,
-    so sign changes come in pairs: either none, or two positive roots
-    bracketing a convex window.
+    so sign changes come in pairs: either none, reported as the empty window
+    ``(0.0, 0.0)``, or two positive roots bracketing a convex window.  Takes
+    ``ds = d*s_b``, ``dmu = mu0 - mu_b > 0`` and ``var0 = s_0^2``.
     """
-    dmu = mu0 - mu_b
-    sigma0_sq = mu0 * (1.0 - mu0)
-    dsb = d * math.sqrt(mu_b * (1.0 - mu_b))
-    disc = dsb * dsb - 4.0 * sigma0_sq
-    if disc <= 0.0 or dsb <= 0.0:
-        return None
-    t_hi = (dsb + math.sqrt(disc)) / (2.0 * dmu)
-    t_lo = (sigma0_sq / (dmu * dmu)) / t_hi
-    return (t_lo * t_lo, t_hi * t_hi)
-
-
-def _spans(
-    breaks: tuple[float, float] | None, lo: float, hi: float
-) -> list[tuple[float, float, bool]]:
-    """Pieces of ``[lo, hi]`` with one curvature sign, as ``(a, b, concave)``.
-
-    With curvature breaks, only pieces of positive length are kept, so a
-    degenerate ``lo == hi`` yields none.
-    """
-    if breaks is None:
-        return [(lo, hi, True)]
-    n1, n2 = breaks
-    spans = []
-    for plo, phi, concave in ((0.0, n1, True), (n1, n2, False), (n2, math.inf, True)):
-        a, b = max(plo, lo), min(phi, hi)
-        if a < b:
-            spans.append((a, b, concave))
-    return spans
+    disc = ds * ds - 4.0 * var0
+    if disc <= 0.0 or ds <= 0.0:
+        return 0.0, 0.0
+    t_hi = (ds + math.sqrt(disc)) / (2.0 * dmu)
+    t_lo = (var0 / (dmu * dmu)) / t_hi
+    return t_lo * t_lo, t_hi * t_hi
 
 
 def curvature_regions(
     alpha: float, mu0: float, inst: EconomicInstance
 ) -> tuple[CurvatureRegion, ...]:
     """Ordered, contiguous partition of [n_min, n_max] by the curvature of expected profit."""
-    _check_alpha(alpha)
+    mu_b, ds = _level(alpha, inst)[:2]
     _check_belief(mu0)
-    if mu0 <= inst.mu_b:
+    if mu0 <= mu_b:
         raise DomainError(
-            f"curvature analysis applies only for mu0 > mu_b, got mu0={mu0!r}, mu_b={inst.mu_b!r}"
+            f"curvature analysis applies only for mu0 > mu_b, got mu0={mu0!r}, mu_b={mu_b!r}"
         )
     lo, hi = float(inst.n_min), float(inst.n_max)
-    breaks = _curvature_breaks(_upper_quantile(alpha), mu0, inst.mu_b)
-    pieces = _spans(breaks, lo, hi)
-    if not pieces:
-        # Degenerate n_min = n_max: classify the single admissible size.
-        n1, n2 = breaks
-        pieces = [(lo, hi, not n1 < lo < n2)]
-    return tuple(CurvatureRegion(a, b, "concave" if c else "convex") for a, b, c in pieces)
-
-
-def _slope_root(k: float, ds: float, dmu: float, sigma0: float, a: int, b: int) -> float:
-    """Real trial size in ``[a, b]`` where the slope of expected profit vanishes.
-
-    ``[a, b]`` must lie in one concave region.  In ``t = sqrt(n)``,
-    ``h(t) = ln((slope + c) / c) = k - v^2/2 - ln t`` has the sign of the
-    slope, with ``v = (ds - dmu*t)/s_0`` and ``k = ln(R*dmu/(2*s_0*c)) -
-    ln sqrt(2*pi)``.  There ``h'(t) = v*dmu/s_0 - 1/t < 0`` (the curvature
-    quadratic of :func:`_curvature_breaks`), so ``h`` has at most one root.
-    When ``h`` keeps one sign over the span the end it points to is returned.
-    Otherwise Newton steps start where ``h`` would vanish if ``ln t`` kept
-    its value at ``a``, each replaced by bisection if it would leave the
-    bracket, until a step moves ``n`` by less than a quarter sample.
-    """
-    t_lo, t_hi = math.sqrt(a), math.sqrt(b)
-    v = (ds - dmu * t_lo) / sigma0
-    h_lo = k - 0.5 * v * v - math.log(t_lo)
-    if h_lo <= 0.0:
-        return float(a)
-    v_hi = (ds - dmu * t_hi) / sigma0
-    if k - 0.5 * v_hi * v_hi - math.log(t_hi) >= 0.0:
-        return float(b)
-    t = (ds + sigma0 * math.sqrt(2.0 * h_lo + v * v)) / dmu
-    if not t_lo < t < t_hi:
-        t = 0.5 * (t_lo + t_hi)
-    while True:
-        v = (ds - dmu * t) / sigma0
-        h = k - 0.5 * v * v - math.log(t)
-        if h > 0.0:
-            t_lo = t
-        else:
-            t_hi = t
-        t_next = t - h / (v * dmu / sigma0 - 1.0 / t)
-        if not t_lo < t_next < t_hi:
-            t_next = 0.5 * (t_lo + t_hi)
-        if abs(t_next * t_next - t * t) < 0.25:
-            return t_next * t_next
-        t = t_next
+    n1, n2 = _curvature_breaks(ds, mu0 - mu_b, mu0 * (1.0 - mu0))
+    regions, a = [], lo
+    for b, shape in ((n1, "concave"), (n2, "convex"), (hi, "concave")):
+        b = b if b < hi else hi
+        if a < b:
+            regions.append(CurvatureRegion(a, b, shape))
+            a = b
+    # Degenerate n_min = n_max: classify the single admissible size.
+    return tuple(regions) or (CurvatureRegion(lo, hi, "convex" if n1 < lo < n2 else "concave"),)
 
 
 def _level(alpha: float, inst: EconomicInstance) -> tuple:
     """Checked ``alpha`` and the best response's belief-independent constants.
 
-    ``(d, mu_b, d * s_b, R, c0, c, n_min, n_max)`` with ``d = Phi^{-1}(1 - alpha)``.
+    ``(mu_b, d * s_b, R, c0, c, n_min, n_max, sqrt(n_max), ln sqrt(n_max))``
+    with ``d = Phi^{-1}(1 - alpha)``; ``n_max`` ends every last concave piece.
     """
     _check_alpha(alpha)
-    d = _upper_quantile(alpha)
     mu_b = inst.mu_b
-    ds = d * math.sqrt(mu_b * (1.0 - mu_b))
-    return d, mu_b, ds, inst.R, inst.c0, inst.c, inst.n_min, inst.n_max
+    ds = _upper_quantile(alpha) * math.sqrt(mu_b * (1.0 - mu_b))
+    t_max = math.sqrt(inst.n_max)
+    return mu_b, ds, inst.R, inst.c0, inst.c, inst.n_min, inst.n_max, t_max, math.log(t_max)
 
 
 def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
     """:func:`best_response` at a :func:`_level` as ``(utility, n_star, pass_prob)``.
 
-    Abstaining is ``(0.0, 0, 0.0)``.
+    Abstaining is ``(0.0, 0, 0.0)``.  A weak belief, or a single admissible
+    size, scores ``n_min`` alone.  Otherwise one pass walks the pieces of
+    ``[n_min, n_max]`` cut by the convex window of :func:`_curvature_breaks`,
+    in increasing order, and scores each candidate size as it comes; a size
+    equal to the one scored before it is skipped.  A convex piece offers
+    its two integer ends.  A concave piece offers the sizes from
+    ``floor(root) - 1`` to ``floor(root) + 2`` within it, where ``root`` is
+    the real size at which the slope of expected profit vanishes.
+
+    In ``t = sqrt(n)``, ``h(t) = ln((slope + c) / c) = k - v^2/2 - ln t``
+    has the sign of the slope, with ``v = (ds - dmu*t)/s_0`` and ``k =
+    ln(R*dmu/(2*s_0*c)) - ln sqrt(2*pi)``.  On a concave piece ``h'(t) =
+    v*dmu/s_0 - 1/t < 0``, so ``h`` has at most one root.  When ``h`` keeps
+    one sign over the piece the end it points to is the root.  Otherwise
+    Newton steps start where ``h`` would vanish if ``ln t`` kept its value
+    at the piece's start, each replaced by bisection if it would leave the
+    bracket, until a step moves ``n`` by less than a quarter sample.
     """
     _check_belief(mu0)
-    d, mu_b, ds, R, c0, c, n_min, n_max = level
-    sigma0 = math.sqrt(mu0 * (1.0 - mu0))
+    mu_b, ds, R, c0, c, n_min, n_max, t_max, log_t_max = level
+    var0 = mu0 * (1.0 - mu0)
+    sigma0 = math.sqrt(var0)
     dmu = mu0 - mu_b
-    if dmu <= 0.0:
-        sizes = [n_min]
-    else:
-        # Without a per-sample cost the slope never reaches zero.
-        k = math.log(R * dmu / (2.0 * sigma0 * c)) - _LOG_SQRT_2PI if c > 0.0 else math.inf
-        lo, hi = float(n_min), float(n_max)
-        # With curvature breaks, n_min == n_max leaves no span of positive length.
-        spans = _spans(_curvature_breaks(d, mu0, mu_b), lo, hi) or [(lo, hi, False)]
-        # The spans are ordered, so sizes never decrease; a repeat never wins.
-        sizes = []
-        for a_real, b_real, concave in spans:
-            a, b = max(math.ceil(a_real), n_min), min(math.floor(b_real), n_max)
-            if a > b:
-                continue
-            if concave:
-                root = math.floor(_slope_root(k, ds, dmu, sigma0, a, b))
-                sizes += range(max(a, root - 1), min(b, root + 2) + 1)
+    if dmu <= 0.0 or n_min == n_max:
+        p = 0.5 * math.erfc((ds - dmu * math.sqrt(n_min)) / sigma0 / _SQRT2)
+        u = R * p - (c0 + c * n_min)
+        return (u, n_min, p) if u >= 0.0 else (0.0, 0, 0.0)
+    # Without a per-sample cost the slope never reaches zero.
+    k = math.log(R * dmu / (2.0 * sigma0 * c)) - _LOG_SQRT_2PI if c > 0.0 else math.inf
+    n1, n2 = _curvature_breaks(ds, dmu, var0)
+    # The pieces end at n1, n2 and n_max, clipped to the range.  One of
+    # positive length is walked, and the next piece starts at its end.
+    best_n, best_u, best_p, last, before = 0, -math.inf, 0.0, 0, 0
+    a_real = n_min
+    for b_real, concave in ((n1, True), (n2, False), (n_max, True)):
+        if b_real > n_max:
+            b_real = n_max
+        if not a_real < b_real:
+            continue
+        a, b = math.ceil(a_real), math.floor(b_real)
+        a_real = b_real
+        if not concave:
+            window = (a, b) if a <= b else ()
+        else:
+            t_lo = math.sqrt(a)
+            v = (ds - dmu * t_lo) / sigma0
+            h_lo = k - 0.5 * v * v - math.log(t_lo)
+            if h_lo <= 0.0:
+                root = a
             else:
-                sizes += (a, b)
-
-    best_n, best_u, best_p = 0, -math.inf, 0.0
-    for n in sizes:
-        p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
-        u = R * p - (c0 + c * n)
-        if u > best_u:
-            best_n, best_u, best_p = n, u, p
+                if b == n_max:
+                    t_hi, log_t_hi = t_max, log_t_max
+                else:
+                    t_hi = math.sqrt(b)
+                    log_t_hi = math.log(t_hi)
+                v_hi = (ds - dmu * t_hi) / sigma0
+                if k - 0.5 * v_hi * v_hi - log_t_hi >= 0.0:
+                    root = b
+                else:
+                    t = (ds + sigma0 * math.sqrt(2.0 * h_lo + v * v)) / dmu
+                    if not t_lo < t < t_hi:
+                        t = 0.5 * (t_lo + t_hi)
+                    while True:
+                        v = (ds - dmu * t) / sigma0
+                        h = k - 0.5 * v * v - math.log(t)
+                        if h > 0.0:
+                            t_lo = t
+                        else:
+                            t_hi = t
+                        t_next = t - h / (v * dmu / sigma0 - 1.0 / t)
+                        if not t_lo < t_next < t_hi:
+                            t_next = 0.5 * (t_lo + t_hi)
+                        if abs(t_next * t_next - t * t) < 0.25:
+                            break
+                        t = t_next
+                    root = math.floor(t_next * t_next)
+            window = range(root - 1 if root - 1 > a else a, (root + 2 if root + 2 < b else b) + 1)
+        for n in window:
+            if n > last:
+                p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
+                u = R * p - (c0 + c * n)
+                if u > best_u:
+                    best_n, best_u, best_p, before = n, u, p, last
+                last = n
     # A scored size below best_n scored strictly less.  An unscored one that
     # ties marks a flat top (the pass chance rounded to its limit), which the
     # utility rises to and stays on: bisect for its first size, probing
-    # best_n - 1 first.
+    # best_n - 1 first.  Sizes are scored in increasing order, so best_n - 1
+    # was scored exactly when it was the size scored just before best_n.
     lo_n, n = n_min, best_n - 1
-    if best_n > n_min and n not in sizes:
+    if best_n > n_min and before != n:
         while lo_n < best_n:
             p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
             if R * p - (c0 + c * n) == best_u:
@@ -358,7 +354,7 @@ def best_response(alpha: float, mu0: float, inst: EconomicInstance) -> BestRespo
     candidate is ``n_min``.  On the effective side the curvature partition
     splits ``[n_min, n_max]`` into concave and convex spans.  A convex span
     peaks at an end; a concave one peaks within a sample of the root of
-    ``utility_slope`` (:func:`_slope_root`), so the four sizes from
+    ``utility_slope`` (found in :func:`_respond`), so the four sizes from
     ``floor(root) - 1`` to ``floor(root) + 2`` that lie in the span are
     scored, and the winner's pass chance is kept, not recomputed.
 

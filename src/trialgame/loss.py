@@ -7,9 +7,11 @@ applicants priced out of participating entirely, and weak abstainers
 (who by construction can never be approved, so that channel is zero).
 
 Components are prior-weighted averages of the best-responding pass
-probability.  The integrands are smooth except at the participation
-threshold and the baseline, so the quadrature always splits there:
-integration limits are exactly ``mu_tau(alpha)`` and ``mu_b``.
+probability.  The integrands jump at ``mu_tau(alpha)`` and ``mu_b``, the
+integration limits, and are not smooth between them: the pass chance steps
+wherever the integer best size switches (ROADMAP item 9) and climbs steeply
+just above ``mu_tau`` (item 8): for ``cardiovascular`` at alpha = 0.030, ``n*``
+goes from 463 to 9,305 and the pass chance from 0.056 to 0.43 within 0.002.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class LossWeights:
 
 @dataclass(frozen=True, slots=True)
 class QuadratureSpec:
-    """Composite Simpson rule resolution, per smooth segment."""
+    """Composite Simpson panels per integral, each over a non-smooth integrand."""
 
     panels: int = 2000
 

@@ -71,7 +71,7 @@ def _break_even(level: tuple, n: int) -> float | None:
     ``(A - r mu)^2 = z^2 mu (1 - mu)``, whose roots count when
     ``(A - r mu) z >= 0``.  ``None`` when no such root lies in range.
     """
-    mu_b, ds, R, c0, c = level[1:6]
+    mu_b, ds, R, c0, c, _, _, _, _ = level
     k = (c0 + c * n) / R
     if not 0.0 < k < 1.0:
         return None
@@ -114,7 +114,8 @@ def _bracket(level: tuple, n_ceil: int) -> tuple[float, float]:
             a = mu
         return n
 
-    roots = [_break_even(level, n) for n in {*level[6:], n_ceil}]  # n_min, n_max, n_ceil
+    _, _, _, _, _, n_min, n_max, _, _ = level
+    roots = [_break_even(level, n) for n in {n_min, n_max, n_ceil}]
     roots = [mu for mu in roots if mu is not None]
     if not roots:
         return a, b

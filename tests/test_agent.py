@@ -7,6 +7,7 @@ second differences of the utility itself.  Point values are frozen from
 independent closed-form evaluation (scipy.stats.norm) or from the scan.
 """
 
+import hashlib
 import math
 import random
 
@@ -69,9 +70,10 @@ def _concave_argmax(u_of, a, b):
 def best_response_binary_search(alpha, mu0, inst):
     """Region solver that binary-searches forward differences, as an oracle.
 
-    Same curvature partition as ``best_response``, but each concave span is
-    searched with :func:`_concave_argmax` instead of solving the first-order
-    condition; the span ends are candidates too.
+    Same curvature partition as ``best_response``, taken from the public
+    :func:`curvature_regions`, but each concave region is searched with
+    :func:`_concave_argmax` instead of solving the first-order condition;
+    the integers on either side of each region end are candidates too.
     """
     d = agent._upper_quantile(alpha)
     mu_b = inst.mu_b
@@ -90,19 +92,13 @@ def best_response_binary_search(alpha, mu0, inst):
     if dmu <= 0.0:
         candidates = [n_min]
     else:
+        # Every curvature break within [n_min, n_max] ends a region, and the
+        # regions' outer ends are n_min and n_max.
         candidates = {n_min, n_max}
-        breaks = agent._curvature_breaks(d, mu0, mu_b)
-        for r in breaks or ():
-            if n_min <= r <= n_max:
-                candidates.add(int(math.floor(r)))
-                candidates.add(int(math.ceil(r)))
-        for a_real, b_real, concave in agent._spans(breaks, float(n_min), float(n_max)):
-            a, b = max(math.ceil(a_real), n_min), min(math.floor(b_real), n_max)
-            if a > b:
-                continue
-            candidates.add(a)
-            candidates.add(b)
-            if concave and b > a:
+        for region in curvature_regions(alpha, mu0, inst):
+            a, b = math.ceil(region.n_lo), math.floor(region.n_hi)
+            candidates.update((math.floor(region.n_lo), a, b, math.ceil(region.n_hi)))
+            if region.shape == "concave" and b > a:
                 candidates.add(_concave_argmax(u_of, a, b))
         candidates = sorted(candidates)
     best_n, best_u = 0, -math.inf
@@ -448,6 +444,32 @@ def test_kernel_validates_level_and_belief():
     for alpha in (0.0, 1.0, -0.1, 1.5, math.nan):
         with pytest.raises(DomainError, match="significance level"):
             agent._level(alpha, INST)
+
+
+# sha256 of the kernel's answers to the queries below, frozen from the
+# solver before its candidate scan became a single pass over the pieces.
+KERNEL_DIGEST = "89da89942eca87481f0ff01a2491534201516f689376fd2c9f6361d32ec43e83"
+
+
+def test_kernel_output_bits_are_pinned():
+    # 24,000 queries: c = 0 and c/R in [1e-14, 1e-1], n_max of 500, 100,000,
+    # n_min and random, the clamp beliefs, the baseline itself and beliefs
+    # just above it, with mu_b in (0.01, 0.99).
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    for i in range(4000):
+        R = 10.0 ** rng.uniform(-1.0, 3.0)
+        n_min = rng.randrange(1, 40)
+        n_max = (500, 100_000, n_min, n_min + rng.randrange(1, 5000))[i % 4]
+        c = 0.0 if i % 7 == 0 else R * 10.0 ** rng.uniform(-14.0, -1.0)
+        inst = EconomicInstance(R=R, c0=R * 10.0 ** rng.uniform(-5.0, 0.0), c=c,
+                                mu_b=rng.uniform(0.01, 0.99), n_min=n_min, n_max=n_max)
+        level = agent._level(10.0 ** rng.uniform(-4.0, math.log10(0.5)), inst)
+        near = inst.mu_b + 10.0 ** rng.uniform(-6.0, -0.5)
+        for mu0 in (BELIEF_FLOOR, BELIEF_CEIL, inst.mu_b, min(near, BELIEF_CEIL),
+                    rng.uniform(inst.mu_b, BELIEF_CEIL), rng.uniform(BELIEF_FLOOR, BELIEF_CEIL)):
+            digest.update(repr(agent._respond(level, mu0)).encode())
+    assert digest.hexdigest() == KERNEL_DIGEST
 
 
 def test_best_response_matches_binary_search_oracle():
