@@ -18,10 +18,14 @@ first-order condition ``utility_slope = 0`` has at most one root, which a
 bracketed Newton iteration in ``sqrt(n)`` finds from logarithms alone, with
 no normal tail evaluated.  The integer optimum lies within a sample of that
 root, so the best response scores a handful of sizes around each root plus
-the ends of the convex region, in one pass, and nothing else.  What depends
-only on the level is set up once by ``_level``; the threshold and the loss
-integrals then ask ``_respond`` for each belief.  The exhaustive scan is
-retained as an oracle.
+the ends of the convex region, and nothing else.  On the effective side the
+pass chance never falls as ``n`` grows, so when the convex region ends
+inside the range the last concave piece is solved first: one pass chance at
+the convex region's top end bounds every smaller size, and the pieces below
+are walked only if that bound leaves them a chance.  What depends only on
+the level is set up once by ``_level``; the threshold and the loss integrals
+then ask ``_respond`` for each belief.  The exhaustive scan is retained as an
+oracle.
 """
 
 from __future__ import annotations
@@ -245,13 +249,22 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
     """:func:`best_response` at a :func:`_level` as ``(utility, n_star, pass_prob)``.
 
     Abstaining is ``(0.0, 0, 0.0)``.  A weak belief, or a single admissible
-    size, scores ``n_min`` alone.  Otherwise one pass walks the pieces of
-    ``[n_min, n_max]`` cut by the convex window of :func:`_curvature_breaks`,
-    in increasing order, and scores each candidate size as it comes; a size
-    equal to the one scored before it is skipped.  A convex piece offers
-    its two integer ends.  A concave piece offers the sizes from
-    ``floor(root) - 1`` to ``floor(root) + 2`` within it, where ``root`` is
-    the real size at which the slope of expected profit vanishes.
+    size, scores ``n_min`` alone.  Otherwise the pieces of ``[n_min, n_max]``
+    cut by the convex window of :func:`_curvature_breaks` are walked in
+    increasing order, and each candidate size is scored as it comes; a size
+    equal to the one scored before it is skipped.  A convex piece offers its
+    two integer ends.  A concave piece offers the sizes from ``floor(root) -
+    1`` to ``floor(root) + 2`` within it, where ``root`` is the real size at
+    which the slope of expected profit vanishes.
+
+    Where ``c > 0`` and the window ends at ``n2`` in ``(n_min, n_max)`` and
+    holds ``low = floor(n2)``, ``low`` and the last piece go first.  No
+    smaller size passes more often than ``low`` or costs less than
+    ``n_min``, so if ``cap = R*p(low) - (c0 + c*n_min)`` falls short of the
+    best utility by more than ``1e-12*R`` the lower pieces are skipped.
+    Otherwise they are walked in order and the last piece's winner is kept
+    only if strictly better, which keeps the increasing walk's answer and
+    the size it scores just before it, bit for bit.
 
     In ``t = sqrt(n)``, ``h(t) = ln((slope + c) / c) = k - v^2/2 - ln t``
     has the sign of the slope, with ``v = (ds - dmu*t)/s_0`` and ``k =
@@ -274,11 +287,27 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
     # Without a per-sample cost the slope never reaches zero.
     k = math.log(R * dmu / (2.0 * sigma0 * c)) - _LOG_SQRT_2PI if c > 0.0 else math.inf
     n1, n2 = _curvature_breaks(ds, dmu, var0)
+    best_n, best_u, best_p, last, before, top = 0, -math.inf, 0.0, 0, 0, None
     # The pieces end at n1, n2 and n_max, clipped to the range.  One of
     # positive length is walked, and the next piece starts at its end.
-    best_n, best_u, best_p, last, before = 0, -math.inf, 0.0, 0, 0
-    a_real = n_min
-    for b_real, concave in ((n1, True), (n2, False), (n_max, True)):
+    if c > 0.0 and n_min < n2 < n_max and n1 <= (low := math.floor(n2)):
+        # Score ``low`` and the last piece; ``(None, None)`` then checks
+        # ``cap`` and turns the walk back to n_min.
+        p = 0.5 * math.erfc((ds - dmu * math.sqrt(low)) / sigma0 / _SQRT2)
+        cap = R * p - (c0 + c * n_min)
+        best_n, best_u, best_p, last = low, R * p - (c0 + c * low), p, low
+        a_real, ends = n2, ((n_max, True), (None, None), (n1, True), (n2, False))
+    else:
+        a_real, ends = n_min, ((n1, True), (n2, False), (n_max, True))
+    for b_real, concave in ends:
+        if concave is None:
+            # The margin covers an ``erfc`` that misses monotonicity by an ulp.
+            if cap < best_u - 1e-12 * R:
+                break
+            # A lower size may win or tie: walk the lower pieces afresh.
+            top, a_real = (best_n, best_u, best_p, before), n_min
+            best_n, best_u, best_p, last, before = 0, -math.inf, 0.0, 0, 0
+            continue
         if b_real > n_max:
             b_real = n_max
         if not a_real < b_real:
@@ -328,11 +357,15 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
                 if u > best_u:
                     best_n, best_u, best_p, before = n, u, p, last
                 last = n
+    # The lower walk scored ``low`` too, so a strictly better top winner
+    # lies above ``low``, and ``before`` holds as in the ordered walk.
+    if top and top[1] > best_u:
+        best_n, best_u, best_p, before = top
     # A scored size below best_n scored strictly less.  An unscored one that
     # ties marks a flat top (the pass chance rounded to its limit), which the
     # utility rises to and stays on: bisect for its first size, probing
-    # best_n - 1 first.  Sizes are scored in increasing order, so best_n - 1
-    # was scored exactly when it was the size scored just before best_n.
+    # best_n - 1 first.  ``before`` is the size an increasing walk scores
+    # just before best_n, so best_n - 1 was scored exactly when it is that.
     lo_n, n = n_min, best_n - 1
     if best_n > n_min and before != n:
         while lo_n < best_n:

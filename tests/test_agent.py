@@ -497,6 +497,69 @@ def test_best_response_matches_binary_search_oracle():
     assert interior > 500
 
 
+# Winners below the last concave piece, where the kernel must walk the lower
+# pieces after it: (alpha, mu0, instance, scan's n_star).  The first three
+# lie below the convex window.  In the last two the last piece's peak beats
+# the convex window's top end, so a bound that charged every lower size the
+# cost of that end would wrongly skip the lower pieces.
+LOWER_WINNERS = (
+    (0.027767957676450357, 0.7774454753073206,
+     EconomicInstance(0.5880945190857969, 1.6960075823550137e-05, 0.0050842230525692785,
+                      0.672673278373464, 2, 500), 2),
+    (0.022226705703440788, 0.7088615733433111,
+     EconomicInstance(0.7145170974497134, 0.00011131791239081727, 0.000218014629574481,
+                      0.6896124061790038, 24, 5000), 27),
+    (0.0070738190192071995, 0.4795982447860702,
+     EconomicInstance(3077.2722524595765, 0.5322157873515762, 3.0635898412835445,
+                      0.4415279759617699, 9, 5000), 9),
+    (0.0031195296527814134, 0.3462798016294993,
+     EconomicInstance(137.61574309677175, 0.16485649739069405, 1.2464502921435872,
+                      0.2000937280483978, 7, 198), 7),
+    (0.004401609096929933, 0.8078771665544525,
+     EconomicInstance(12.573511859164466, 0.00022491470187460138, 0.002016550764515796,
+                      0.7900242850455611, 6, 3987), 6),
+)
+
+
+def test_kernel_matches_ordered_walk_when_the_convex_window_ends_inside():
+    # Here the kernel scores the last concave piece first and skips the lower
+    # pieces when one pass-chance bound rules them out.  One draw in four has
+    # c/R in [1e-14, 1e-9], where the utility is noisy near the slope root
+    # and the forward differences of the oracle can stop a few sizes short;
+    # only there may the two differ, and the exhaustive scan arbitrates.
+    rng = random.Random(2718)
+    inside = arbitrated = 0
+    for i in range(6000):
+        R = 10.0 ** rng.uniform(-1.0, 3.0)
+        n_min = rng.randrange(1, 30)
+        inst = EconomicInstance(
+            R=R,
+            c0=R * 10.0 ** rng.uniform(-5.0, -1.0),
+            c=R * 10.0 ** (rng.uniform(-14.0, -9.0) if i % 4 == 0 else rng.uniform(-6.0, 0.0)),
+            mu_b=rng.uniform(0.05, 0.95),
+            n_min=n_min,
+            n_max=n_min + int(10.0 ** rng.uniform(1.0, 5.0)),
+        )
+        alpha = 10.0 ** rng.uniform(-4.0, math.log10(0.5))
+        mu0 = rng.uniform(inst.mu_b, BELIEF_CEIL)
+        regions = curvature_regions(alpha, mu0, inst)
+        if not (len(regions) > 1 and regions[-2].shape == "convex"):
+            continue
+        inside += 1
+        got = agent._respond(agent._level(alpha, inst), mu0)
+        br = best_response_binary_search(alpha, mu0, inst)
+        if got != (br.utility, br.n_star, br.pass_prob):
+            assert i % 4 == 0
+            arbitrated += 1
+            assert got[0] >= br.utility
+            assert best_response_bruteforce(alpha, mu0, inst).utility - got[0] <= 2.0 * math.ulp(inst.R)
+    assert inside > 2000 and arbitrated <= 2
+    for alpha, mu0, inst, n_star in LOWER_WINNERS:
+        br = best_response_bruteforce(alpha, mu0, inst)
+        assert br.n_star == n_star < curvature_regions(alpha, mu0, inst)[-1].n_lo
+        assert agent._respond(agent._level(alpha, inst), mu0) == (br.utility, br.n_star, br.pass_prob)
+
+
 @given(
     st.floats(min_value=1e-3, max_value=0.5),
     st.floats(min_value=0.05, max_value=0.95),
