@@ -18,13 +18,13 @@ first-order condition ``utility_slope = 0`` has at most one root, which a
 bracketed Newton iteration in ``sqrt(n)`` finds from logarithms alone, with
 no normal tail evaluated.  The integer optimum lies within a sample of that
 root, so the best response scores a handful of sizes around each root plus
-the ends of the convex region, and nothing else.  On the effective side the
-pass chance never falls as ``n`` grows, so when the convex region ends
-inside the range the last concave piece is solved first: one pass chance at
-the convex region's top end bounds every smaller size, and the pieces below
-are walked only if that bound leaves them a chance.  What depends only on
-the level is set up once by ``_level``; the threshold and the loss integrals
-then ask ``_respond`` for each belief.  The exhaustive scan is retained as an
+the ends of the convex region, and nothing else.  The pieces are walked
+from the top down, largest size first, and ties go to the smaller size.  On
+the effective side the pass chance never falls as ``n`` grows, so the pass
+chance of a size that does not win bounds every smaller size, and the walk
+stops as soon as that bound leaves them no chance.  What depends only on the
+level is set up once by ``_level``; the threshold and the loss integrals then
+ask ``_respond`` for each belief.  The exhaustive scan is retained as an
 oracle.
 """
 
@@ -250,21 +250,21 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
 
     Abstaining is ``(0.0, 0, 0.0)``.  A weak belief, or a single admissible
     size, scores ``n_min`` alone.  Otherwise the pieces of ``[n_min, n_max]``
-    cut by the convex window of :func:`_curvature_breaks` are walked in
-    increasing order, and each candidate size is scored as it comes; a size
-    equal to the one scored before it is skipped.  A convex piece offers its
-    two integer ends.  A concave piece offers the sizes from ``floor(root) -
-    1`` to ``floor(root) + 2`` within it, where ``root`` is the real size at
-    which the slope of expected profit vanishes.
+    cut by the convex window of :func:`_curvature_breaks` are walked from the
+    top down, and each candidate size is scored as it comes; a size not below
+    the one scored before it is skipped.  A concave piece offers the sizes
+    from ``floor(root) + 2`` down to ``floor(root) - 1`` within it, where
+    ``root`` is the real size at which the slope of expected profit
+    vanishes.  A convex piece offers its top end, then its bottom end.  A
+    size whose utility ties the best replaces it, so the smallest of equal
+    utilities wins.
 
-    Where ``c > 0`` and the window ends at ``n2`` in ``(n_min, n_max)`` and
-    holds ``low = floor(n2)``, ``low`` and the last piece go first.  No
-    smaller size passes more often than ``low`` or costs less than
-    ``n_min``, so if ``cap = R*p(low) - (c0 + c*n_min)`` falls short of the
-    best utility by more than ``1e-12*R`` the lower pieces are skipped.
-    Otherwise they are walked in order and the last piece's winner is kept
-    only if strictly better, which keeps the increasing walk's answer and
-    the size it scores just before it, bit for bit.
+    No size below ``n`` passes more often than ``n`` or costs less than
+    ``n_min``.  So once a size that does not become the best has ``R*p(n) -
+    (c0 + c*n_min)`` short of the best utility by more than ``1e-12*R``,
+    nothing left can win or tie, and the walk stops.  ``below``, the first
+    size scored after the best, is the largest scored size under it; the
+    flat-top probe skips ``best_n - 1`` when it is ``below``.
 
     In ``t = sqrt(n)``, ``h(t) = ln((slope + c) / c) = k - v^2/2 - ln t``
     has the sign of the slope, with ``v = (ds - dmu*t)/s_0`` and ``k =
@@ -287,35 +287,18 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
     # Without a per-sample cost the slope never reaches zero.
     k = math.log(R * dmu / (2.0 * sigma0 * c)) - _LOG_SQRT_2PI if c > 0.0 else math.inf
     n1, n2 = _curvature_breaks(ds, dmu, var0)
-    best_n, best_u, best_p, last, before, top = 0, -math.inf, 0.0, 0, 0, None
-    # The pieces end at n1, n2 and n_max, clipped to the range.  One of
-    # positive length is walked, and the next piece starts at its end.
-    if c > 0.0 and n_min < n2 < n_max and n1 <= (low := math.floor(n2)):
-        # Score ``low`` and the last piece; ``(None, None)`` then checks
-        # ``cap`` and turns the walk back to n_min.
-        p = 0.5 * math.erfc((ds - dmu * math.sqrt(low)) / sigma0 / _SQRT2)
-        cap = R * p - (c0 + c * n_min)
-        best_n, best_u, best_p, last = low, R * p - (c0 + c * low), p, low
-        a_real, ends = n2, ((n_max, True), (None, None), (n1, True), (n2, False))
-    else:
-        a_real, ends = n_min, ((n1, True), (n2, False), (n_max, True))
-    for b_real, concave in ends:
-        if concave is None:
-            # The margin covers an ``erfc`` that misses monotonicity by an ulp.
-            if cap < best_u - 1e-12 * R:
-                break
-            # A lower size may win or tie: walk the lower pieces afresh.
-            top, a_real = (best_n, best_u, best_p, before), n_min
-            best_n, best_u, best_p, last, before = 0, -math.inf, 0.0, 0, 0
+    best_n, best_u, best_p, last, below, hi = 0, -math.inf, 0.0, n_max + 1, 0, n_max
+    # The pieces start at n2, n1 and n_min, clipped to the range.  One of
+    # positive length is walked, and the next piece ends at its start.
+    for a_real, concave in ((n2, True), (n1, False), (n_min, True)):
+        if a_real < n_min:
+            a_real = n_min
+        if not a_real < hi:
             continue
-        if b_real > n_max:
-            b_real = n_max
-        if not a_real < b_real:
-            continue
-        a, b = math.ceil(a_real), math.floor(b_real)
-        a_real = b_real
+        a, b = math.ceil(a_real), math.floor(hi)
+        hi = a_real
         if not concave:
-            window = (a, b) if a <= b else ()
+            window = (b, a) if a <= b else ()
         else:
             t_lo = math.sqrt(a)
             v = (ds - dmu * t_lo) / sigma0
@@ -349,25 +332,29 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
                             break
                         t = t_next
                     root = math.floor(t_next * t_next)
-            window = range(root - 1 if root - 1 > a else a, (root + 2 if root + 2 < b else b) + 1)
+            window = range(root + 2 if root + 2 < b else b, (root - 1 if root - 1 > a else a) - 1, -1)
         for n in window:
-            if n > last:
+            if n < last:
                 p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
                 u = R * p - (c0 + c * n)
-                if u > best_u:
-                    best_n, best_u, best_p, before = n, u, p, last
+                if u >= best_u:
+                    best_n, best_u, best_p, below = n, u, p, 0
+                else:
+                    if not below:
+                        below = n
+                    # Nothing smaller can reach best_u, so nothing is left to
+                    # walk.  The margin covers an ``erfc`` that misses
+                    # monotonicity by an ulp.
+                    if R * p - (c0 + c * n_min) < best_u - 1e-12 * R:
+                        hi = n_min
+                        break
                 last = n
-    # The lower walk scored ``low`` too, so a strictly better top winner
-    # lies above ``low``, and ``before`` holds as in the ordered walk.
-    if top and top[1] > best_u:
-        best_n, best_u, best_p, before = top
     # A scored size below best_n scored strictly less.  An unscored one that
     # ties marks a flat top (the pass chance rounded to its limit), which the
     # utility rises to and stays on: bisect for its first size, probing
-    # best_n - 1 first.  ``before`` is the size an increasing walk scores
-    # just before best_n, so best_n - 1 was scored exactly when it is that.
+    # best_n - 1 first unless it was scored, that is, unless it is ``below``.
     lo_n, n = n_min, best_n - 1
-    if best_n > n_min and before != n:
+    if best_n > n_min and below != n:
         while lo_n < best_n:
             p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
             if R * p - (c0 + c * n) == best_u:

@@ -117,7 +117,7 @@ def _parse_section(obj, section: str, record, problems: list[str], *, require_al
         return None
 
 
-def _parse_grid(obj, path: str, problems: list[str], *, positive: bool, unit: bool) -> list[float] | None:
+def _parse_grid(obj, path: str, problems: list[str], *, unit: bool) -> list[float] | None:
     if not isinstance(obj, dict):
         problems.append(f"{path}: expected an object")
         return None
@@ -159,10 +159,10 @@ def _parse_grid(obj, path: str, problems: list[str], *, positive: bool, unit: bo
         if not b > a:
             problems.append(f"{path}: grid values must be strictly increasing")
             return None
-    if positive and grid[0] <= 0.0:
+    if grid[0] <= 0.0:
         problems.append(f"{path}: grid values must be positive")
         return None
-    if unit and not (grid[0] > 0.0 and grid[-1] < 1.0):
+    if unit and not grid[-1] < 1.0:
         problems.append(f"{path}: grid values must lie strictly within (0, 1)")
         return None
     return grid
@@ -205,13 +205,11 @@ def load_config(path: str | Path) -> RunConfig:
         else:
             _check_unknown(grids, _GRID_KEYS, "grids.", problems)
             if "alpha" in grids:
-                alpha_grid = _parse_grid(
-                    grids["alpha"], "grids.alpha", problems, positive=True, unit=True
-                )
+                alpha_grid = _parse_grid(grids["alpha"], "grids.alpha", problems, unit=True)
             if "R" in grids:
-                r_grid = _parse_grid(grids["R"], "grids.R", problems, positive=True, unit=False)
+                r_grid = _parse_grid(grids["R"], "grids.R", problems, unit=False)
             if "c0" in grids:
-                c0_grid = _parse_grid(grids["c0"], "grids.c0", problems, positive=True, unit=False)
+                c0_grid = _parse_grid(grids["c0"], "grids.c0", problems, unit=False)
 
     output = raw.get("output")
     if output is not None and not isinstance(output, str):

@@ -497,11 +497,11 @@ def test_best_response_matches_binary_search_oracle():
     assert interior > 500
 
 
-# Winners below the last concave piece, where the kernel must walk the lower
-# pieces after it: (alpha, mu0, instance, scan's n_star).  The first three
-# lie below the convex window.  In the last two the last piece's peak beats
-# the convex window's top end, so a bound that charged every lower size the
-# cost of that end would wrongly skip the lower pieces.
+# Winners below the last concave piece, where the kernel must walk on past
+# it: (alpha, mu0, instance, scan's n_star).  The first three lie below the
+# convex window.  In the last two the last piece's peak beats the convex
+# window's top end, so a bound that charged the cost of the size it checks
+# instead of the cost of n_min would wrongly stop the walk.
 LOWER_WINNERS = (
     (0.027767957676450357, 0.7774454753073206,
      EconomicInstance(0.5880945190857969, 1.6960075823550137e-05, 0.0050842230525692785,
@@ -521,14 +521,18 @@ LOWER_WINNERS = (
 )
 
 
-def test_kernel_matches_ordered_walk_when_the_convex_window_ends_inside():
-    # Here the kernel scores the last concave piece first and skips the lower
-    # pieces when one pass-chance bound rules them out.  One draw in four has
-    # c/R in [1e-14, 1e-9], where the utility is noisy near the slope root
-    # and the forward differences of the oracle can stop a few sizes short;
-    # only there may the two differ, and the exhaustive scan arbitrates.
+def test_kernel_matches_ordered_walk_on_every_effective_draw():
+    # The kernel walks the pieces from the top down and stops once one
+    # pass-chance bound rules out every smaller size; the oracle scores its
+    # candidates in increasing order.  Every effective draw is checked, so
+    # each layout of the convex window is covered: ending inside the range,
+    # reaching n_max, or absent.  One draw in four has c/R in [1e-14, 1e-9],
+    # where the utility is noisy near the slope root and the forward
+    # differences of the oracle can stop a few sizes short; only there may
+    # the two differ, and the exhaustive scan arbitrates.
     rng = random.Random(2718)
-    inside = arbitrated = 0
+    layouts = {"inside": 0, "reaches n_max": 0, "none": 0}
+    arbitrated = 0
     for i in range(6000):
         R = 10.0 ** rng.uniform(-1.0, 3.0)
         n_min = rng.randrange(1, 30)
@@ -542,10 +546,13 @@ def test_kernel_matches_ordered_walk_when_the_convex_window_ends_inside():
         )
         alpha = 10.0 ** rng.uniform(-4.0, math.log10(0.5))
         mu0 = rng.uniform(inst.mu_b, BELIEF_CEIL)
-        regions = curvature_regions(alpha, mu0, inst)
-        if not (len(regions) > 1 and regions[-2].shape == "convex"):
-            continue
-        inside += 1
+        shapes = [r.shape for r in curvature_regions(alpha, mu0, inst)]
+        if "convex" not in shapes:
+            layouts["none"] += 1
+        elif shapes[-1] == "convex":
+            layouts["reaches n_max"] += 1
+        else:
+            layouts["inside"] += 1
         got = agent._respond(agent._level(alpha, inst), mu0)
         br = best_response_binary_search(alpha, mu0, inst)
         if got != (br.utility, br.n_star, br.pass_prob):
@@ -553,7 +560,8 @@ def test_kernel_matches_ordered_walk_when_the_convex_window_ends_inside():
             arbitrated += 1
             assert got[0] >= br.utility
             assert best_response_bruteforce(alpha, mu0, inst).utility - got[0] <= 2.0 * math.ulp(inst.R)
-    assert inside > 2000 and arbitrated <= 2
+    assert layouts["inside"] > 2000 and layouts["reaches n_max"] > 500 and layouts["none"] > 3000
+    assert arbitrated <= 2
     for alpha, mu0, inst, n_star in LOWER_WINNERS:
         br = best_response_bruteforce(alpha, mu0, inst)
         assert br.n_star == n_star < curvature_regions(alpha, mu0, inst)[-1].n_lo
