@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="marginal participating belief at a significance level",
     )
     p.add_argument("--alpha", type=float, required=True, help="significance level of the test")
-    p.add_argument("--eps", type=float, help=f"bisection tolerance (default {DEFAULT_EPS})")
 
     p = sub.add_parser(
         "critical-alpha",
@@ -196,8 +195,7 @@ def cmd_best_response(args) -> None:
 def cmd_threshold(args) -> None:
     cfg = _load_config_arg(args)
     inst = _resolve_instance(args, cfg)
-    eps = args.eps if args.eps is not None else DEFAULT_EPS
-    th = participation_threshold(args.alpha, inst, eps)
+    th = participation_threshold(args.alpha, inst)
     print(f"mu_tau: {th.mu_tau:.6g}")
     print(f"epsilon: {th.epsilon:.3g}")
     print(f"status: {th.status}")

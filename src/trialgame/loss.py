@@ -91,23 +91,21 @@ def loss_components(
     prior: Prior,
     quad: QuadratureSpec = QuadratureSpec(),
     weights: LossWeights | None = None,
-    threshold_eps: float = DEFAULT_EPS,
 ) -> LossBreakdown:
     """Error decomposition at one significance level.
 
     The participation threshold is solved first; both integrals then run
     over intervals bounded by it and by the baseline.  They start at
-    ``mu_tau``, the midpoint of the threshold's bracket, which can lie on the
-    abstaining side of the jump in pass chance, so the first Simpson node
-    can score an abstainer.  At the shipped 400 panels ``fn_particip`` on
-    ``fn-curves-062`` at ``alpha = 0.01`` is off by 3.0e-4 against an
-    8,000-panel reference.
+    ``mu_tau + epsilon``, the participating end of the threshold's bracket,
+    so no Simpson node scores an abstainer; ``fn_abstain`` takes the prior
+    mass below ``mu_tau``.
     """
     level = _level(alpha, inst)
     if weights is None:
         weights = LossWeights()
-    th = participation_threshold(alpha, inst, threshold_eps)
+    th = participation_threshold(alpha, inst)
     mu_tau = th.mu_tau
+    mu_in = mu_tau + th.epsilon
     mu_b = inst.mu_b
     lo, hi = prior.support
     lo = max(lo, BELIEF_FLOOR)
@@ -126,13 +124,13 @@ def loss_components(
 
     fp_particip = 0.0
     if not no_weak:
-        a, b = max(mu_tau, lo), min(mu_b, hi)
+        a, b = max(mu_in, lo), min(mu_b, hi)
         fp_particip = _clip01(_simpson(pass_density, a, b, quad.panels) / mass_weak)
 
     fn_particip = 0.0
     fn_abstain = 0.0
     if not no_eff:
-        a, b = max(mu_tau, mu_b, lo), hi
+        a, b = max(mu_in, mu_b, lo), hi
         fn_particip = _clip01(_simpson(fail_density, a, b, quad.panels) / mass_eff)
         fn_abstain = _clip01((prior.cdf(max(mu_tau, mu_b)) - mass_weak) / mass_eff)
 

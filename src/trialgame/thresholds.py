@@ -1,17 +1,16 @@
 """Participation threshold and critical significance level.
 
-The marginal belief ``mu_tau(alpha)`` is defined by a bisection on the
-participation predicate, which assumes participation is monotone in
-belief: true for baselines up to about 0.6, not in general.  The kernel is
-asked only where that bisection's answer is in doubt.  For a fixed trial
-size the belief that breaks even is a root of a quadratic, so iterating
-between break-even beliefs and the best size there locates the crossing;
-an evaluated bracket around it then answers every other midpoint of a
-replayed bisection.  The two returned ends are checked, and if either
-fails the bisection is rerun asking at every midpoint.  The critical
-level ``alpha_hat`` is where a weak belief (``mu <= mu_b``) first enters.
-Weak applicants always buy ``n_min`` samples, so it has a closed form that
-needs no search and no best response.
+The marginal belief ``mu_tau(alpha)`` is where participation switches from
+abstaining to participating.  For a fixed trial size the belief that breaks
+even is a root of a quadratic, so iterating between break-even beliefs and
+the best size there locates the crossing and closes an evaluated bracket
+around it of half-width ``2**-34``; no search over beliefs is needed.  This
+assumes participation is monotone in belief, true for baselines up to about
+0.6; above that a lower crossing may be returned, still between an
+abstaining and a participating belief.  The critical level ``alpha_hat`` is
+where a weak belief (``mu <= mu_b``) first enters.  Weak applicants always
+buy ``n_min`` samples, so it has a closed form that needs no search and no
+best response.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _level, _respond
 from .errors import DomainError
 from .stats import std_normal_quantile, std_normal_sf
 
-#: Default threshold bisection tolerance and critical-level clamp margin.
+#: Default critical-level clamp margin.
 DEFAULT_EPS = 1e-6
 
 
@@ -57,11 +56,6 @@ class CriticalAlpha:
     status: str
 
 
-def _check_eps(eps: float) -> None:
-    if not (0.0 < eps < 0.5):
-        raise DomainError(f"tolerance must lie in (0, 0.5), got {eps!r}")
-
-
 def _break_even(level: tuple, n: int) -> float | None:
     """Lowest belief in the clamped range at which ``n`` samples break even.
 
@@ -91,16 +85,27 @@ def _break_even(level: tuple, n: int) -> float | None:
 
 
 #: Half-width of the evaluated bracket closed around a break-even belief.
-_BRACKET = 1e-10
+_BRACKET = 2.0**-34
+
+
+def _on_grid(mu: float) -> float:
+    """Nearest multiple of ``2**-52``.
+
+    For two such beliefs, ``m - h`` and ``m + h`` from their exact midpoint
+    ``m`` and half-width ``h`` give both back bit for bit.
+    """
+    return math.ldexp(round(math.ldexp(mu, 52)), -52)
 
 
 def _bracket(level: tuple, n_ceil: int) -> tuple[float, float]:
     """Evaluated beliefs ``(a, b)``, ``a < b``, where ``a`` abstains and ``b`` participates.
 
-    Starts from the lowest break-even belief of ``n_min``, ``n_max`` and
-    ``n_ceil`` (the best size at the ceiling), asks the kernel there and
-    moves to the break-even belief of the size it returns until that size
-    repeats.  Then the other side of a ``_BRACKET`` bracket is asked.  The
+    Starts from the lowest break-even belief ``mu`` of ``n_min``, ``n_max``
+    and ``n_ceil`` (the best size at the ceiling), asks the kernel at
+    ``mu + _BRACKET`` and moves to the break-even belief of the size it
+    returns until that size repeats.  Then ``mu - _BRACKET`` is asked.  The
+    kernel is never asked at a root itself, where its answer flips on the
+    last bit, and ``mu`` is put on the grid of :func:`_on_grid` first.  The
     clamp ends are returned for whatever this cannot settle.
     """
     a, b = BELIEF_FLOOR, BELIEF_CEIL
@@ -121,36 +126,29 @@ def _bracket(level: tuple, n_ceil: int) -> tuple[float, float]:
         return a, b
     mu, n_seen = min(roots), None
     while True:
-        n = ask(mu)
+        n = ask(min(_on_grid(mu) + _BRACKET, BELIEF_CEIL))
         if not n or n == n_seen:
             break
         n_seen, mu_next = n, _break_even(level, n)
         if mu_next is None or not mu_next < mu:
             break
         mu = mu_next
-    ask(max(mu - _BRACKET, BELIEF_FLOOR) if n else min(mu + _BRACKET, BELIEF_CEIL))
+    ask(max(_on_grid(mu) - _BRACKET, BELIEF_FLOOR))
     return (a, b) if a < b else (BELIEF_FLOOR, BELIEF_CEIL)
 
 
-def participation_threshold(
-    alpha: float, inst: EconomicInstance, eps: float = DEFAULT_EPS
-) -> ParticipationThreshold:
-    """Lowest belief that still participates, to within ``eps``.
+def participation_threshold(alpha: float, inst: EconomicInstance) -> ParticipationThreshold:
+    """Lowest belief that still participates, to within ``2**-34``.
 
-    The answer is the bisection of the clamped belief range on the
-    participation predicate, stopped once the bracket is narrower than
-    ``eps``: the bracket midpoint, with ``epsilon`` its half-width.  The
-    kernel is asked only where that answer is in doubt.  :func:`_bracket`
-    locates the crossing from closed-form break-even beliefs and leaves an
-    evaluated abstaining belief ``a`` and participating belief ``b``.  The
-    bisection is then replayed: a midpoint at or below ``a`` goes low, one
-    at or above ``b`` goes high, and only one strictly between is asked.
-    Where participation is monotone this is the plain bisection, bit for
-    bit.  Both returned ends are then asked, unless they already were; if
-    either fails, participation is not monotone and the replay runs again
-    asking at every midpoint, which is the plain bisection.
+    :func:`_bracket` locates the crossing from closed-form break-even
+    beliefs and returns an evaluated abstaining belief ``a`` and
+    participating belief ``b``.  Should they be more than ``2 * _BRACKET``
+    apart (the closing ask participated, or the walk did not settle), the
+    bracket is bisected at grid points down to that width.  ``mu_tau`` is
+    the midpoint and ``epsilon`` the half-width, and ``mu_tau - epsilon``
+    and ``mu_tau + epsilon`` recompute ``a`` and ``b`` exactly, so both are
+    beliefs the kernel answered, unless one is a clamp belief.
     """
-    _check_eps(eps)
     level = _level(alpha, inst)
     if _respond(level, BELIEF_FLOOR)[1]:  # n_star, which is 0 only when abstaining
         return ParticipationThreshold(BELIEF_FLOOR, 0.0, "all_participate")
@@ -158,18 +156,13 @@ def participation_threshold(
     if not n_ceil:
         return ParticipationThreshold(BELIEF_CEIL, 0.0, "none_participate")
     a, b = _bracket(level, n_ceil)
-    while True:
-        lo, hi, lo_asked, hi_asked = BELIEF_FLOOR, BELIEF_CEIL, True, True
-        while hi - lo > eps:
-            mid = 0.5 * (lo + hi)
-            asked = a < mid < b
-            if mid >= b or asked and _respond(level, mid)[1]:
-                hi, hi_asked = mid, asked
-            else:
-                lo, lo_asked = mid, asked
-        if (lo_asked or not _respond(level, lo)[1]) and (hi_asked or _respond(level, hi)[1]):
-            return ParticipationThreshold(0.5 * (lo + hi), 0.5 * (hi - lo), "interior")
-        a, b = BELIEF_FLOOR, BELIEF_CEIL
+    while b - a > 2.0 * _BRACKET:
+        mid = _on_grid(0.5 * (a + b))
+        if _respond(level, mid)[1]:
+            b = mid
+        else:
+            a = mid
+    return ParticipationThreshold(0.5 * (a + b), 0.5 * (b - a), "interior")
 
 
 def critical_alpha_closed_form(inst: EconomicInstance) -> float:
@@ -195,7 +188,8 @@ def critical_alpha(inst: EconomicInstance, eps: float = DEFAULT_EPS) -> Critical
     peak at ``(1 + x) / 2``, ``x = sqrt(n_min / (z^2 + n_min))``; otherwise
     it is convex and an end wins.  A maximiser at ``mu_b`` gives exactly ``k``.
     """
-    _check_eps(eps)
+    if not 0.0 < eps < 0.5:
+        raise DomainError(f"tolerance must lie in (0, 0.5), got {eps!r}")
     alpha_hat = k = critical_alpha_closed_form(inst)
     if 0.0 < k < 1.0:
         mu_b = inst.mu_b

@@ -85,6 +85,16 @@ def test_threshold_subcommand(capsys):
     assert "status: interior" in out
 
 
+def test_threshold_has_no_tolerance_option(capsys):
+    # The threshold is always bracketed to 2**-34, so --eps is a usage error;
+    # critical-alpha keeps --eps as its clamp margin.
+    assert main(["threshold", "--alpha", "0.1", "--eps", "1e-3", *INSTANCE_FLAGS]) == 2
+    assert "--eps" in capsys.readouterr().err
+    assert main(["critical-alpha", "--config", "cardiovascular", "--eps", "0.05"]) == 0
+    out = capsys.readouterr().out
+    assert "alpha_hat: 0.05" in out and "status: at_floor" in out
+
+
 def test_critical_alpha_subcommand_with_preset(capsys):
     code = main(["critical-alpha", "--config", "cardiovascular"])
     out = capsys.readouterr().out
@@ -132,8 +142,8 @@ def test_loss_sweep_preset_bytes_are_pinned(tmp_path):
     # cardiovascular reaches n_max = 100,000 and the curvature breaks, which
     # the n_max = 500 of fn-curves-062 does not.
     pinned = {
-        "fn-curves-062": "665855948a44f603aad221176fcb32d569ce8625e4d3346fbf4512420c502b53",
-        "cardiovascular": "28bd41cf850eb5597d7d67af9e2fa013a6e2855855929b1f2c1d2cbf1ba5228a",
+        "fn-curves-062": "f9c2d67423a6f2dee77ed6fcafe96377f22c6cbb8ce3cdb51d3e87a021596254",
+        "cardiovascular": "325759029d59bb4545c0ffe7bedba7a3b87e2de88d05d9bf233f321e8a318e4c",
     }
     for preset, digest in pinned.items():
         out_path = tmp_path / f"sweep-{preset}.csv"

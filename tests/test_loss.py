@@ -37,22 +37,22 @@ from trialgame.loss import _simpson
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
 PRIOR = TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
 
-# Frozen from this implementation at default settings (panels=2000,
-# threshold tolerance 1e-6); guards against accidental behaviour drift.
+# Frozen from this implementation at default settings (panels=2000);
+# guards against accidental behaviour drift.
 FROZEN = {
     0.03: dict(
         fp_particip=0.0,
-        fn_particip=0.14969394744369177,
-        fn_abstain=0.06787097260571931,
-        total=0.21756492004941108,
-        mu_tau=0.560239194554329,
+        fn_particip=0.14969455091935166,
+        fn_abstain=0.0678706814305068,
+        total=0.21756523234985847,
+        mu_tau=0.5602391075774418,
     ),
     0.1: dict(
         fp_particip=0.09602812319580774,
         fn_particip=0.1574562979465458,
         fn_abstain=0.0,
         total=0.25348442114235353,
-        mu_tau=0.360277932185173,
+        mu_tau=0.36027778078177275,
     ),
 }
 
@@ -102,12 +102,12 @@ def test_loss_components_frozen_regression():
 
 def test_loss_components_match_adaptive_quadrature():
     # A fixed trial size keeps the integrands smooth, so composite
-    # Simpson and scipy's adaptive rule must agree closely; the remaining
-    # difference is the first-order endpoint effect of sampling exactly
-    # at the participation jump.
+    # Simpson and scipy's adaptive rule must agree closely over the same
+    # interval, which starts at the participating end of the threshold.
     inst = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=150, n_max=150)
     alpha = 0.05
-    bd = loss_components(alpha, inst, PRIOR, QuadratureSpec(panels=2000), threshold_eps=1e-9)
+    bd = loss_components(alpha, inst, PRIOR, QuadratureSpec(panels=2000))
+    th = participation_threshold(alpha, inst)
     ref = sps.truncnorm((0.4 - 0.62) / 0.04, (0.7 - 0.62) / 0.04, loc=0.62, scale=0.04)
     mass_weak = float(ref.cdf(0.5))
     mass_eff = 1.0 - mass_weak
@@ -115,15 +115,11 @@ def test_loss_components_match_adaptive_quadrature():
     def fail_density(mu):
         return (1.0 - best_response(alpha, mu, inst).pass_prob) * float(ref.pdf(mu))
 
-    fn_ref, _ = integrate.quad(fail_density, bd.mu_tau, 0.7, limit=400)
-    assert abs(bd.fn_particip - fn_ref / mass_eff) < 1e-4
+    fn_ref, _ = integrate.quad(fail_density, th.mu_tau + th.epsilon, 0.7, limit=400)
+    assert abs(bd.fn_particip - fn_ref / mass_eff) < 1e-9
     fn_abstain_ref = (float(ref.cdf(bd.mu_tau)) - mass_weak) / mass_eff
     assert abs(bd.fn_abstain - fn_abstain_ref) < 1e-12
     assert bd.fp_particip == 0.0  # threshold sits above the baseline here
-
-    # Refining the panels closes most of the endpoint gap.
-    fine = loss_components(alpha, inst, PRIOR, QuadratureSpec(panels=20000), threshold_eps=1e-9)
-    assert abs(fine.fn_particip - fn_ref / mass_eff) < abs(bd.fn_particip - fn_ref / mass_eff) / 4.0
 
 
 def loss_components_per_node(alpha, inst, prior, quad, weights):
@@ -147,9 +143,9 @@ def loss_components_per_node(alpha, inst, prior, quad, weights):
     def fail_density(mu):
         return (1.0 - best_response(alpha, mu, inst).pass_prob) * prior.pdf(mu)
 
-    a, b = max(th.mu_tau, lo), min(mu_b, hi)
+    a, b = max(th.mu_tau + th.epsilon, lo), min(mu_b, hi)
     fp = clip(_simpson(pass_density, a, b, quad.panels) / mass_weak)
-    a, b = max(th.mu_tau, mu_b, lo), hi
+    a, b = max(th.mu_tau + th.epsilon, mu_b, lo), hi
     fn = clip(_simpson(fail_density, a, b, quad.panels) / mass_eff)
     abstain = clip((prior.cdf(max(th.mu_tau, mu_b)) - mass_weak) / mass_eff)
     total = weights.lambda_fp * fp + weights.lambda_fn * (fn + abstain)
@@ -200,12 +196,6 @@ def test_loss_components_prior_entirely_weak():
     assert not bd.no_weak_mass
     assert bd.fn_particip == 0.0
     assert bd.fn_abstain == 0.0
-
-
-def test_loss_components_threshold_tolerance_passthrough():
-    coarse = loss_components(0.1, INST, PRIOR, QuadratureSpec(panels=100), threshold_eps=1e-3)
-    fine = loss_components(0.1, INST, PRIOR, QuadratureSpec(panels=100), threshold_eps=1e-8)
-    assert abs(coarse.mu_tau - fine.mu_tau) < 1e-3
 
 
 def test_loss_components_rejects_bad_alpha():

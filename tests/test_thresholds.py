@@ -1,13 +1,14 @@
 """Participation threshold and critical significance level solvers.
 
 Interior thresholds are checked against an independent bisection that
-uses only the exhaustive best-response scan, and every status against the
-same bisection asking the public ``best_response``.  The critical level is
-checked against a weak-belief utility scan that shares no code with the
-package, and against the nested bisection search it replaced, which
-stays here as an oracle for baselines up to 0.6.  Clamp statuses and
-solver complexity (the number of best responses consulted) are pinned
-down explicitly.
+uses only the exhaustive best-response scan.  Every status is checked
+against the same bisection asking the public ``best_response``, and every
+interior bracket by asking the public ``best_response`` at both its ends.
+The critical level is checked against a weak-belief utility scan that
+shares no code with the package, and against the nested bisection search
+it replaced, which stays here as an oracle for baselines up to 0.6.  Clamp
+statuses and solver complexity (the number of best responses consulted)
+are pinned down explicitly.
 """
 
 import math
@@ -43,8 +44,8 @@ def test_interior_threshold_matches_exhaustive_bisection():
     for alpha, frozen in ((0.03, MU_TAU_AT_0_03), (0.1, MU_TAU_AT_0_10)):
         th = participation_threshold(alpha, INST)
         assert th.status == "interior"
-        assert abs(th.mu_tau - frozen) < 2e-6
-        assert th.epsilon <= 5e-7
+        assert abs(th.mu_tau - frozen) < 1e-12
+        assert 0.0 < th.epsilon <= thresholds._BRACKET
 
 
 def test_threshold_separates_participants_from_abstainers():
@@ -52,14 +53,6 @@ def test_threshold_separates_participants_from_abstainers():
     margin = 4.0 * thresholds.DEFAULT_EPS
     assert best_response(0.1, th.mu_tau + margin, INST).participates
     assert not best_response(0.1, th.mu_tau - margin, INST).participates
-
-
-def test_threshold_respects_custom_tolerance():
-    tight = participation_threshold(0.1, INST, eps=1e-9)
-    loose = participation_threshold(0.1, INST, eps=1e-3)
-    assert tight.epsilon <= 5e-10
-    assert loose.epsilon <= 5e-4
-    assert abs(tight.mu_tau - loose.mu_tau) < 1e-3
 
 
 def test_threshold_status_all_participate():
@@ -94,15 +87,13 @@ def test_threshold_uses_logarithmically_many_best_responses(monkeypatch):
     monkeypatch.setattr(thresholds, "_respond", counting)
     th = thresholds.participation_threshold(0.1, INST)
     assert th.status == "interior"
-    # Two clamp probes, the break-even iteration and its bracket, and the
-    # two returned ends; the plain bisection would ask about 22.
-    assert calls <= 8
+    # Two clamp probes, one break-even step and the closing ask; the plain
+    # bisection would ask about 22.
+    assert calls <= 4
 
 
 def test_threshold_tolerance_validation():
     for bad in (0.0, -1e-3, 0.5, 2.0):
-        with pytest.raises(DomainError):
-            participation_threshold(0.1, INST, eps=bad)
         with pytest.raises(DomainError):
             critical_alpha(INST, eps=bad)
 
@@ -151,15 +142,36 @@ def log_uniform_alpha(rng):
     return math.exp(rng.uniform(math.log(1e-4), math.log(0.9)))
 
 
+def assert_threshold_brackets_the_crossing(alpha, inst):
+    """The threshold against the plain bisection asking ``best_response``.
+
+    The status must be the bisection's.  An interior bracket must be an
+    abstaining and a participating belief at most ``2 * _BRACKET`` apart,
+    recomputed from ``mu_tau`` and ``epsilon`` as a caller would.  Where
+    participation is monotone (baselines up to 0.6) both brackets hold the
+    one crossing, so they overlap.
+    """
+    th = participation_threshold(alpha, inst)
+    plain = bisect_public_best_response(alpha, inst)
+    assert th.status == plain.status, (inst, alpha)
+    if th.status != "interior":
+        assert th == plain, (inst, alpha)
+        return th
+    assert 0.0 < th.epsilon <= thresholds._BRACKET, (inst, alpha)
+    assert not best_response(alpha, th.mu_tau - th.epsilon, inst).participates, (inst, alpha)
+    assert best_response(alpha, th.mu_tau + th.epsilon, inst).participates, (inst, alpha)
+    if inst.mu_b <= 0.6:
+        assert abs(th.mu_tau - plain.mu_tau) <= plain.epsilon + th.epsilon, (inst, alpha)
+    return th
+
+
 def test_threshold_matches_bisection_on_public_best_response():
     broke = EconomicInstance(R=1.0, c0=2.0, c=0.002, mu_b=0.5, n_min=1, n_max=500)
     high_baseline = EconomicInstance(R=271.7, c0=3.56e-3, c=0.432, mu_b=0.838, n_max=20_000)
     statuses = set()
     for inst in (INST, CARDIO, ONCO, broke, high_baseline):
         for alpha in (1e-4, 0.003, 0.03, 0.1, 0.3, 0.9):
-            th = participation_threshold(alpha, inst)
-            assert th == bisect_public_best_response(alpha, inst), (inst, alpha)
-            statuses.add(th.status)
+            statuses.add(assert_threshold_brackets_the_crossing(alpha, inst).status)
     assert statuses == {"interior", "all_participate", "none_participate"}
 
 
@@ -169,22 +181,17 @@ def test_threshold_matches_bisection_on_public_best_response():
 def test_threshold_matches_bisection_on_every_preset_alpha(preset):
     cfg = load_config(preset_path(preset))
     for alpha in cfg.alpha_grid:
-        assert participation_threshold(alpha, cfg.instance) == bisect_public_best_response(
-            alpha, cfg.instance
-        ), alpha
+        assert_threshold_brackets_the_crossing(alpha, cfg.instance)
 
 
 def test_threshold_matches_bisection_where_participation_is_monotone():
     # Baselines up to 0.6 keep participation monotone in belief, so the
-    # replayed bisection must return the plain bisection's bits.
+    # bracket overlaps the plain bisection's.
     rng = random.Random(606)
     statuses = set()
     for _ in range(2000):
         inst = random_instance(rng, (0.05, 0.6))
-        alpha = log_uniform_alpha(rng)
-        th = participation_threshold(alpha, inst)
-        assert th == bisect_public_best_response(alpha, inst), (inst, alpha)
-        statuses.add(th.status)
+        statuses.add(assert_threshold_brackets_the_crossing(log_uniform_alpha(rng), inst).status)
     assert "interior" in statuses and "all_participate" in statuses
 
 
@@ -196,28 +203,21 @@ def test_threshold_brackets_a_crossing_for_high_baselines():
     interior = 0
     for _ in range(600):
         inst = random_instance(rng, (0.6 + 1e-9, 0.95))
-        alpha = log_uniform_alpha(rng)
-        th = participation_threshold(alpha, inst)
-        if th.status != "interior":
-            assert th == bisect_public_best_response(alpha, inst), (inst, alpha)
-            continue
-        interior += 1
-        assert 0.0 < th.epsilon <= 0.5 * thresholds.DEFAULT_EPS
-        assert not best_response(alpha, th.mu_tau - th.epsilon, inst).participates, (inst, alpha)
-        assert best_response(alpha, th.mu_tau + th.epsilon, inst).participates, (inst, alpha)
+        th = assert_threshold_brackets_the_crossing(log_uniform_alpha(rng), inst)
+        interior += th.status == "interior"
     assert interior >= 300
 
 
 @pytest.mark.parametrize("end", ["lo", "hi"])
 def test_threshold_falls_back_to_bisection_when_an_end_fails(monkeypatch, end):
-    # A kernel whose answer flips at one end of the plain bisection's final
-    # bracket is non-monotone exactly where the replay infers instead of
-    # asking, so the check of that end fails and every midpoint is asked.
+    # A kernel that answers the other way at one end of the evaluated
+    # bracket leaves a wider bracket: the closing ask participates ("lo"),
+    # or the walk's ask abstains ("hi").  It is then bisected, and its ends
+    # still hold under that kernel.
     alpha = 0.1
-    level = thresholds._level(alpha, INST)
+    th = participation_threshold(alpha, INST)
+    flipped = th.mu_tau - th.epsilon if end == "lo" else th.mu_tau + th.epsilon
     real = thresholds._respond
-    plain = bisect_public_best_response(alpha, INST)
-    flipped = plain.mu_tau - plain.epsilon if end == "lo" else plain.mu_tau + plain.epsilon
     calls = 0
 
     def kernel(level, mu):
@@ -228,15 +228,16 @@ def test_threshold_falls_back_to_bisection_when_an_end_fails(monkeypatch, end):
             return answer
         return (0.0, 0, 0.0) if answer[1] else (1.0, INST.n_min, 1.0)
 
-    def participates(mu):
-        return bool(kernel(level, mu)[1])
-
-    assert participates(flipped) == (end == "lo")  # the end now answers the wrong way
-    expected = bisect_predicate(participates)
-    calls = 0
     monkeypatch.setattr(thresholds, "_respond", kernel)
-    assert thresholds.participation_threshold(alpha, INST) == expected != plain
-    assert calls > 22  # the replay, its failed check and the full bisection
+    level = thresholds._level(alpha, INST)
+    assert bool(kernel(level, flipped)[1]) == (end == "lo")  # the end now answers the wrong way
+    calls = 0
+    got = thresholds.participation_threshold(alpha, INST)
+    assert got.status == "interior" and got != th
+    assert 0.0 < got.epsilon <= thresholds._BRACKET
+    assert not kernel(level, got.mu_tau - got.epsilon)[1]
+    assert kernel(level, got.mu_tau + got.epsilon)[1]
+    assert calls > 4 + 20  # the bracket, then at least 20 bisection steps
 
 
 def test_critical_alpha_closed_form_frozen_values():
@@ -255,7 +256,7 @@ def test_critical_alpha_search_matches_closed_form(inst):
 def test_critical_alpha_reports_achieved_belief_gap():
     # At alpha_hat the marginal participant is the baseline belief itself.
     result = critical_alpha(CARDIO)
-    achieved = abs(participation_threshold(result.alpha_hat, CARDIO, 1e-8).mu_tau - CARDIO.mu_b)
+    achieved = abs(participation_threshold(result.alpha_hat, CARDIO).mu_tau - CARDIO.mu_b)
     assert achieved < 1e-7
 
 
@@ -288,13 +289,13 @@ def search_critical_alpha(inst, eps=thresholds.DEFAULT_EPS):
 
     Valid only while participation is monotone in belief (baselines up to
     about 0.6); above that it can land on an effective-side crossing and
-    overshoot.  The inner threshold is solved two orders of magnitude
-    tighter than ``eps`` so predicate noise cannot dominate.
+    overshoot.  The inner threshold is exact to ``2**-34``, far tighter
+    than ``eps``, so predicate noise cannot dominate.
     """
     mu_b = inst.mu_b
 
     def mu_tau(a):
-        return participation_threshold(a, inst, eps * 1e-2).mu_tau
+        return participation_threshold(a, inst).mu_tau
 
     lo, hi = eps, 1.0 - eps
     if mu_tau(lo) <= mu_b:
