@@ -12,15 +12,11 @@ from .agent import (
     BELIEF_CEIL,
     BELIEF_FLOOR,
     BestResponse,
-    CurvatureRegion,
     EconomicInstance,
     best_response,
     best_response_bruteforce,
-    critical_region,
-    curvature_regions,
     pass_probability,
     utility,
-    utility_slope,
 )
 from .config import (
     RunConfig,
@@ -41,7 +37,6 @@ from .loss import (
 from .stats import (
     Prior,
     TruncatedNormalPrior,
-    binomial_tail,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -64,7 +59,6 @@ __all__ = [
     "BestResponse",
     "ConfigError",
     "CriticalAlpha",
-    "CurvatureRegion",
     "DEFAULT_EPS",
     "DomainError",
     "EconomicInstance",
@@ -80,11 +74,8 @@ __all__ = [
     "available_presets",
     "best_response",
     "best_response_bruteforce",
-    "binomial_tail",
     "critical_alpha",
     "critical_alpha_closed_form",
-    "critical_region",
-    "curvature_regions",
     "default_alpha_grid",
     "load_config",
     "loss_components",
@@ -98,5 +89,4 @@ __all__ = [
     "std_normal_sf",
     "sweep_alpha",
     "utility",
-    "utility_slope",
 ]

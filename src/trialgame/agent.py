@@ -14,28 +14,27 @@ minus a fixed cost and a per-sample cost; abstaining earns exactly zero.
 The expected-utility curve over real-valued ``n`` is pieced together from
 at most three curvature regions (the sign of the second derivative is
 governed by a quadratic in ``sqrt(n)``).  On each concave region the
-first-order condition ``utility_slope = 0`` has at most one root, which a
-bracketed Newton iteration in ``sqrt(n)`` finds from logarithms alone, with
-no normal tail evaluated.  The integer optimum lies within a sample of that
-root, so the best response scores a handful of sizes around each root plus
-the ends of the convex region, and nothing else.  The pieces are walked
-from the top down, largest size first, and ties go to the smaller size.  On
-the effective side the pass chance never falls as ``n`` grows, so the pass
-chance of a size that does not win bounds every smaller size, and the walk
-stops as soon as that bound leaves them no chance.  What depends only on the
-level is set up once by ``_level``; the threshold and the loss integrals then
-ask ``_respond`` for each belief.  The exhaustive scan is retained as an
-oracle.
+first-order condition, a zero slope of expected profit in ``n``, has at most
+one root, which a bracketed Newton iteration in ``sqrt(n)`` finds from
+logarithms alone, with no normal tail evaluated.  The integer optimum lies
+within a sample of that root, so the best response scores a handful of sizes
+around each root plus the ends of the convex region, and nothing else.  The
+pieces are walked from the top down, largest size first, and ties go to the
+smaller size.  On the effective side the pass chance never falls as ``n``
+grows, so the pass chance of a size that does not win bounds every smaller
+size, and the walk stops as soon as that bound leaves them no chance.  What
+depends only on the level is set up once by ``_level``; the threshold and the
+loss integrals then ask ``_respond`` for each belief.  The exhaustive scan is
+retained as an oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError, SearchRangeError, reject
-from .stats import std_normal_pdf, std_normal_quantile, std_normal_sf
+from .stats import std_normal_quantile, std_normal_sf
 
 # Beliefs are clamped away from {0, 1} so the Bernoulli variance never
 # degenerates inside the solvers.
@@ -90,15 +89,6 @@ class BestResponse:
     utility: float
 
 
-@dataclass(frozen=True, slots=True)
-class CurvatureRegion:
-    """Maximal interval of trial sizes with a single curvature sign."""
-
-    n_lo: float
-    n_hi: float
-    shape: str  # "concave" or "convex"
-
-
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"significance level must lie strictly between 0 and 1, got {alpha!r}")
@@ -116,26 +106,6 @@ def _check_baseline(mu_b: float) -> None:
         raise DomainError(f"baseline rate must lie strictly between 0 and 1, got {mu_b!r}")
 
 
-@lru_cache(maxsize=2048)
-def _upper_quantile(alpha: float) -> float:
-    """Cached ``Phi^{-1}(1 - alpha)``; sweeps revisit the same alpha often."""
-    return std_normal_quantile(1.0 - alpha)
-
-
-def critical_region(alpha: float, n: int, mu_b: float) -> float:
-    """Success-count threshold of the one-sided binomial test of size ``alpha``.
-
-    Returns the (real-valued) boundary ``n*mu_b + Phi^{-1}(1-alpha) *
-    sqrt(n*mu_b*(1-mu_b))``; the test passes when the observed count
-    reaches it.
-    """
-    _check_alpha(alpha)
-    _check_baseline(mu_b)
-    if n < 0:
-        raise DomainError(f"sample count must be nonnegative, got {n!r}")
-    return n * mu_b + _upper_quantile(alpha) * math.sqrt(n * mu_b * (1.0 - mu_b))
-
-
 def pass_probability(alpha: float, mu0: float, n: int, mu_b: float) -> float:
     """Chance that a trial of size ``n`` clears the test, believed rate ``mu0``.
 
@@ -148,7 +118,7 @@ def pass_probability(alpha: float, mu0: float, n: int, mu_b: float) -> float:
         raise DomainError(f"sample count must be nonnegative, got {n!r}")
     if n == 0:
         return 0.0
-    d = _upper_quantile(alpha)
+    d = std_normal_quantile(1.0 - alpha)
     sigma0 = math.sqrt(mu0 * (1.0 - mu0))
     sigma_b = math.sqrt(mu_b * (1.0 - mu_b))
     v = (d * sigma_b - (mu0 - mu_b) * math.sqrt(n)) / sigma0
@@ -165,29 +135,6 @@ def utility(alpha: float, mu0: float, n: int, inst: EconomicInstance) -> float:
         )
     p = pass_probability(alpha, mu0, n, inst.mu_b)
     return inst.R * p - (inst.c0 + inst.c * n)
-
-
-def utility_slope(alpha: float, mu0: float, n: float, inst: EconomicInstance) -> float:
-    """Derivative of expected profit with respect to a real-valued ``n``.
-
-    Only defined on the effective side ``mu0 > mu_b``, where larger trials
-    trade a shrinking chance of failure against the per-sample cost.
-    """
-    _check_alpha(alpha)
-    _check_belief(mu0)
-    if mu0 <= inst.mu_b:
-        raise DomainError(
-            f"slope is defined only for mu0 > mu_b, got mu0={mu0!r}, mu_b={inst.mu_b!r}"
-        )
-    if not n > 0.0:
-        raise DomainError(f"sample count must be positive, got {n!r}")
-    d = _upper_quantile(alpha)
-    dmu = mu0 - inst.mu_b
-    sigma0 = math.sqrt(mu0 * (1.0 - mu0))
-    sigma_b = math.sqrt(inst.mu_b * (1.0 - inst.mu_b))
-    rootn = math.sqrt(n)
-    v = (d * sigma_b - dmu * rootn) / sigma0
-    return std_normal_pdf(v) * inst.R * dmu / (2.0 * sigma0 * rootn) - inst.c
 
 
 def _curvature_breaks(ds: float, dmu: float, var0: float) -> tuple[float, float]:
@@ -210,28 +157,6 @@ def _curvature_breaks(ds: float, dmu: float, var0: float) -> tuple[float, float]
     return t_lo * t_lo, t_hi * t_hi
 
 
-def curvature_regions(
-    alpha: float, mu0: float, inst: EconomicInstance
-) -> tuple[CurvatureRegion, ...]:
-    """Ordered, contiguous partition of [n_min, n_max] by the curvature of expected profit."""
-    mu_b, ds = _level(alpha, inst)[:2]
-    _check_belief(mu0)
-    if mu0 <= mu_b:
-        raise DomainError(
-            f"curvature analysis applies only for mu0 > mu_b, got mu0={mu0!r}, mu_b={mu_b!r}"
-        )
-    lo, hi = float(inst.n_min), float(inst.n_max)
-    n1, n2 = _curvature_breaks(ds, mu0 - mu_b, mu0 * (1.0 - mu0))
-    regions, a = [], lo
-    for b, shape in ((n1, "concave"), (n2, "convex"), (hi, "concave")):
-        b = b if b < hi else hi
-        if a < b:
-            regions.append(CurvatureRegion(a, b, shape))
-            a = b
-    # Degenerate n_min = n_max: classify the single admissible size.
-    return tuple(regions) or (CurvatureRegion(lo, hi, "convex" if n1 < lo < n2 else "concave"),)
-
-
 def _level(alpha: float, inst: EconomicInstance) -> tuple:
     """Checked ``alpha`` and the best response's belief-independent constants.
 
@@ -240,7 +165,7 @@ def _level(alpha: float, inst: EconomicInstance) -> tuple:
     """
     _check_alpha(alpha)
     mu_b = inst.mu_b
-    ds = _upper_quantile(alpha) * math.sqrt(mu_b * (1.0 - mu_b))
+    ds = std_normal_quantile(1.0 - alpha) * math.sqrt(mu_b * (1.0 - mu_b))
     t_max = math.sqrt(inst.n_max)
     return mu_b, ds, inst.R, inst.c0, inst.c, inst.n_min, inst.n_max, t_max, math.log(t_max)
 
@@ -373,10 +298,11 @@ def best_response(alpha: float, mu0: float, inst: EconomicInstance) -> BestRespo
     On the weak side (``mu0 <= mu_b``) more samples only hurt, so the only
     candidate is ``n_min``.  On the effective side the curvature partition
     splits ``[n_min, n_max]`` into concave and convex spans.  A convex span
-    peaks at an end; a concave one peaks within a sample of the root of
-    ``utility_slope`` (found in :func:`_respond`), so the four sizes from
-    ``floor(root) - 1`` to ``floor(root) + 2`` that lie in the span are
-    scored, and the winner's pass chance is kept, not recomputed.
+    peaks at an end; a concave one peaks within a sample of the ``root``
+    where the slope of expected profit vanishes (found in :func:`_respond`),
+    so the four sizes from ``floor(root) - 1`` to ``floor(root) + 2`` that
+    lie in the span are scored, and the winner's pass chance is kept, not
+    recomputed.
 
     Exact utility ties resolve to the smaller trial size, and a tie with
     zero resolves to participating.  Where the pass chance rounds to its

@@ -1,10 +1,11 @@
-"""Numerical building blocks: normal tails, binomial tails, truncated priors.
+"""Numerical building blocks: normal tails and truncated priors.
 
 Everything here is deliberately dependency-free.  The standard normal CDF
-rides on the C library's ``erfc`` (absolute error well below 1e-12), the
-quantile uses Acklam's rational approximation sharpened by one Newton step
-against that CDF, and the binomial tail is an exact log-space summation that
-stays stable out to counts of a million.
+rides on the C library's ``erfc`` (absolute error well below 1e-12).  The
+quantile of a lower-half probability uses Acklam's rational approximation
+sharpened by one Newton step against that CDF; an upper-half ``p`` is
+reflected to ``-quantile(1 - p)``, where ``1 - p`` is exact, so the Newton
+step never works against a CDF that has rounded towards 1.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ def _acklam(p: float) -> float:
         return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
             (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
         )
-    if p > 1.0 - _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
     q = p - 0.5
     r = q * q
     return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
@@ -97,72 +93,18 @@ def std_normal_quantile(p: float) -> float:
 
     One Newton correction against the erfc-based CDF pushes the rational
     approximation down to roundoff level, so ``cdf(quantile(p))`` matches
-    ``p`` to well under 1e-9.
+    ``p`` to well under 1e-9.  Above one half the quantile is the reflected
+    ``-quantile(1 - p)``.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"std_normal_quantile requires 0 < p < 1, got {p!r}")
+    if p > 0.5:
+        return -std_normal_quantile(1.0 - p)
     x = _acklam(p)
     pdf = std_normal_pdf(x)
     if pdf > 0.0:
         x -= (std_normal_cdf(x) - p) / pdf
     return x
-
-
-def binomial_tail(n: int, k: int, p: float) -> float:
-    """Exact upper tail ``P[X >= k]`` for ``X ~ Binomial(n, p)``.
-
-    Terms are generated from a log-space starting point and a running
-    ratio, so neither the binomial coefficients nor the powers of ``p``
-    ever overflow or underflow prematurely.  Whichever tail is smaller is
-    the one actually summed, which preserves relative accuracy for
-    near-zero results and absolute accuracy for near-one results.
-    """
-    if n < 0:
-        raise DomainError(f"binomial_tail requires n >= 0, got {n}")
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"binomial_tail requires 0 <= p <= 1, got {p!r}")
-    if k <= 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-
-    log_ratio = math.log(p) - math.log1p(-p)
-
-    def log_pmf(i: int) -> float:
-        return (
-            math.lgamma(n + 1.0)
-            - math.lgamma(i + 1.0)
-            - math.lgamma(n - i + 1.0)
-            + i * math.log(p)
-            + (n - i) * math.log1p(-p)
-        )
-
-    if k > n * p:
-        # Small upper tail: sum pmf(k), pmf(k+1), ... directly.
-        term = math.exp(log_pmf(k))
-        total = term
-        for i in range(k, n):
-            # pmf(i+1) / pmf(i) = (n-i)/(i+1) * p/(1-p)
-            term *= (n - i) / (i + 1.0) * math.exp(log_ratio)
-            total += term
-            if term < total * 1e-17:
-                break
-        return min(total, 1.0)
-
-    # Large upper tail: sum the complementary lower tail downward from k-1.
-    term = math.exp(log_pmf(k - 1))
-    total = term
-    for i in range(k - 1, 0, -1):
-        # pmf(i-1) / pmf(i) = i/(n-i+1) * (1-p)/p
-        term *= i / (n - i + 1.0) * math.exp(-log_ratio)
-        total += term
-        if term < total * 1e-17:
-            break
-    return max(1.0 - total, 0.0)
 
 
 class Prior(Protocol):

@@ -15,15 +15,15 @@ import subprocess
 import sys
 import time
 
+from scipy.stats import binom, norm
+
 from trialgame import (
     EconomicInstance,
     TruncatedNormalPrior,
     best_response,
     best_response_bruteforce,
-    binomial_tail,
     critical_alpha,
     critical_alpha_closed_form,
-    critical_region,
     default_alpha_grid,
     load_config,
     participation_threshold,
@@ -211,9 +211,10 @@ def test_criterion_6_normal_approximation_close_to_binomial():
     for n in (50, 100, 200, 500):
         for alpha in (0.01, 0.05, 0.2):
             for mu_b in rates:
-                threshold = math.ceil(critical_region(alpha, n, mu_b))
+                # The smallest success count at or above the critical region.
+                k = math.ceil(n * mu_b + norm.isf(alpha) * math.sqrt(n * mu_b * (1.0 - mu_b)))
                 for mu0 in rates:
-                    exact = binomial_tail(n, threshold, mu0)
+                    exact = binom.sf(k - 1, n, mu0)
                     approx = pass_probability(alpha, mu0, n, mu_b)
                     gap = abs(approx - exact)
                     if gap > worst:

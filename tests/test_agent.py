@@ -24,19 +24,15 @@ from trialgame import (
     SearchRangeError,
     best_response,
     best_response_bruteforce,
-    critical_region,
-    curvature_regions,
     pass_probability,
+    std_normal_quantile,
     utility,
-    utility_slope,
 )
+from reference import curvature_regions, utility_slope
 
 # One instance reused throughout: unit revenue, affordable trials.
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
 
-# Frozen with scipy: n*mu_b + norm.ppf(1 - alpha) * sqrt(n*mu_b*(1-mu_b)).
-CRITICAL_0_05_100 = 58.22426813475737
-CRITICAL_0_05_400 = 216.44853626951473
 # Frozen with scipy: norm.sf((ppf(0.95)*0.5 - 0.1*10) / sqrt(0.24)).
 PASS_0_05_06_100 = 0.6414994872716355
 # Frozen from the exhaustive scan over n in [1, 500] on INST.
@@ -70,12 +66,13 @@ def _concave_argmax(u_of, a, b):
 def best_response_binary_search(alpha, mu0, inst):
     """Region solver that binary-searches forward differences, as an oracle.
 
-    Same curvature partition as ``best_response``, taken from the public
-    :func:`curvature_regions`, but each concave region is searched with
-    :func:`_concave_argmax` instead of solving the first-order condition;
-    the integers on either side of each region end are candidates too.
+    Same curvature partition as ``best_response``, restated on the test side
+    by :func:`reference.curvature_regions`, but each concave region is
+    searched with :func:`_concave_argmax` instead of solving the first-order
+    condition; the integers on either side of each region end are candidates
+    too.
     """
-    d = agent._upper_quantile(alpha)
+    d = std_normal_quantile(1.0 - alpha)
     mu_b = inst.mu_b
     n_min, n_max = inst.n_min, inst.n_max
     sigma0 = math.sqrt(mu0 * (1.0 - mu0))
@@ -123,29 +120,6 @@ def test_instance_validation_reports_every_problem():
 def test_instance_rejects_inverted_size_range():
     with pytest.raises(DomainError, match="n_max"):
         EconomicInstance(R=1.0, c0=0.0, c=0.0, mu_b=0.5, n_min=10, n_max=9)
-
-
-def test_critical_region_frozen_values():
-    assert abs(critical_region(0.05, 100, 0.5) - CRITICAL_0_05_100) < 1e-10
-    assert abs(critical_region(0.05, 400, 0.5) - CRITICAL_0_05_400) < 1e-10
-    assert critical_region(0.05, 0, 0.5) == 0.0
-
-
-def test_critical_region_monotone():
-    grid = [critical_region(0.05, n, 0.5) for n in (10, 50, 100, 400, 1000)]
-    assert all(b > a for a, b in zip(grid, grid[1:]))
-    # A laxer test moves the bar down.
-    by_alpha = [critical_region(a, 100, 0.5) for a in (0.01, 0.05, 0.2, 0.5)]
-    assert all(b < a for a, b in zip(by_alpha, by_alpha[1:]))
-
-
-def test_critical_region_domain_checks():
-    with pytest.raises(DomainError):
-        critical_region(0.0, 100, 0.5)
-    with pytest.raises(DomainError):
-        critical_region(0.05, -1, 0.5)
-    with pytest.raises(DomainError):
-        critical_region(0.05, 100, 1.0)
 
 
 def test_pass_probability_frozen_value():
@@ -265,13 +239,6 @@ def test_utility_slope_matches_forward_differences():
         assert abs(increment - midpoint) < 1e-6
 
 
-def test_utility_slope_domain_checks():
-    with pytest.raises(DomainError):
-        utility_slope(0.05, 0.5, 100.0, INST)  # weak side
-    with pytest.raises(DomainError):
-        utility_slope(0.05, 0.6, 0.0, INST)
-
-
 def test_curvature_regions_frozen_partition():
     # Frozen from the sign quadratic: breaks at n = 0.000172... and
     # n = 9.8606519...; only the upper one falls inside [1, 500].
@@ -320,11 +287,6 @@ def test_curvature_regions_degenerate_range_classified():
     regions = curvature_regions(0.001, 0.99, single)
     assert len(regions) == 1
     assert regions[0].shape == "convex"  # 5 sits between the two breaks
-
-
-def test_curvature_regions_reject_weak_side():
-    with pytest.raises(DomainError):
-        curvature_regions(0.05, 0.5, INST)
 
 
 def test_best_response_frozen_worked_instance():
@@ -447,8 +409,10 @@ def test_kernel_validates_level_and_belief():
 
 
 # sha256 of the kernel's answers to the queries below, frozen from the
-# solver before its candidate scan became a single pass over the pieces.
-KERNEL_DIGEST = "89da89942eca87481f0ff01a2491534201516f689376fd2c9f6361d32ec43e83"
+# solver before its candidate scan became a single pass over the pieces, and
+# re-frozen when the normal quantile's upper half became a reflection of its
+# lower half, which moves the last bits of d = Phi^{-1}(1 - alpha).
+KERNEL_DIGEST = "cd0f7b235d64dc0bc44441f4e3aaf21d07c5ea47c4a64da36e11862e5ca4a6ca"
 
 
 def test_kernel_output_bits_are_pinned():
