@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _level, _respond
 from .errors import DomainError, reject
 from .stats import Prior
-from .thresholds import DEFAULT_EPS, critical_alpha, participation_threshold
+from .thresholds import DEFAULT_EPS, _threshold, critical_alpha
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,7 +103,7 @@ def loss_components(
     level = _level(alpha, inst)
     if weights is None:
         weights = LossWeights()
-    th = participation_threshold(alpha, inst)
+    th = _threshold(level)
     mu_tau = th.mu_tau
     mu_in = mu_tau + th.epsilon
     mu_b = inst.mu_b

@@ -74,20 +74,6 @@ def std_normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / _SQRT2)
 
 
-def _acklam(p: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
-
-
 def std_normal_quantile(p: float) -> float:
     """Inverse of :func:`std_normal_cdf` on the open interval (0, 1).
 
@@ -98,13 +84,26 @@ def std_normal_quantile(p: float) -> float:
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"std_normal_quantile requires 0 < p < 1, got {p!r}")
-    if p > 0.5:
-        return -std_normal_quantile(1.0 - p)
-    x = _acklam(p)
-    pdf = std_normal_pdf(x)
+    upper = p > 0.5
+    if upper:
+        p = 1.0 - p
+    if p < _ACKLAM_P_LOW:
+        c, d = _ACKLAM_C, _ACKLAM_D
+        q = math.sqrt(-2.0 * math.log(p))
+        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+        )
+    else:
+        a, b = _ACKLAM_A, _ACKLAM_B
+        q = p - 0.5
+        r = q * q
+        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
+            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+        )
+    pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
     if pdf > 0.0:
-        x -= (std_normal_cdf(x) - p) / pdf
-    return x
+        x -= (0.5 * math.erfc(-x / _SQRT2) - p) / pdf
+    return -x if upper else x
 
 
 class Prior(Protocol):

@@ -3,11 +3,13 @@
 The marginal belief ``mu_tau(alpha)`` is where participation switches from
 abstaining to participating.  For a fixed trial size the belief that breaks
 even is a root of a quadratic, so iterating between break-even beliefs and
-the best size there locates the crossing and closes an evaluated bracket
-around it of half-width ``2**-34``; no search over beliefs is needed.  This
-assumes participation is monotone in belief, true for baselines up to about
-0.6; above that a lower crossing may be returned, still between an
-abstaining and a participating belief.  The critical level ``alpha_hat`` is
+the best size just below each locates the crossing and closes a bracket
+around it of half-width ``2**-34``; no search over beliefs is needed.  The
+abstaining end is answered by the best response, and the participating end
+is witnessed by one size that pays there.  This assumes participation is
+monotone in belief, true for baselines up to about 0.6; above that a lower
+crossing may be returned, still between an abstaining and a participating
+belief.  The critical level ``alpha_hat`` is
 where a weak belief (``mu <= mu_b``) first enters.  Weak applicants always
 buy ``n_min`` samples, so it has a closed form that needs no search and no
 best response.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _level, _respond
+from .agent import _SQRT2, BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _level, _respond
 from .errors import DomainError
 from .stats import std_normal_quantile, std_normal_sf
 
@@ -97,59 +99,80 @@ def _on_grid(mu: float) -> float:
     return math.ldexp(round(math.ldexp(mu, 52)), -52)
 
 
+def _pays(level: tuple, mu: float, n: int) -> bool:
+    """Whether ``n`` samples at belief ``mu`` earn at least zero.
+
+    Scored with :func:`_respond`'s own expression for a size, so a size that
+    pays proves that the best response participates at ``mu``.
+    """
+    mu_b, ds, R, c0, c, _, _, _, _ = level
+    p = 0.5 * math.erfc((ds - (mu - mu_b) * math.sqrt(n)) / math.sqrt(mu * (1.0 - mu)) / _SQRT2)
+    return R * p - (c0 + c * n) >= 0.0
+
+
 def _bracket(level: tuple, n_ceil: int) -> tuple[float, float]:
-    """Evaluated beliefs ``(a, b)``, ``a < b``, where ``a`` abstains and ``b`` participates.
+    """Beliefs ``(a, b)``, ``a < b``, where ``a`` abstains and ``b`` participates.
 
     Starts from the lowest break-even belief ``mu`` of ``n_min``, ``n_max``
-    and ``n_ceil`` (the best size at the ceiling), asks the kernel at
-    ``mu + _BRACKET`` and moves to the break-even belief of the size it
-    returns until that size repeats.  Then ``mu - _BRACKET`` is asked.  The
-    kernel is never asked at a root itself, where its answer flips on the
-    last bit, and ``mu`` is put on the grid of :func:`_on_grid` first.  The
-    clamp ends are returned for whatever this cannot settle.
+    and ``n_ceil`` (the best size at the ceiling).  The participating end
+    ``mu + _BRACKET`` is witnessed by the size ``n`` that breaks even at
+    ``mu`` (:func:`_pays`); the kernel is asked there only if ``n`` does not
+    pay.  The abstaining end ``mu - _BRACKET`` is asked of the kernel: if
+    it abstains, the bracket is closed.  If it participates with size
+    ``m``, the walk moves to ``m``'s break-even belief, and doubles ``m``
+    while the doubled size pays at the current belief, which puts its
+    break-even belief lower still; then both ends are tried again.  Each
+    size's break-even belief is solved once.  No belief is asked at a root
+    itself, where the answer flips on the last bit, and ``mu`` is put on the
+    grid of :func:`_on_grid` first.  The walk stops, leaving a wider bracket
+    for the caller to bisect, if the witnessed end abstains or the kernel's
+    size breaks even no lower.  The clamp ends are returned for whatever
+    this cannot settle.
     """
     a, b = BELIEF_FLOOR, BELIEF_CEIL
-
-    def ask(mu: float) -> int:
-        nonlocal a, b
-        n = _respond(level, mu)[1]
-        if n and mu < b:
-            b = mu
-        elif not n and mu > a:
-            a = mu
-        return n
-
     _, _, _, _, _, n_min, n_max, _, _ = level
-    roots = [_break_even(level, n) for n in {n_min, n_max, n_ceil}]
-    roots = [mu for mu in roots if mu is not None]
-    if not roots:
+    roots: dict[int, float | None] = {}
+    for n in (n_min, n_max, n_ceil):
+        if n not in roots:
+            roots[n] = _break_even(level, n)
+    found = [(mu, n) for n, mu in roots.items() if mu is not None]
+    if not found:
         return a, b
-    mu, n_seen = min(roots), None
+    mu, n = min(found)
     while True:
-        n = ask(min(_on_grid(mu) + _BRACKET, BELIEF_CEIL))
-        if not n or n == n_seen:
+        grid = _on_grid(mu)
+        hi = grid + _BRACKET if grid + _BRACKET < BELIEF_CEIL else BELIEF_CEIL
+        if not (_pays(level, hi, n) or _respond(level, hi)[1]):
+            a = hi
             break
-        n_seen, mu_next = n, _break_even(level, n)
-        if mu_next is None or not mu_next < mu:
+        if hi < b:
+            b = hi
+        lo = grid - _BRACKET if grid - _BRACKET > BELIEF_FLOOR else BELIEF_FLOOR
+        m = _respond(level, lo)[1]
+        if not m:
+            a = lo
             break
-        mu = mu_next
-    ask(max(_on_grid(mu) - _BRACKET, BELIEF_FLOOR))
+        # m pays at lo, so it breaks even lower, unless rounding says
+        # otherwise; a doubled size that pays there breaks even lower still.
+        b, start = lo, mu
+        while True:
+            if m not in roots:
+                roots[m] = _break_even(level, m)
+            if roots[m] is None or not roots[m] < mu:
+                break
+            mu, n = roots[m], m
+            if m == n_max:
+                break
+            m = 2 * m if 2 * m < n_max else n_max
+            if m not in roots and not _pays(level, mu, m):
+                break
+        if mu == start:
+            break
     return (a, b) if a < b else (BELIEF_FLOOR, BELIEF_CEIL)
 
 
-def participation_threshold(alpha: float, inst: EconomicInstance) -> ParticipationThreshold:
-    """Lowest belief that still participates, to within ``2**-34``.
-
-    :func:`_bracket` locates the crossing from closed-form break-even
-    beliefs and returns an evaluated abstaining belief ``a`` and
-    participating belief ``b``.  Should they be more than ``2 * _BRACKET``
-    apart (the closing ask participated, or the walk did not settle), the
-    bracket is bisected at grid points down to that width.  ``mu_tau`` is
-    the midpoint and ``epsilon`` the half-width, and ``mu_tau - epsilon``
-    and ``mu_tau + epsilon`` recompute ``a`` and ``b`` exactly, so both are
-    beliefs the kernel answered, unless one is a clamp belief.
-    """
-    level = _level(alpha, inst)
+def _threshold(level: tuple) -> ParticipationThreshold:
+    """:func:`participation_threshold` at a :func:`_level`."""
     if _respond(level, BELIEF_FLOOR)[1]:  # n_star, which is 0 only when abstaining
         return ParticipationThreshold(BELIEF_FLOOR, 0.0, "all_participate")
     n_ceil = _respond(level, BELIEF_CEIL)[1]
@@ -163,6 +186,24 @@ def participation_threshold(alpha: float, inst: EconomicInstance) -> Participati
         else:
             a = mid
     return ParticipationThreshold(0.5 * (a + b), 0.5 * (b - a), "interior")
+
+
+def participation_threshold(alpha: float, inst: EconomicInstance) -> ParticipationThreshold:
+    """Lowest belief that still participates, to within ``2**-34``.
+
+    :func:`_bracket` locates the crossing from closed-form break-even
+    beliefs and returns an abstaining belief ``a``, which the kernel
+    answered, and a participating belief ``b``, witnessed by one size's
+    utility (or answered by the kernel, should that size not pay).  Should
+    they be more than ``2 * _BRACKET`` apart (the closing ask participated
+    and the walk could not move lower, or an end failed), the bracket is
+    bisected at grid points down to that width.  ``mu_tau`` is the midpoint
+    and ``epsilon`` the half-width, and ``mu_tau - epsilon`` and ``mu_tau +
+    epsilon`` recompute ``a`` and ``b`` exactly, unless one is a clamp
+    belief.  Interior thresholds cost 3 best responses at the least: the
+    two clamp probes and the closing ask.
+    """
+    return _threshold(_level(alpha, inst))
 
 
 def critical_alpha_closed_form(inst: EconomicInstance) -> float:

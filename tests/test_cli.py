@@ -140,10 +140,12 @@ def test_loss_sweep_preset_bytes_are_pinned(tmp_path):
     # A change to the solvers' arithmetic or to the CSV writer moves these
     # digests; a faster solver that returns the same answers does not.
     # cardiovascular reaches n_max = 100,000 and the curvature breaks, which
-    # the n_max = 500 of fn-curves-062 does not.
+    # the n_max = 500 of fn-curves-062 does not.  cardiovascular was re-frozen
+    # when the threshold's participating end became a one-size witness, which
+    # moves mu_tau by under 6e-11 on rows where sizes nearly tie at break-even.
     pinned = {
         "fn-curves-062": "f9c2d67423a6f2dee77ed6fcafe96377f22c6cbb8ce3cdb51d3e87a021596254",
-        "cardiovascular": "325759029d59bb4545c0ffe7bedba7a3b87e2de88d05d9bf233f321e8a318e4c",
+        "cardiovascular": "2992d5a928c214825976b796a0f991c150acbe9c84fdf6cd5f71e73f24efacc8",
     }
     for preset, digest in pinned.items():
         out_path = tmp_path / f"sweep-{preset}.csv"

@@ -2,11 +2,14 @@
 
 Reference values are frozen from independent implementations
 (scipy.stats.norm, scipy.stats.truncnorm) or compared with them directly;
-properties are exercised with hypothesis.
+properties are exercised with hypothesis.  The quantile's output bits are
+also pinned by a digest over seeded probabilities.
 """
 
 import dataclasses
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +60,38 @@ def test_normal_functions_reject_non_finite(bad):
 
 def test_quantile_frozen_value():
     assert abs(std_normal_quantile(0.95) - QUANTILE_AT_0_95) < 1e-9
+
+
+# sha256 of repr(std_normal_quantile(p)) over the probabilities below, frozen
+# while the quantile still called a separate rational-approximation helper
+# and recursed for its upper half; computing it in one frame keeps every bit.
+QUANTILE_DIGEST = "b6e9fbc2d31bb847993dffa82b4c72b50c8cf2b640ea3ddf1fb88e64ed596b70"
+
+
+def test_quantile_output_bits_are_pinned():
+    # Both halves, the central rational and both tails (p < 0.02425 and
+    # p > 0.97575), down to 1e-300 and up to 1 - 1e-16, plus the branch points.
+    rng = random.Random(20261019)
+    ps = []
+    for i in range(20000):
+        kind = i % 4
+        if kind == 0:
+            p = rng.random()
+        elif kind == 1:
+            p = 0.02425 * rng.random()
+        elif kind == 2:
+            p = 10.0 ** rng.uniform(-300.0, math.log10(0.02425))
+        else:
+            p = 1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.02425))
+        if 0.0 < p < 1.0:
+            ps.append(p)
+    ps += [0.02425, 0.97575, 0.5, math.nextafter(0.5, 1.0), math.nextafter(0.02425, 0.0), 5e-324]
+    assert sum(p < 0.02425 for p in ps) > 10000 and sum(p > 0.97575 for p in ps) > 5000
+    assert sum(p > 0.5 for p in ps) > 7000
+    digest = hashlib.sha256()
+    for p in ps:
+        digest.update(repr(std_normal_quantile(p)).encode())
+    assert digest.hexdigest() == QUANTILE_DIGEST
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])

@@ -73,6 +73,12 @@ def test_threshold_non_increasing_in_alpha():
         assert later <= earlier + 1e-6
 
 
+# Kernel calls over each preset's alpha grid, measured when the participating
+# end became a one-size witness (3,020 and 3,578 before).  A change to the
+# walk that costs more calls fails here; one that saves calls re-pins.
+PRESET_KERNEL_CALLS = {"cardiovascular": 2039, "oncology": 2242}
+
+
 def test_threshold_uses_logarithmically_many_best_responses(monkeypatch):
     # The threshold sets up the level once and asks the per-belief kernel
     # for each best response, so counting kernel calls counts best responses.
@@ -87,9 +93,17 @@ def test_threshold_uses_logarithmically_many_best_responses(monkeypatch):
     monkeypatch.setattr(thresholds, "_respond", counting)
     th = thresholds.participation_threshold(0.1, INST)
     assert th.status == "interior"
-    # Two clamp probes, one break-even step and the closing ask; the plain
-    # bisection would ask about 22.
-    assert calls <= 4
+    # Two clamp probes and the closing ask; the participating end is
+    # witnessed by one size's utility.  The plain bisection would ask about 22.
+    assert calls <= 3
+    measured = {}
+    for preset in PRESET_KERNEL_CALLS:
+        cfg = load_config(preset_path(preset))
+        calls = 0
+        for alpha in cfg.alpha_grid:
+            thresholds.participation_threshold(alpha, cfg.instance)
+        measured[preset] = calls
+    assert measured == PRESET_KERNEL_CALLS
 
 
 def test_threshold_tolerance_validation():
@@ -212,32 +226,50 @@ def test_threshold_brackets_a_crossing_for_high_baselines():
 def test_threshold_falls_back_to_bisection_when_an_end_fails(monkeypatch, end):
     # A kernel that answers the other way at one end of the evaluated
     # bracket leaves a wider bracket: the closing ask participates ("lo"),
-    # or the walk's ask abstains ("hi").  It is then bisected, and its ends
+    # or the witness fails at the participating end and the kernel, asked
+    # there instead, abstains ("hi").  It is then bisected, and its ends
     # still hold under that kernel.
     alpha = 0.1
     th = participation_threshold(alpha, INST)
     flipped = th.mu_tau - th.epsilon if end == "lo" else th.mu_tau + th.epsilon
-    real = thresholds._respond
-    calls = 0
+    real, real_pays = thresholds._respond, thresholds._pays
+    calls, asked = 0, set()
 
     def kernel(level, mu):
         nonlocal calls
         calls += 1
+        asked.add(mu)
         answer = real(level, mu)
         if mu != flipped:
             return answer
         return (0.0, 0, 0.0) if answer[1] else (1.0, INST.n_min, 1.0)
 
+    def pays(level, mu, n):
+        return mu != flipped and real_pays(level, mu, n)
+
     monkeypatch.setattr(thresholds, "_respond", kernel)
+    monkeypatch.setattr(thresholds, "_pays", pays)
     level = thresholds._level(alpha, INST)
     assert bool(kernel(level, flipped)[1]) == (end == "lo")  # the end now answers the wrong way
-    calls = 0
+    calls, asked = 0, set()
     got = thresholds.participation_threshold(alpha, INST)
+    assert flipped in asked
     assert got.status == "interior" and got != th
     assert 0.0 < got.epsilon <= thresholds._BRACKET
     assert not kernel(level, got.mu_tau - got.epsilon)[1]
     assert kernel(level, got.mu_tau + got.epsilon)[1]
     assert calls > 4 + 20  # the bracket, then at least 20 bisection steps
+
+
+def test_threshold_witness_pays_at_the_participating_end():
+    # The best size at the participating end pays there, and not at the
+    # abstaining end.
+    level = thresholds._level(0.1, INST)
+    th = participation_threshold(0.1, INST)
+    b = th.mu_tau + th.epsilon
+    n = thresholds._respond(level, b)[1]
+    assert n and thresholds._pays(level, b, n)
+    assert not thresholds._pays(level, th.mu_tau - th.epsilon, n)
 
 
 def test_critical_alpha_closed_form_frozen_values():
