@@ -55,7 +55,7 @@ class QuadratureSpec:
             reject(self, [f"panels must be an even integer of at least 10, got {p!r}"])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LossBreakdown:
     """Loss components at one significance level, all conditional rates.
 

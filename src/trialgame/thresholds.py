@@ -28,7 +28,7 @@ from .stats import std_normal_quantile, std_normal_sf
 DEFAULT_EPS = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ParticipationThreshold:
     """Marginal belief at a fixed significance level.
 
@@ -43,7 +43,7 @@ class ParticipationThreshold:
     status: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CriticalAlpha:
     """Significance level at which a weak belief first enters the trial.
 

@@ -24,7 +24,7 @@ class CurvatureRegion(NamedTuple):
 
 def utility_slope(alpha, mu0, n, inst):
     """Derivative of expected profit with respect to a real-valued ``n``."""
-    d = std_normal_quantile(1.0 - alpha)
+    d = -std_normal_quantile(alpha)
     dmu = mu0 - inst.mu_b
     sigma0 = math.sqrt(mu0 * (1.0 - mu0))
     sigma_b = math.sqrt(inst.mu_b * (1.0 - inst.mu_b))
@@ -42,7 +42,7 @@ def curvature_regions(alpha, mu0, inst):
     its roots are real and positive they bound the convex window.
     """
     dmu = mu0 - inst.mu_b
-    b = std_normal_quantile(1.0 - alpha) * math.sqrt(inst.mu_b * (1.0 - inst.mu_b)) / dmu
+    b = -std_normal_quantile(alpha) * math.sqrt(inst.mu_b * (1.0 - inst.mu_b)) / dmu
     disc = b * b - 4.0 * mu0 * (1.0 - mu0) / (dmu * dmu)
     n1 = n2 = 0.0
     if b > 0.0 and disc > 0.0:

@@ -72,7 +72,7 @@ def best_response_binary_search(alpha, mu0, inst):
     condition; the integers on either side of each region end are candidates
     too.
     """
-    d = std_normal_quantile(1.0 - alpha)
+    d = -std_normal_quantile(alpha)
     mu_b = inst.mu_b
     n_min, n_max = inst.n_min, inst.n_max
     sigma0 = math.sqrt(mu0 * (1.0 - mu0))
@@ -136,6 +136,19 @@ def test_pass_probability_at_baseline_equals_alpha():
     for alpha in (0.01, 0.05, 0.2):
         for n in (1, 10, 100, 10_000):
             assert abs(pass_probability(alpha, 0.5, n, 0.5) - alpha) < 1e-9
+
+
+def test_pass_probability_at_baseline_keeps_small_alpha_to_roundoff():
+    # d = -quantile(alpha), not quantile(1 - alpha): 1 - alpha rounds, which
+    # put the size at alpha = 1e-15 off by 8e-4 relative.  What remains is a
+    # few ulps of d, magnified by d itself (about 8 at 1e-15) in the tail.
+    rng = random.Random(20261020)
+    alphas = [10.0**-k for k in range(1, 16)]
+    alphas += [10.0 ** rng.uniform(-15.0, math.log10(0.9)) for _ in range(500)]
+    for alpha in alphas:
+        mu_b = rng.uniform(0.01, 0.99)
+        n = rng.choice((1, 100, 12_345))
+        assert pass_probability(alpha, mu_b, n, mu_b) == pytest.approx(alpha, rel=1e-13, abs=0.0)
 
 
 def test_pass_probability_domain_checks():
@@ -411,8 +424,10 @@ def test_kernel_validates_level_and_belief():
 # sha256 of the kernel's answers to the queries below, frozen from the
 # solver before its candidate scan became a single pass over the pieces, and
 # re-frozen when the normal quantile's upper half became a reflection of its
-# lower half, which moves the last bits of d = Phi^{-1}(1 - alpha).
-KERNEL_DIGEST = "cd0f7b235d64dc0bc44441f4e3aaf21d07c5ea47c4a64da36e11862e5ca4a6ca"
+# lower half, and again when the quantile became the standard library's AS241
+# and d became -Phi^{-1}(alpha); each moved only the last bits of d.  The
+# digest was checked identical on CPython 3.10 to 3.13.
+KERNEL_DIGEST = "b60355c012d4ca0d8c556b04e88edc354562146a89267d302f51e15d08d13666"
 
 
 def test_kernel_output_bits_are_pinned():

@@ -8,6 +8,7 @@ Conditional-mass edge cases (priors entirely on one side of the baseline)
 are exercised explicitly.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -22,6 +23,7 @@ from trialgame import (
     LossBreakdown,
     LossWeights,
     QuadratureSpec,
+    RunConfig,
     TruncatedNormalPrior,
     best_response,
     critical_alpha,
@@ -245,3 +247,29 @@ def test_sweep_alpha_rejects_bad_grids():
         sweep_alpha([0.5, 1.5], INST, PRIOR)
     with pytest.raises(DomainError):
         sweep_alpha([-0.1, 0.5], INST, PRIOR)
+
+
+def test_inputs_are_frozen_and_hashable_results_are_plain_records():
+    # Inputs are frozen: a solver may key on them, and a run configuration
+    # cannot change under a sweep.  Results are plain slotted records, which
+    # are several times cheaper to build than frozen ones.
+    config = RunConfig(INST, PRIOR, LossWeights(), QuadratureSpec(), None, None, None, None)
+    for record in (INST, PRIOR, LossWeights(), QuadratureSpec(), config):
+        field = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
+        twin = dataclasses.replace(record)
+        assert twin == record and hash(twin) == hash(record)
+    quad = QuadratureSpec(panels=100)
+    for record in (
+        best_response(0.05, 0.6, INST),
+        participation_threshold(0.05, INST),
+        critical_alpha(INST),
+        loss_components(0.05, INST, PRIOR, quad),
+    ):
+        twin = dataclasses.replace(record)
+        assert twin == record and twin is not record
+        field = next(f.name for f in dataclasses.fields(record) if f.type == "float")
+        value = getattr(record, field)
+        setattr(twin, field, value + 1.0)
+        assert twin != record and getattr(record, field) == value

@@ -3,17 +3,21 @@
 Reference values are frozen from independent implementations
 (scipy.stats.norm, scipy.stats.truncnorm) or compared with them directly;
 properties are exercised with hypothesis.  The quantile's output bits are
-also pinned by a digest over seeded probabilities.
+also pinned by a digest over seeded probabilities, and its pure-Python
+fallback is held to the same bits.
 """
 
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import random
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 from scipy import stats as sps
 
 from trialgame import stats
@@ -62,15 +66,14 @@ def test_quantile_frozen_value():
     assert abs(std_normal_quantile(0.95) - QUANTILE_AT_0_95) < 1e-9
 
 
-# sha256 of repr(std_normal_quantile(p)) over the probabilities below, frozen
-# while the quantile still called a separate rational-approximation helper
-# and recursed for its upper half; computing it in one frame keeps every bit.
-QUANTILE_DIGEST = "b6e9fbc2d31bb847993dffa82b4c72b50c8cf2b640ea3ddf1fb88e64ed596b70"
+def _seeded_probabilities():
+    """Both halves and both tails of (0, 1), down to 1e-300 and up to 1 - 1e-16.
 
-
-def test_quantile_output_bits_are_pinned():
-    # Both halves, the central rational and both tails (p < 0.02425 and
-    # p > 0.97575), down to 1e-300 and up to 1 - 1e-16, plus the branch points.
+    AS241 switches from its central rational (``|p - 1/2| <= 0.425``) to a
+    rational in ``r = sqrt(-ln min(p, 1 - p))`` for ``r <= 5`` and to another
+    beyond (``min(p, 1 - p) < exp(-25)``, about 1.4e-11); each piece is hit
+    on both sides, and so are its branch points.
+    """
     rng = random.Random(20261019)
     ps = []
     for i in range(20000):
@@ -86,15 +89,54 @@ def test_quantile_output_bits_are_pinned():
         if 0.0 < p < 1.0:
             ps.append(p)
     ps += [0.02425, 0.97575, 0.5, math.nextafter(0.5, 1.0), math.nextafter(0.02425, 0.0), 5e-324]
+    ps += [0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)]
     assert sum(p < 0.02425 for p in ps) > 10000 and sum(p > 0.97575 for p in ps) > 5000
     assert sum(p > 0.5 for p in ps) > 7000
+    for lower, upper in ((0.075, 0.5), (math.exp(-25.0), 0.075), (0.0, math.exp(-25.0))):
+        assert sum(lower <= p < upper for p in ps) > 100
+        assert sum(lower < 1.0 - p <= upper for p in ps) > 100
+    return ps
+
+
+# sha256 of repr(std_normal_quantile(p)) over the probabilities above.
+# Re-frozen when the quantile became the standard library's AS241, replacing
+# a rational approximation with a Newton step, which moves the last bits of
+# most values.  Checked identical on CPython 3.10 to 3.13.
+QUANTILE_DIGEST = "c8876be9ce278c12beba226413f8b6d568d5b25fb36f75d492e50f3e417f9380"
+
+
+def test_quantile_output_bits_are_pinned():
     digest = hashlib.sha256()
-    for p in ps:
+    for p in _seeded_probabilities():
         digest.update(repr(std_normal_quantile(p)).encode())
     assert digest.hexdigest() == QUANTILE_DIGEST
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
+def test_quantile_within_a_few_ulps_of_scipy():
+    # scipy's ndtri is itself within about 2 ulps of a 50-digit reference;
+    # AS241 reaches 6 against that reference.
+    ps = _seeded_probabilities()
+    for p, ref in zip(ps, special.ndtri(ps)):
+        x = std_normal_quantile(p)
+        assert abs(x - ref) <= 8 * math.ulp(max(abs(ref), 1.0)), p
+
+
+def test_quantile_fallback_is_bit_identical(monkeypatch):
+    # Without the C accelerator the quantile comes from the statistics
+    # module's Python AS241.  Load a second copy of the module that way.
+    assert isinstance(stats._normal_dist_inv_cdf, types.BuiltinFunctionType)
+    monkeypatch.setitem(sys.modules, "_statistics", None)
+    monkeypatch.delitem(sys.modules, "statistics")
+    spec = importlib.util.spec_from_file_location("trialgame._stats_fallback", stats.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fallback)
+    spec.loader.exec_module(fallback)
+    assert isinstance(fallback._normal_dist_inv_cdf, types.FunctionType)
+    for p in _seeded_probabilities():
+        assert repr(fallback.std_normal_quantile(p)) == repr(std_normal_quantile(p)), p
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
 def test_quantile_rejects_closed_endpoints(p):
     with pytest.raises(DomainError):
         std_normal_quantile(p)
@@ -115,8 +157,8 @@ def test_quantile_antisymmetric(p):
 
 
 def test_quantile_upper_tail_matches_scipy():
-    # Reflection keeps full relative accuracy out to p = 1 - 1e-12, where a
-    # Newton step against a CDF rounded towards 1 would leave about 1e-9.
+    # Above one half AS241 works from 1 - p, which is exact there, so it keeps
+    # full relative accuracy out to p = 1 - 1e-12.
     for k in range(2, 13):
         p = 1.0 - 10.0**-k
         assert std_normal_quantile(p) == pytest.approx(sps.norm.ppf(p), rel=1e-13)
