@@ -45,6 +45,11 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is an integer, counting no bool as one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class EconomicInstance:
     """Economics of one approval problem.
@@ -72,9 +77,15 @@ class EconomicInstance:
             problems.append(f"c must be a nonnegative finite number, got {self.c!r}")
         if not (0.0 < self.mu_b < 1.0):
             problems.append(f"mu_b must lie strictly between 0 and 1, got {self.mu_b!r}")
-        if self.n_min < 1:
+        # One problem per size: a size that is no integer gets no range rule.
+        whole = _is_int(self.n_min)
+        if not whole:
+            problems.append(f"n_min must be an integer, got {self.n_min!r}")
+        elif self.n_min < 1:
             problems.append(f"n_min must be at least 1, got {self.n_min!r}")
-        if self.n_max < self.n_min:
+        if not _is_int(self.n_max):
+            problems.append(f"n_max must be an integer, got {self.n_max!r}")
+        elif whole and self.n_max < self.n_min:
             problems.append(f"n_max must be >= n_min, got {self.n_max!r}")
         reject(self, problems)
 
@@ -205,8 +216,11 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
     Newton steps start where ``h`` would vanish if ``ln t`` kept its value
     at the piece's start, each replaced by bisection if it would leave the
     bracket, until a step moves ``n`` by less than a quarter sample.
+
+    ``mu0`` is not checked: :func:`best_response` checks it once, and the
+    other callers (``thresholds._threshold`` and ``_bracket``, the loss
+    integrands) only pass beliefs in ``[BELIEF_FLOOR, BELIEF_CEIL]``.
     """
-    _check_belief(mu0)
     mu_b, ds, R, c0, c, n_min, n_max, t_max, log_t_max = level
     var0 = mu0 * (1.0 - mu0)
     sigma0 = math.sqrt(var0)
@@ -321,7 +335,9 @@ def best_response(alpha: float, mu0: float, inst: EconomicInstance) -> BestRespo
     near the root, so ``n_star`` can miss the scan's by a few samples, with
     a utility at most an ulp or two of ``R`` lower.
     """
-    u, n_star, p = _respond(_level(alpha, inst), mu0)
+    level = _level(alpha, inst)
+    _check_belief(mu0)
+    u, n_star, p = _respond(level, mu0)
     return BestResponse(n_star > 0, n_star, p, u)
 
 

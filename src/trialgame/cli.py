@@ -24,12 +24,7 @@ from .config import (
 )
 from .errors import ConfigError, DomainError, SearchRangeError
 from .loss import sweep_alpha
-from .thresholds import (
-    DEFAULT_EPS,
-    critical_alpha,
-    critical_alpha_closed_form,
-    participation_threshold,
-)
+from .thresholds import critical_alpha, critical_alpha_closed_form, participation_threshold
 
 SWEEP_COLUMNS = (
     "alpha",
@@ -41,8 +36,6 @@ SWEEP_COLUMNS = (
     "total_loss",
 )
 HEATMAP_COLUMNS = ("R", "c0", "alpha_hat", "clamped", "alpha_hat_le_0_05")
-
-_INSTANCE_FLAGS = ("R", "c0", "c", "mu_b", "n_min", "n_max")
 
 
 def _fmt(value) -> str:
@@ -68,6 +61,14 @@ def _emit_csv(path: str | None, columns, rows, args) -> None:
 def _note(args, message: str) -> None:
     if not args.quiet:
         print(message)
+
+
+def _report(args, columns, row, shown) -> None:
+    """Print ``column: shown`` per column, and write ``row`` to ``--output`` if given."""
+    for name, value in zip(columns, shown):
+        print(f"{name}: {value}")
+    if args.output:
+        _emit_csv(args.output, columns, [row], args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,12 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--alpha", type=float, required=True, help="significance level of the test")
 
-    p = sub.add_parser(
+    sub.add_parser(
         "critical-alpha",
         parents=[common, economics],
         help="significance level below which weak applicants stay out",
     )
-    p.add_argument("--eps", type=float, help=f"alpha_hat clamp margin (default {DEFAULT_EPS})")
 
     sub.add_parser(
         "loss-sweep",
@@ -143,23 +143,25 @@ def _load_config_arg(args) -> RunConfig | None:
         ) from None
 
 
-def _resolve_instance(args, cfg: RunConfig | None) -> EconomicInstance:
-    overrides = {}
-    for name in _INSTANCE_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+def _resolve_instance(args) -> EconomicInstance:
+    """The configuration's instance with the economics flags given applied over it.
+
+    Each field of :class:`EconomicInstance` is a flag of the same name.
+    Without a configuration, each field that has no default is required.
+    """
+    cfg = _load_config_arg(args)
+    fields = dataclasses.fields(EconomicInstance)
+    overrides = {f.name: getattr(args, f.name) for f in fields if getattr(args, f.name) is not None}
     try:
         if cfg is not None:
             return dataclasses.replace(cfg.instance, **overrides)
-        missing = [f for f in ("R", "c0", "c", "mu_b") if f not in overrides]
+        missing = [
+            f"--{f.name.replace('_', '-')}: required when no configuration supplies the instance"
+            for f in fields
+            if f.default is dataclasses.MISSING and f.name not in overrides
+        ]
         if missing:
-            raise ConfigError(
-                [
-                    f"--{f.replace('_', '-')}: required when no configuration supplies the instance"
-                    for f in missing
-                ]
-            )
+            raise ConfigError(missing)
         return EconomicInstance(**overrides)
     except DomainError as exc:
         raise ConfigError(exc.problems) from exc
@@ -176,52 +178,38 @@ def _resolve_output(args, cfg: RunConfig | None, command: str) -> str:
 
 
 def cmd_best_response(args) -> None:
-    cfg = _load_config_arg(args)
-    inst = _resolve_instance(args, cfg)
+    inst = _resolve_instance(args)
     br = best_response(args.alpha, args.mu0, inst)
-    print(f"participates: {'yes' if br.participates else 'no'}")
-    print(f"n_star: {br.n_star}")
-    print(f"pass_prob: {br.pass_prob:.6g}")
-    print(f"utility: {br.utility:.6g}")
-    if args.output:
-        _emit_csv(
-            args.output,
-            ("participates", "n_star", "pass_prob", "utility"),
-            [(int(br.participates), br.n_star, br.pass_prob, br.utility)],
-            args,
-        )
+    _report(
+        args,
+        ("participates", "n_star", "pass_prob", "utility"),
+        (int(br.participates), br.n_star, br.pass_prob, br.utility),
+        ("yes" if br.participates else "no", br.n_star, f"{br.pass_prob:.6g}", f"{br.utility:.6g}"),
+    )
 
 
 def cmd_threshold(args) -> None:
-    cfg = _load_config_arg(args)
-    inst = _resolve_instance(args, cfg)
+    inst = _resolve_instance(args)
     th = participation_threshold(args.alpha, inst)
-    print(f"mu_tau: {th.mu_tau:.6g}")
-    print(f"epsilon: {th.epsilon:.3g}")
-    print(f"status: {th.status}")
-    if args.output:
-        _emit_csv(
-            args.output,
-            ("mu_tau", "epsilon", "status"),
-            [(th.mu_tau, th.epsilon, th.status)],
-            args,
-        )
+    _report(
+        args,
+        ("mu_tau", "epsilon", "status"),
+        (th.mu_tau, th.epsilon, th.status),
+        (f"{th.mu_tau:.6g}", f"{th.epsilon:.3g}", th.status),
+    )
 
 
 def cmd_critical_alpha(args) -> None:
-    cfg = _load_config_arg(args)
-    inst = _resolve_instance(args, cfg)
-    eps = args.eps if args.eps is not None else DEFAULT_EPS
-    ca = critical_alpha(inst, eps)
+    inst = _resolve_instance(args)
+    ca = critical_alpha(inst)
     closed = critical_alpha_closed_form(inst)
     diff = abs(ca.alpha_hat - closed)
-    print(f"alpha_hat: {ca.alpha_hat:.6g}")
-    print(f"closed_form: {closed:.6g}")
-    print(f"abs_diff: {diff:.3g}")
-    print(f"status: {ca.status}")
-    rows = [(ca.alpha_hat, closed, diff, ca.status)]
-    if args.output:
-        _emit_csv(args.output, ("alpha_hat", "closed_form", "abs_diff", "status"), rows, args)
+    _report(
+        args,
+        ("alpha_hat", "closed_form", "abs_diff", "status"),
+        (ca.alpha_hat, closed, diff, ca.status),
+        (f"{ca.alpha_hat:.6g}", f"{closed:.6g}", f"{diff:.3g}", ca.status),
+    )
 
 
 def cmd_loss_sweep(args) -> None:

@@ -23,7 +23,7 @@ import math
 from importlib import resources
 from pathlib import Path
 
-from .agent import EconomicInstance
+from .agent import EconomicInstance, _is_int
 from .errors import ConfigError, DomainError
 from .loss import LossWeights, QuadratureSpec
 from .stats import TruncatedNormalPrior
@@ -41,37 +41,29 @@ class RunConfig:
     prior: TruncatedNormalPrior | None
     weights: LossWeights
     quadrature: QuadratureSpec
-    alpha_grid: list[float] | None
-    r_grid: list[float] | None
-    c0_grid: list[float] | None
+    alpha_grid: tuple[float, ...] | None
+    r_grid: tuple[float, ...] | None
+    c0_grid: tuple[float, ...] | None
     output: str | None
     description: str = ""
 
 
-def default_alpha_grid(points: int = 400, start: float = 1e-4, stop: float = 0.9) -> list[float]:
-    """Log-spaced sweep grid used when a configuration names none."""
-    return _log_spaced(start, stop, points)
+def default_alpha_grid() -> tuple[float, ...]:
+    """400 log-spaced levels from 1e-4 to 0.9, swept when a configuration names none."""
+    return _log_spaced(1e-4, 0.9, 400)
 
 
-def _log_spaced(start: float, stop: float, points: int) -> list[float]:
+def _log_spaced(start: float, stop: float, points: int) -> tuple[float, ...]:
     a, b = math.log10(start), math.log10(stop)
-    if points == 1:
-        return [start]
-    return [10.0 ** (a + i * (b - a) / (points - 1)) for i in range(points)]
+    return tuple(10.0 ** (a + i * (b - a) / (points - 1)) for i in range(points))
 
 
-def _lin_spaced(start: float, stop: float, points: int) -> list[float]:
-    if points == 1:
-        return [start]
-    return [start + i * (stop - start) / (points - 1) for i in range(points)]
+def _lin_spaced(start: float, stop: float, points: int) -> tuple[float, ...]:
+    return tuple(start + i * (stop - start) / (points - 1) for i in range(points))
 
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_unknown(obj: dict, allowed: set[str], path: str, problems: list[str]) -> None:
@@ -117,7 +109,7 @@ def _parse_section(obj, section: str, record, problems: list[str], *, require_al
         return None
 
 
-def _parse_grid(obj, path: str, problems: list[str], *, unit: bool) -> list[float] | None:
+def _parse_grid(obj, path: str, problems: list[str], *, unit: bool) -> tuple[float, ...] | None:
     if not isinstance(obj, dict):
         problems.append(f"{path}: expected an object")
         return None
@@ -130,7 +122,7 @@ def _parse_grid(obj, path: str, problems: list[str], *, unit: bool) -> list[floa
         if not isinstance(values, list) or not values or not all(_is_number(v) for v in values):
             problems.append(f"{path}.values: expected a nonempty list of finite numbers")
             return None
-        grid = [float(v) for v in values]
+        grid = tuple(float(v) for v in values)
     else:
         for key in ("start", "stop", "points"):
             if key not in obj:

@@ -17,9 +17,10 @@ goes from 463 to 9,305 and the pass chance from 0.056 to 0.43 within 0.002.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _level, _respond
+from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _is_int, _level, _respond
 from .errors import DomainError, reject
 from .stats import Prior
 from .thresholds import DEFAULT_EPS, _threshold, critical_alpha
@@ -51,7 +52,7 @@ class QuadratureSpec:
 
     def __post_init__(self) -> None:
         p = self.panels
-        if isinstance(p, bool) or not isinstance(p, int) or p < 10 or p % 2:
+        if not _is_int(p) or p < 10 or p % 2:
             reject(self, [f"panels must be an even integer of at least 10, got {p!r}"])
 
 
@@ -90,7 +91,7 @@ def loss_components(
     inst: EconomicInstance,
     prior: Prior,
     quad: QuadratureSpec = QuadratureSpec(),
-    weights: LossWeights | None = None,
+    weights: LossWeights = LossWeights(),
 ) -> LossBreakdown:
     """Error decomposition at one significance level.
 
@@ -101,8 +102,6 @@ def loss_components(
     mass below ``mu_tau``.
     """
     level = _level(alpha, inst)
-    if weights is None:
-        weights = LossWeights()
     th = _threshold(level)
     mu_tau = th.mu_tau
     mu_in = mu_tau + th.epsilon
@@ -157,9 +156,8 @@ def optimal_alpha(
     weights: LossWeights,
     quad: QuadratureSpec = QuadratureSpec(),
     grid_resolution: int = 100,
-    eps: float = DEFAULT_EPS,
 ) -> float:
-    """Loss-minimising significance level over ``[alpha_hat, 1 - eps]``.
+    """Loss-minimising significance level over ``[alpha_hat, 1 - DEFAULT_EPS]``.
 
     Below the critical level the false-positive channel is flat at zero
     while missed approvals only grow, so nothing is lost by starting the
@@ -167,8 +165,8 @@ def optimal_alpha(
     """
     if grid_resolution < 2:
         raise DomainError(f"grid_resolution must be at least 2, got {grid_resolution!r}")
-    a0 = critical_alpha(inst, eps).alpha_hat
-    a1 = 1.0 - eps
+    a0 = critical_alpha(inst).alpha_hat
+    a1 = 1.0 - DEFAULT_EPS
     if a1 < a0:
         a1 = a0
     step = (a1 - a0) / (grid_resolution - 1)
@@ -183,10 +181,10 @@ def optimal_alpha(
 
 
 def sweep_alpha(
-    alpha_grid: list[float],
+    alpha_grid: Sequence[float],
     inst: EconomicInstance,
     prior: Prior,
-    weights: LossWeights | None = None,
+    weights: LossWeights = LossWeights(),
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> list[LossBreakdown]:
     """Loss decomposition at each level of an increasing grid, in grid order."""

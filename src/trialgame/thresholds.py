@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass
 
 from .agent import _SQRT2, BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _level, _respond
-from .errors import DomainError
 from .stats import std_normal_quantile, std_normal_sf
 
-#: Default critical-level clamp margin.
+#: Clamp margin of the critical level: ``alpha_hat`` is reported within
+#: ``[DEFAULT_EPS, 1 - DEFAULT_EPS]``.
 DEFAULT_EPS = 1e-6
 
 
@@ -49,9 +49,9 @@ class CriticalAlpha:
 
     No belief at or below the baseline participates below ``alpha_hat``.
     ``status`` is ``"interior"``, ``"at_floor"`` (the level is at most
-    ``eps`` and reported as ``eps``) or ``"no_feasible_alpha"`` (above
-    ``1 - eps``, e.g. when revenue cannot cover the cheapest trial; reported
-    as ``1 - eps``).
+    ``DEFAULT_EPS`` and reported as ``DEFAULT_EPS``) or
+    ``"no_feasible_alpha"`` (above ``1 - DEFAULT_EPS``, e.g. when revenue
+    cannot cover the cheapest trial; reported as ``1 - DEFAULT_EPS``).
     """
 
     alpha_hat: float
@@ -218,7 +218,7 @@ def critical_alpha_closed_form(inst: EconomicInstance) -> float:
     return (inst.c0 + inst.c * inst.n_min) / inst.R
 
 
-def critical_alpha(inst: EconomicInstance, eps: float = DEFAULT_EPS) -> CriticalAlpha:
+def critical_alpha(inst: EconomicInstance) -> CriticalAlpha:
     """Level at which some belief ``mu <= mu_b`` first participates.
 
     A weak belief buys ``n_min`` samples and enters at ``alpha`` exactly when
@@ -228,9 +228,9 @@ def critical_alpha(inst: EconomicInstance, eps: float = DEFAULT_EPS) -> Critical
     ``[BELIEF_FLOOR, mu_b]``.  For ``k < 1/2``, ``g`` is concave with its
     peak at ``(1 + x) / 2``, ``x = sqrt(n_min / (z^2 + n_min))``; otherwise
     it is convex and an end wins.  A maximiser at ``mu_b`` gives exactly ``k``.
+    The level is exact, so the only margin is the clamp to ``[DEFAULT_EPS,
+    1 - DEFAULT_EPS]`` that :class:`CriticalAlpha`'s status records.
     """
-    if not 0.0 < eps < 0.5:
-        raise DomainError(f"tolerance must lie in (0, 0.5), got {eps!r}")
     alpha_hat = k = critical_alpha_closed_form(inst)
     if 0.0 < k < 1.0:
         mu_b = inst.mu_b
@@ -246,8 +246,8 @@ def critical_alpha(inst: EconomicInstance, eps: float = DEFAULT_EPS) -> Critical
             best = mu_b if g(mu_b) >= g(BELIEF_FLOOR) else BELIEF_FLOOR
         if best != mu_b:
             alpha_hat = std_normal_sf(g(best))
-    if alpha_hat <= eps:
-        return CriticalAlpha(eps, "at_floor")
-    if alpha_hat > 1.0 - eps:
-        return CriticalAlpha(1.0 - eps, "no_feasible_alpha")
+    if alpha_hat <= DEFAULT_EPS:
+        return CriticalAlpha(DEFAULT_EPS, "at_floor")
+    if alpha_hat > 1.0 - DEFAULT_EPS:
+        return CriticalAlpha(1.0 - DEFAULT_EPS, "no_feasible_alpha")
     return CriticalAlpha(alpha_hat, "interior")

@@ -117,6 +117,23 @@ def test_instance_validation_reports_every_problem():
     assert [p.split()[0] for p in excinfo.value.problems] == ["R", "c0", "c", "mu_b", "n_min", "n_max"]
 
 
+def test_instance_rejects_sizes_that_are_not_integers():
+    # One problem per size, and no range rule for a size that is no integer.
+    # An infinite n_max used to reach the solvers and overflow there.
+    base = dict(R=1.0, c0=0.05, c=0.002, mu_b=0.5)
+    for n_min, n_max, problems in (
+        (1.5, 500, ["n_min must be an integer, got 1.5"]),
+        (1, math.inf, ["n_max must be an integer, got inf"]),
+        (True, 500, ["n_min must be an integer, got True"]),
+        (1, 500.0, ["n_max must be an integer, got 500.0"]),
+        (0.5, 0, ["n_min must be an integer, got 0.5"]),
+        (0, 1.5, ["n_min must be at least 1, got 0", "n_max must be an integer, got 1.5"]),
+    ):
+        with pytest.raises(DomainError) as excinfo:
+            EconomicInstance(**base, n_min=n_min, n_max=n_max)
+        assert excinfo.value.problems == problems
+
+
 def test_instance_rejects_inverted_size_range():
     with pytest.raises(DomainError, match="n_max"):
         EconomicInstance(R=1.0, c0=0.0, c=0.0, mu_b=0.5, n_min=10, n_max=9)
@@ -410,15 +427,19 @@ def test_best_response_near_scan_when_cost_is_at_float_resolution():
 
 
 def test_kernel_validates_level_and_belief():
+    # The level checks alpha and best_response checks the belief, once each;
+    # the kernel trusts its callers.  With both bad, alpha is reported.
     level = agent._level(0.05, INST)
     assert agent._respond(level, 0.6) == (BEST_UTILITY, BEST_N, BEST_PASS)
     assert agent._respond(level, BELIEF_FLOOR) == (0.0, 0, 0.0)
     for mu0 in (0.0, 0.5 * BELIEF_FLOOR, BELIEF_CEIL + 1e-9, 1.0, math.nan):
         with pytest.raises(DomainError, match="belief"):
-            agent._respond(level, mu0)
+            best_response(0.05, mu0, INST)
     for alpha in (0.0, 1.0, -0.1, 1.5, math.nan):
         with pytest.raises(DomainError, match="significance level"):
             agent._level(alpha, INST)
+        with pytest.raises(DomainError, match="significance level"):
+            best_response(alpha, 1.0, INST)
 
 
 # sha256 of the kernel's answers to the queries below, frozen from the

@@ -86,13 +86,12 @@ def test_threshold_subcommand(capsys):
 
 
 def test_threshold_has_no_tolerance_option(capsys):
-    # The threshold is always bracketed to 2**-34, so --eps is a usage error;
-    # critical-alpha keeps --eps as its clamp margin.
+    # The threshold is always bracketed to 2**-34 and the critical level is
+    # exact with a fixed clamp margin, so --eps is a usage error for both.
     assert main(["threshold", "--alpha", "0.1", "--eps", "1e-3", *INSTANCE_FLAGS]) == 2
     assert "--eps" in capsys.readouterr().err
-    assert main(["critical-alpha", "--config", "cardiovascular", "--eps", "0.05"]) == 0
-    out = capsys.readouterr().out
-    assert "alpha_hat: 0.05" in out and "status: at_floor" in out
+    assert main(["critical-alpha", "--config", "cardiovascular", "--eps", "0.05"]) == 2
+    assert "--eps" in capsys.readouterr().err
 
 
 def test_critical_alpha_subcommand_with_preset(capsys):

@@ -44,8 +44,8 @@ def test_full_round_trip(tmp_path):
     assert cfg.prior == TruncatedNormalPrior(0.6, 0.05, 0.35, 0.75)
     assert cfg.weights == LossWeights(2.0, 0.5)
     assert cfg.quadrature == QuadratureSpec(panels=200)
-    assert cfg.alpha_grid == [0.01, 0.05, 0.2]
-    assert cfg.r_grid == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert cfg.alpha_grid == (0.01, 0.05, 0.2)
+    assert cfg.r_grid == (1.0, 2.0, 3.0, 4.0, 5.0)
     assert len(cfg.c0_grid) == 3
     assert cfg.c0_grid[0] == pytest.approx(0.01) and cfg.c0_grid[-1] == pytest.approx(1.0)
     assert cfg.output == "out.csv"
@@ -190,10 +190,6 @@ def test_default_alpha_grid_shape():
     # Log spacing: constant ratio between neighbours.
     ratios = [b / a for a, b in zip(grid, grid[1:])]
     assert max(ratios) - min(ratios) < 1e-9
-
-
-def test_default_alpha_grid_single_point():
-    assert default_alpha_grid(points=1, start=0.05, stop=0.5) == [0.05]
 
 
 def test_weights_partial_object_rejected(tmp_path):

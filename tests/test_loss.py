@@ -23,7 +23,6 @@ from trialgame import (
     LossBreakdown,
     LossWeights,
     QuadratureSpec,
-    RunConfig,
     TruncatedNormalPrior,
     best_response,
     critical_alpha,
@@ -250,10 +249,11 @@ def test_sweep_alpha_rejects_bad_grids():
 
 
 def test_inputs_are_frozen_and_hashable_results_are_plain_records():
-    # Inputs are frozen: a solver may key on them, and a run configuration
-    # cannot change under a sweep.  Results are plain slotted records, which
-    # are several times cheaper to build than frozen ones.
-    config = RunConfig(INST, PRIOR, LossWeights(), QuadratureSpec(), None, None, None, None)
+    # Inputs are frozen: a solver may key on them, and a run configuration,
+    # grids included, cannot change under a sweep.  Results are plain slotted
+    # records, which are several times cheaper to build than frozen ones.
+    config = load_config(preset_path("cardiovascular"))
+    assert config.alpha_grid and config.r_grid and config.c0_grid
     for record in (INST, PRIOR, LossWeights(), QuadratureSpec(), config):
         field = dataclasses.fields(record)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):
