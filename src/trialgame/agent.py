@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SearchRangeError, reject
-from .stats import std_normal_quantile, std_normal_sf
+from .stats import finite, std_normal_quantile, std_normal_sf
 
 # Beliefs are clamped away from {0, 1} so the Bernoulli variance never
 # degenerates inside the solvers.
@@ -46,8 +46,8 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _is_int(x) -> bool:
-    """Whether ``x`` is an integer, counting no bool as one."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """Whether ``x`` is an integer a float can hold, counting no bool as one."""
+    return isinstance(x, int) and not isinstance(x, bool) and finite(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,11 +69,11 @@ class EconomicInstance:
 
     def __post_init__(self) -> None:
         problems = []
-        if not (self.R > 0.0 and math.isfinite(self.R)):
+        if not (self.R > 0.0 and finite(self.R)):
             problems.append(f"R must be a positive finite number, got {self.R!r}")
-        if not (self.c0 >= 0.0 and math.isfinite(self.c0)):
+        if not (self.c0 >= 0.0 and finite(self.c0)):
             problems.append(f"c0 must be a nonnegative finite number, got {self.c0!r}")
-        if not (self.c >= 0.0 and math.isfinite(self.c)):
+        if not (self.c >= 0.0 and finite(self.c)):
             problems.append(f"c must be a nonnegative finite number, got {self.c!r}")
         if not (0.0 < self.mu_b < 1.0):
             problems.append(f"mu_b must lie strictly between 0 and 1, got {self.mu_b!r}")
@@ -116,11 +116,6 @@ def _check_belief(mu0: float) -> None:
         )
 
 
-def _check_baseline(mu_b: float) -> None:
-    if not (0.0 < mu_b < 1.0):
-        raise DomainError(f"baseline rate must lie strictly between 0 and 1, got {mu_b!r}")
-
-
 def pass_probability(alpha: float, mu0: float, n: int, mu_b: float) -> float:
     """Chance that a trial of size ``n`` clears the test, believed rate ``mu0``.
 
@@ -128,7 +123,8 @@ def pass_probability(alpha: float, mu0: float, n: int, mu_b: float) -> float:
     """
     _check_alpha(alpha)
     _check_belief(mu0)
-    _check_baseline(mu_b)
+    if not (0.0 < mu_b < 1.0):
+        raise DomainError(f"baseline rate must lie strictly between 0 and 1, got {mu_b!r}")
     if n < 0:
         raise DomainError(f"sample count must be nonnegative, got {n!r}")
     if n == 0:
@@ -206,7 +202,7 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
     (c0 + c*n_min)`` short of the best utility by more than ``1e-12*R``,
     nothing left can win or tie, and the walk stops.  ``below``, the first
     size scored after the best, is the largest scored size under it; the
-    flat-top probe skips ``best_n - 1`` when it is ``below``.
+    flat-top probe (participants only) skips ``best_n - 1`` if it is ``below``.
 
     In ``t = sqrt(n)``, ``h(t) = ln((slope + c) / c) = k - v^2/2 - ln t``
     has the sign of the slope, with ``v = (ds - dmu*t)/s_0`` and ``k =
@@ -294,6 +290,8 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
                         hi = n_min
                         break
                 last = n
+    if best_u < 0.0:
+        return 0.0, 0, 0.0
     # A scored size below best_n scored strictly less.  An unscored one that
     # ties marks a flat top (the pass chance rounded to its limit), which the
     # utility rises to and stays on: bisect for its first size, probing
@@ -307,9 +305,7 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
             else:
                 lo_n = n + 1
             n = (lo_n + best_n) // 2
-    if best_u >= 0.0:
-        return best_u, best_n, best_p
-    return 0.0, 0, 0.0
+    return best_u, best_n, best_p
 
 
 def best_response(alpha: float, mu0: float, inst: EconomicInstance) -> BestResponse:

@@ -22,7 +22,7 @@ from .config import (
     load_config,
     preset_path,
 )
-from .errors import ConfigError, DomainError, SearchRangeError
+from .errors import ConfigError, DomainError
 from .loss import sweep_alpha
 from .thresholds import critical_alpha, critical_alpha_closed_form, participation_threshold
 
@@ -42,25 +42,14 @@ def _fmt(value) -> str:
     return value if isinstance(value, str) else f"{value:.10g}"
 
 
-def _csv_text(columns, rows) -> str:
+def _emit_csv(path: str, columns, rows, args) -> None:
+    """Write ``rows`` under a ``columns`` header to ``path``, and say so unless ``--quiet``."""
     lines = [",".join(columns)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _emit_csv(path: str | None, columns, rows, args) -> None:
-    text = _csv_text(columns, rows)
-    if path is None:
-        sys.stdout.write(text)
-        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    _note(args, f"wrote {len(rows)} rows to {path}")
-
-
-def _note(args, message: str) -> None:
+        fh.write("\n".join(lines) + "\n")
     if not args.quiet:
-        print(message)
+        print(f"wrote {len(rows)} rows to {path}")
 
 
 def _report(args, columns, row, shown) -> None:
@@ -79,13 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", metavar="PATH", help="write CSV output to this file")
     common.add_argument("--quiet", action="store_true", help="suppress informational messages")
 
+    defaults = {f.name: f.default for f in dataclasses.fields(EconomicInstance)}
     economics = argparse.ArgumentParser(add_help=False)
     economics.add_argument("--R", type=float, help="revenue on approval")
     economics.add_argument("--c0", type=float, help="fixed trial cost")
     economics.add_argument("--c", type=float, help="cost per sample")
     economics.add_argument("--mu-b", type=float, help="baseline success rate")
-    economics.add_argument("--n-min", type=int, help="smallest admissible trial size (default 1)")
-    economics.add_argument("--n-max", type=int, help="largest admissible trial size (default 100000)")
+    for name, role in (("n_min", "smallest"), ("n_max", "largest")):
+        text = f"{role} admissible trial size (default {defaults[name]})"
+        economics.add_argument(f"--{name.replace('_', '-')}", type=int, help=text)
 
     parser = argparse.ArgumentParser(
         prog="trialgame",
@@ -269,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except (DomainError, SearchRangeError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

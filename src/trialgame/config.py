@@ -11,8 +11,9 @@ A configuration file drives the CLI.  Top-level keys:
     output       default CSV destination
     description  free-form note, ignored by the solvers
 
-Unknown keys anywhere are rejected.  Validation is collected, not
-short-circuited: one failed load reports every offending field by path.
+Config checks the JSON shape (no unknown keys anywhere), that each value is a
+finite number, and the grids; the records own the integer and range rules.
+Validation is collected: a failed load reports every offending field by path.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 from .agent import EconomicInstance, _is_int
 from .errors import ConfigError, DomainError
 from .loss import LossWeights, QuadratureSpec
-from .stats import TruncatedNormalPrior
+from .stats import TruncatedNormalPrior, finite
 
 _TOP_KEYS = {"instance", "prior", "weights", "quadrature", "grids", "output", "description"}
 _GRID_KEYS = {"alpha", "R", "c0"}
@@ -63,7 +64,7 @@ def _lin_spaced(start: float, stop: float, points: int) -> tuple[float, ...]:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and finite(x)
 
 
 def _check_unknown(obj: dict, allowed: set[str], path: str, problems: list[str]) -> None:
@@ -76,8 +77,8 @@ def _parse_section(obj, section: str, record, problems: list[str], *, require_al
 
     Checks here are JSON-side only: an object, known keys, the required keys
     (fields without a default, or all with ``require_all``), and a finite
-    number or non-bool integer per value.  The record's own validation
-    supplies every range check, each problem reported under ``section.``.
+    number (no bool) per value, passed on as JSON gave it.  The record owns
+    the integer and range rules, each problem reported under ``section.``.
     """
     if not isinstance(obj, dict):
         problems.append(f"{section}: expected an object")
@@ -91,13 +92,8 @@ def _parse_section(obj, section: str, record, problems: list[str], *, require_al
         if f.name not in obj:
             if require_all or f.default is dataclasses.MISSING:
                 problems.append(f"{path}: required")
-        elif f.type in (int, "int"):
-            if _is_int(value):
-                kwargs[f.name] = value
-            else:
-                problems.append(f"{path}: expected an integer, got {value!r}")
         elif _is_number(value):
-            kwargs[f.name] = float(value)
+            kwargs[f.name] = value
         else:
             problems.append(f"{path}: expected a finite number, got {value!r}")
     if len(problems) > seen:
@@ -165,7 +161,7 @@ def load_config(path: str | Path) -> RunConfig:
     text = Path(path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected a JSON object"])

@@ -1,4 +1,4 @@
-"""Numerical building blocks: normal tails and truncated priors.
+"""Numerical building blocks: a finiteness test, normal tails, truncated priors.
 
 Everything here is deliberately dependency-free.  The standard normal CDF
 rides on the C library's ``erfc`` (absolute error well below 1e-12).  The
@@ -24,6 +24,14 @@ except ImportError:  # no C accelerator: the same AS241 in Python
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def finite(x) -> bool:
+    """Whether the number ``x`` is finite; an int too large for a float is not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def std_normal_pdf(z: float) -> float:
@@ -90,9 +98,9 @@ class TruncatedNormalPrior:
 
     def __post_init__(self) -> None:
         problems = []
-        if not math.isfinite(self.mean):
+        if not finite(self.mean):
             problems.append(f"mean must be a finite number, got {self.mean!r}")
-        if not (self.sd > 0.0 and math.isfinite(self.sd)):
+        if not (self.sd > 0.0 and finite(self.sd)):
             problems.append(f"sd must be a positive finite number, got {self.sd!r}")
         if not 0.0 < self.lo < 1.0:
             problems.append(f"lo must lie strictly between 0 and 1, got {self.lo!r}")

@@ -21,7 +21,9 @@ from trialgame import (
     BestResponse,
     DomainError,
     EconomicInstance,
+    LossWeights,
     SearchRangeError,
+    TruncatedNormalPrior,
     best_response,
     best_response_bruteforce,
     pass_probability,
@@ -132,6 +134,27 @@ def test_instance_rejects_sizes_that_are_not_integers():
         with pytest.raises(DomainError) as excinfo:
             EconomicInstance(**base, n_min=n_min, n_max=n_max)
         assert excinfo.value.problems == problems
+
+
+def test_records_reject_integers_too_large_for_a_float():
+    # Such an integer is not finite as a float: each field reports it as one
+    # problem instead of overflowing where it is first converted.
+    huge = 10**400
+    base = dict(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
+    for field, problem in (
+        ("R", "R must be a positive finite number"),
+        ("c0", "c0 must be a nonnegative finite number"),
+        ("c", "c must be a nonnegative finite number"),
+        ("n_min", "n_min must be an integer"),
+        ("n_max", "n_max must be an integer"),
+    ):
+        with pytest.raises(DomainError) as excinfo:
+            EconomicInstance(**dict(base, **{field: huge}))
+        assert excinfo.value.problems == [f"{problem}, got {huge!r}"]
+    with pytest.raises(DomainError, match="lambda_fp must be a nonnegative finite number"):
+        LossWeights(lambda_fp=huge)
+    with pytest.raises(DomainError, match="mean must be a finite number"):
+        TruncatedNormalPrior(mean=huge, sd=0.1, lo=0.2, hi=0.8)
 
 
 def test_instance_rejects_inverted_size_range():

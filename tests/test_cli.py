@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, CSV emission, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -233,6 +234,22 @@ def test_domain_failures_exit_three(capsys):
     code = main(["best-response", "--alpha", "2", "--mu0", "0.6", *INSTANCE_FLAGS])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_size_too_large_for_a_float_exits_two(capsys):
+    flags = [*INSTANCE_FLAGS[:-1], "1" + "0" * 400]  # --n-max 10**400
+    code = main(["best-response", "--alpha", "0.05", "--mu0", "0.6", *flags])
+    assert code == 2
+    assert "n_max must be an integer, got 1000" in capsys.readouterr().err
+
+
+def test_help_shows_the_instance_size_defaults(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one help entry per line
+    assert main(["best-response", "--help"]) == 0
+    out = capsys.readouterr().out
+    for f in dataclasses.fields(EconomicInstance):
+        if f.default is not dataclasses.MISSING:
+            assert f"(default {f.default})" in out
 
 
 def test_config_validation_exits_two(tmp_path, capsys):

@@ -101,8 +101,20 @@ def test_unknown_nested_keys_rejected(tmp_path):
 
 def test_boolean_not_accepted_as_integer(tmp_path):
     payload = {"instance": {"R": 1.0, "c0": 0.0, "c": 0.0, "mu_b": 0.5, "n_min": True}}
-    with pytest.raises(ConfigError, match="instance.n_min: expected an integer"):
+    with pytest.raises(ConfigError, match="instance.n_min: expected a finite number, got True"):
         load_config(write(tmp_path, payload))
+
+
+def test_integer_too_large_for_a_float_is_a_config_error(tmp_path):
+    # JSON reads a 401-digit integer exactly, but no float can hold it.
+    payload = {"instance": dict(FULL["instance"], R=10**400)}
+    with pytest.raises(ConfigError, match="instance.R: expected a finite number, got 1000"):
+        load_config(write(tmp_path, payload))
+    # Past the interpreter's int digit limit, where there is one, json.loads
+    # itself refuses the integer.
+    text = json.dumps(payload).replace("1" + "0" * 400, "1" + "0" * 5000)
+    with pytest.raises(ConfigError):
+        load_config(write(tmp_path, text))
 
 
 def test_missing_instance_reported(tmp_path):

@@ -30,8 +30,10 @@ from trialgame import (
     critical_alpha_closed_form,
     load_config,
     participation_threshold,
+    pass_probability,
     preset_path,
     std_normal_quantile,
+    std_normal_sf,
     sweep_alpha,
 )
 
@@ -245,6 +247,37 @@ def test_kernel_callers_pass_only_clamped_beliefs(monkeypatch):
         inst = random_instance(rng, (0.6 + 1e-9, 0.95))
         participation_threshold(log_uniform_alpha(rng), inst)
     assert calls > 100_000
+
+
+@pytest.mark.parametrize("end", ["floor", "ceil"])
+def test_bracket_clamps_an_end_that_would_leave_the_belief_range(monkeypatch, end):
+    # One admissible size, priced so that it breaks even a quarter bracket
+    # inside a clamp belief: the bracket's end on that side would fall
+    # outside the belief range, so _bracket must clamp it before asking.
+    # Near the floor the baseline lies below it, so every belief is
+    # effective; near the ceiling d*s_b = 0.499 keeps the pass chance
+    # moderate.
+    if end == "floor":
+        alpha, mu_b, mu = 0.05, 5e-7, BELIEF_FLOOR + 2.0**-36
+    else:
+        alpha, mu_b, mu = std_normal_sf(0.998), 0.5, BELIEF_CEIL - 2.0**-36
+    c0 = pass_probability(alpha, mu, 1, mu_b)
+    inst = EconomicInstance(R=1.0, c0=c0, c=0.0, mu_b=mu_b, n_min=1, n_max=1)
+    assert abs(thresholds._break_even(thresholds._level(alpha, inst), 1) - mu) < 2.0**-40
+    asked = []
+    for name in ("_respond", "_pays"):
+
+        def spy(level, belief, *size, real=getattr(thresholds, name)):
+            asked.append(belief)
+            return real(level, belief, *size)
+
+        monkeypatch.setattr(thresholds, name, spy)
+    th = participation_threshold(alpha, inst)
+    assert th.status == "interior"
+    assert abs(th.mu_tau - mu) < 2.0 * thresholds._BRACKET
+    assert all(BELIEF_FLOOR <= belief <= BELIEF_CEIL for belief in asked)
+    # Past _threshold's two clamp probes, the clamped end itself is asked.
+    assert (BELIEF_FLOOR if end == "floor" else BELIEF_CEIL) in asked[2:]
 
 
 @pytest.mark.parametrize("end", ["lo", "hi"])
