@@ -34,14 +34,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SearchRangeError, reject
-from .stats import finite, std_normal_quantile, std_normal_sf
+from .stats import _SQRT2, finite, std_normal_quantile, std_normal_sf
 
 # Beliefs are clamped away from {0, 1} so the Bernoulli variance never
 # degenerates inside the solvers.
 BELIEF_FLOOR = 1e-6
 BELIEF_CEIL = 1.0 - 1e-6
 
-_SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -125,8 +124,8 @@ def pass_probability(alpha: float, mu0: float, n: int, mu_b: float) -> float:
     _check_belief(mu0)
     if not (0.0 < mu_b < 1.0):
         raise DomainError(f"baseline rate must lie strictly between 0 and 1, got {mu_b!r}")
-    if n < 0:
-        raise DomainError(f"sample count must be nonnegative, got {n!r}")
+    if not (n >= 0 and finite(n)):
+        raise DomainError(f"sample count must be a nonnegative finite number, got {n!r}")
     if n == 0:
         return 0.0
     d = -std_normal_quantile(alpha)

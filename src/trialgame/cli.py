@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``best-response``, ``threshold``, ``critical-alpha``,
-``loss-sweep``, ``heatmap``.  Every subcommand accepts ``--config`` (a
-JSON file path or the bare name of a bundled preset), ``--output`` and
-``--quiet``.  Exit codes: 0 on success, 2 for usage or validation
-problems, 3 for numeric domain failures, 4 for I/O failures.
+Subcommands, each one row of :func:`build_parser`'s table: ``best-response``,
+``threshold``, ``critical-alpha``, and the CSV commands ``loss-sweep`` and
+``heatmap``, which name every missing input in one error.  Each accepts
+``--config`` (a JSON file path or a bundled preset name), ``--output`` and
+``--quiet``.  Exit codes: 0 on success, 2 for usage or validation problems,
+3 for numeric domain failures, 4 for I/O failures.
 """
 
 from __future__ import annotations
@@ -84,38 +85,26 @@ def build_parser() -> argparse.ArgumentParser:
         "regulator loss curves for one-sided binomial approval tests.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "best-response",
-        parents=[common, economics],
-        help="participation decision and optimal trial size for one applicant",
-    )
-    p.add_argument("--alpha", type=float, required=True, help="significance level of the test")
-    p.add_argument("--mu0", type=float, required=True, help="applicant's believed success rate")
-
-    p = sub.add_parser(
-        "threshold",
-        parents=[common, economics],
-        help="marginal participating belief at a significance level",
-    )
-    p.add_argument("--alpha", type=float, required=True, help="significance level of the test")
-
-    sub.add_parser(
-        "critical-alpha",
-        parents=[common, economics],
-        help="significance level below which weak applicants stay out",
-    )
-
-    sub.add_parser(
-        "loss-sweep",
-        parents=[common],
-        help="regulator loss decomposition along an alpha grid (CSV)",
-    )
-    sub.add_parser(
-        "heatmap",
-        parents=[common],
-        help="critical alpha over a revenue/fixed-cost grid (CSV)",
-    )
+    instance = [common, economics]
+    alpha = ("--alpha", "significance level of the test")
+    mu0 = ("--mu0", "applicant's believed success rate")
+    # Each row: name, parent parsers, required float flags, handler, help.
+    for name, parents, flags, handler, text in (
+        ("best-response", instance, (alpha, mu0), cmd_best_response,
+         "participation decision and optimal trial size for one applicant"),
+        ("threshold", instance, (alpha,), cmd_threshold,
+         "marginal participating belief at a significance level"),
+        ("critical-alpha", instance, (), cmd_critical_alpha,
+         "significance level below which weak applicants stay out"),
+        ("loss-sweep", [common], (), cmd_loss_sweep,
+         "regulator loss decomposition along an alpha grid (CSV)"),
+        ("heatmap", [common], (), cmd_heatmap,
+         "critical alpha over a revenue/fixed-cost grid (CSV)"),
+    ):
+        p = sub.add_parser(name, parents=parents, help=text)
+        for flag, flag_help in flags:
+            p.add_argument(flag, type=float, required=True, help=flag_help)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -158,14 +147,28 @@ def _resolve_instance(args) -> EconomicInstance:
         raise ConfigError(exc.problems) from exc
 
 
-def _resolve_output(args, cfg: RunConfig | None, command: str) -> str:
-    if args.output:
-        return args.output
-    if cfg is not None and cfg.output:
-        return cfg.output
-    raise ConfigError(
-        [f"output: the {command} command needs --output or an `output` entry in the configuration"]
-    )
+def _csv_inputs(args, **needs: str) -> tuple[RunConfig, str]:
+    """A CSV command's configuration and output path; one error names every part missing.
+
+    ``needs`` maps each :class:`RunConfig` field the command reads to its key.
+    """
+    cfg = _load_config_arg(args)
+    if cfg is None:
+        raise ConfigError([f"--config: required by the {args.command} command"])
+    problems = [
+        f"{key}: required by the {args.command} command"
+        for field, key in needs.items()
+        if getattr(cfg, field) is None
+    ]
+    out = args.output or cfg.output
+    if not out:
+        problems.append(
+            f"output: the {args.command} command needs --output or an `output` entry "
+            "in the configuration"
+        )
+    if problems:
+        raise ConfigError(problems)
+    return cfg, out
 
 
 def cmd_best_response(args) -> None:
@@ -204,13 +207,8 @@ def cmd_critical_alpha(args) -> None:
 
 
 def cmd_loss_sweep(args) -> None:
-    cfg = _load_config_arg(args)
-    if cfg is None:
-        raise ConfigError(["--config: required by the loss-sweep command"])
-    if cfg.prior is None:
-        raise ConfigError(["prior: required by the loss-sweep command"])
+    cfg, out = _csv_inputs(args, prior="prior")
     grid = cfg.alpha_grid if cfg.alpha_grid is not None else default_alpha_grid()
-    out = _resolve_output(args, cfg, "loss-sweep")
     breakdowns = sweep_alpha(grid, cfg.instance, cfg.prior, cfg.weights, cfg.quadrature)
     rows = [
         (a, b.mu_tau, b.fp_particip, b.fn_particip, b.fn_abstain, b.fn_particip + b.fn_abstain, b.total)
@@ -220,17 +218,7 @@ def cmd_loss_sweep(args) -> None:
 
 
 def cmd_heatmap(args) -> None:
-    cfg = _load_config_arg(args)
-    if cfg is None:
-        raise ConfigError(["--config: required by the heatmap command"])
-    problems = []
-    if cfg.r_grid is None:
-        problems.append("grids.R: required by the heatmap command")
-    if cfg.c0_grid is None:
-        problems.append("grids.c0: required by the heatmap command")
-    if problems:
-        raise ConfigError(problems)
-    out = _resolve_output(args, cfg, "heatmap")
+    cfg, out = _csv_inputs(args, r_grid="grids.R", c0_grid="grids.c0")
     rows = []
     for r in cfg.r_grid:
         for c0 in cfg.c0_grid:
@@ -240,23 +228,13 @@ def cmd_heatmap(args) -> None:
     _emit_csv(out, HEATMAP_COLUMNS, rows, args)
 
 
-_COMMANDS = {
-    "best-response": cmd_best_response,
-    "threshold": cmd_threshold,
-    "critical-alpha": cmd_critical_alpha,
-    "loss-sweep": cmd_loss_sweep,
-    "heatmap": cmd_heatmap,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _COMMANDS[args.command](args)
+        args.handler(args)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2

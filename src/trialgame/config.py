@@ -11,9 +11,11 @@ A configuration file drives the CLI.  Top-level keys:
     output       default CSV destination
     description  free-form note, ignored by the solvers
 
-Config checks the JSON shape (no unknown keys anywhere), that each value is a
-finite number, and the grids; the records own the integer and range rules.
-Validation is collected: a failed load reports every offending field by path.
+Each section and grid is one table row, and the allowed keys come from the
+tables.  Config checks the JSON shape (no unknown keys anywhere), that each
+value is a finite number, and the grids; the records own the integer and
+range rules.  Validation is collected: a failed load reports every offending
+field by path.  Presets are the JSON files in ``presets`` beside this module.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from importlib import resources
 from pathlib import Path
 
 from .agent import EconomicInstance, _is_int
@@ -29,9 +30,18 @@ from .errors import ConfigError, DomainError
 from .loss import LossWeights, QuadratureSpec
 from .stats import TruncatedNormalPrior, finite
 
-_TOP_KEYS = {"instance", "prior", "weights", "quadrature", "grids", "output", "description"}
-_GRID_KEYS = {"alpha", "R", "c0"}
-_GRID_SPEC_KEYS = {"values", "start", "stop", "points", "spacing"}
+# Each section: key (also its RunConfig field), record, value when absent
+# (MISSING: the section is required), whether every field is required.
+_SECTIONS = (
+    ("instance", EconomicInstance, dataclasses.MISSING, False),
+    ("prior", TruncatedNormalPrior, None, False),
+    ("weights", LossWeights, LossWeights(), True),
+    ("quadrature", QuadratureSpec, QuadratureSpec(), False),
+)
+# Each grid: key under ``grids``, RunConfig field, values within (0, 1).
+_GRIDS = (("alpha", "alpha_grid", True), ("R", "r_grid", False), ("c0", "c0_grid", False))
+_GRID_SPEC_KEYS = ("start", "stop", "points", "spacing")  # the alternative to "values"
+_PRESETS = Path(__file__).with_name("presets")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,13 +64,15 @@ def default_alpha_grid() -> tuple[float, ...]:
     return _log_spaced(1e-4, 0.9, 400)
 
 
-def _log_spaced(start: float, stop: float, points: int) -> tuple[float, ...]:
-    a, b = math.log10(start), math.log10(stop)
-    return tuple(10.0 ** (a + i * (b - a) / (points - 1)) for i in range(points))
-
-
 def _lin_spaced(start: float, stop: float, points: int) -> tuple[float, ...]:
     return tuple(start + i * (stop - start) / (points - 1) for i in range(points))
+
+
+def _log_spaced(start: float, stop: float, points: int) -> tuple[float, ...]:
+    return tuple(10.0**x for x in _lin_spaced(math.log10(start), math.log10(stop), points))
+
+
+_SPACINGS = {"linear": _lin_spaced, "log": _log_spaced}
 
 
 def _is_number(x) -> bool:
@@ -109,9 +121,9 @@ def _parse_grid(obj, path: str, problems: list[str], *, unit: bool) -> tuple[flo
     if not isinstance(obj, dict):
         problems.append(f"{path}: expected an object")
         return None
-    _check_unknown(obj, _GRID_SPEC_KEYS, f"{path}.", problems)
+    _check_unknown(obj, {"values", *_GRID_SPEC_KEYS}, f"{path}.", problems)
     if "values" in obj:
-        for key in ("start", "stop", "points", "spacing"):
+        for key in _GRID_SPEC_KEYS:
             if key in obj:
                 problems.append(f"{path}.{key}: cannot be combined with explicit values")
         values = obj["values"]
@@ -132,21 +144,16 @@ def _parse_grid(obj, path: str, problems: list[str], *, unit: bool) -> tuple[flo
         if not _is_int(points) or points < 2:
             problems.append(f"{path}.points: expected an integer >= 2, got {points!r}")
             return None
-        if spacing not in ("linear", "log"):
+        if spacing not in _SPACINGS:
             problems.append(f"{path}.spacing: expected 'linear' or 'log', got {spacing!r}")
             return None
         if spacing == "log" and not start > 0.0:
             problems.append(f"{path}.start: log spacing requires a positive start, got {start!r}")
             return None
-        grid = (
-            _log_spaced(float(start), float(stop), points)
-            if spacing == "log"
-            else _lin_spaced(float(start), float(stop), points)
-        )
-    for a, b in zip(grid, grid[1:]):
-        if not b > a:
-            problems.append(f"{path}: grid values must be strictly increasing")
-            return None
+        grid = _SPACINGS[spacing](float(start), float(stop), points)
+    if not all(b > a for a, b in zip(grid, grid[1:])):
+        problems.append(f"{path}: grid values must be strictly increasing")
+        return None
     if grid[0] <= 0.0:
         problems.append(f"{path}: grid values must be positive")
         return None
@@ -167,37 +174,27 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(["top level: expected a JSON object"])
 
     problems: list[str] = []
-    _check_unknown(raw, _TOP_KEYS, "", problems)
-
-    instance = None
-    if "instance" not in raw:
-        problems.append("instance: required")
-    else:
-        instance = _parse_section(raw["instance"], "instance", EconomicInstance, problems)
-
-    prior = None
-    if "prior" in raw:
-        prior = _parse_section(raw["prior"], "prior", TruncatedNormalPrior, problems)
-    weights = LossWeights()
-    if "weights" in raw:
-        weights = _parse_section(raw["weights"], "weights", LossWeights, problems, require_all=True)
-    quadrature = QuadratureSpec()
-    if "quadrature" in raw:
-        quadrature = _parse_section(raw["quadrature"], "quadrature", QuadratureSpec, problems)
-
-    alpha_grid = r_grid = c0_grid = None
-    if "grids" in raw:
-        grids = raw["grids"]
-        if not isinstance(grids, dict):
-            problems.append("grids: expected an object")
+    top_keys = {key for key, *_ in _SECTIONS} | {"grids", "output", "description"}
+    _check_unknown(raw, top_keys, "", problems)
+    fields = {}
+    for key, record, absent, require_all in _SECTIONS:
+        if key in raw:
+            fields[key] = _parse_section(raw[key], key, record, problems, require_all=require_all)
+        elif absent is dataclasses.MISSING:
+            problems.append(f"{key}: required")
         else:
-            _check_unknown(grids, _GRID_KEYS, "grids.", problems)
-            if "alpha" in grids:
-                alpha_grid = _parse_grid(grids["alpha"], "grids.alpha", problems, unit=True)
-            if "R" in grids:
-                r_grid = _parse_grid(grids["R"], "grids.R", problems, unit=False)
-            if "c0" in grids:
-                c0_grid = _parse_grid(grids["c0"], "grids.c0", problems, unit=False)
+            fields[key] = absent
+
+    grids = raw.get("grids", {})
+    if not isinstance(grids, dict):
+        problems.append("grids: expected an object")
+        grids = {}
+    _check_unknown(grids, {key for key, _, _ in _GRIDS}, "grids.", problems)
+    for key, field, unit in _GRIDS:
+        if key in grids:
+            fields[field] = _parse_grid(grids[key], f"grids.{key}", problems, unit=unit)
+        else:
+            fields[field] = None
 
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
@@ -208,30 +205,17 @@ def load_config(path: str | Path) -> RunConfig:
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(
-        instance=instance,
-        prior=prior,
-        weights=weights,
-        quadrature=quadrature,
-        alpha_grid=alpha_grid,
-        r_grid=r_grid,
-        c0_grid=c0_grid,
-        output=output,
-        description=description,
-    )
+    return RunConfig(**fields, output=output, description=description)
 
 
 def available_presets() -> list[str]:
     """Names of the configuration presets bundled with the package."""
-    root = resources.files("trialgame") / "presets"
-    return sorted(p.name.removesuffix(".json") for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(p.stem for p in _PRESETS.glob("*.json"))
 
 
 def preset_path(name: str) -> Path:
     """Filesystem path of a bundled preset, by bare name or file name."""
-    base = name.removesuffix(".json")
-    candidate = resources.files("trialgame") / "presets" / f"{base}.json"
-    with resources.as_file(candidate) as p:
-        if not p.exists():
-            raise FileNotFoundError(f"no bundled preset named {name!r}")
-        return Path(p)
+    path = _PRESETS / f"{name.removesuffix('.json')}.json"
+    if not path.exists():
+        raise FileNotFoundError(f"no bundled preset named {name!r}")
+    return path

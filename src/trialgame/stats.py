@@ -36,21 +36,21 @@ def finite(x) -> bool:
 
 def std_normal_pdf(z: float) -> float:
     """Density of the standard normal distribution at ``z``."""
-    if not math.isfinite(z):
+    if not finite(z):
         raise DomainError(f"std_normal_pdf requires a finite argument, got {z!r}")
     return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
 def std_normal_cdf(z: float) -> float:
     """Left tail probability of the standard normal distribution at ``z``."""
-    if not math.isfinite(z):
+    if not finite(z):
         raise DomainError(f"std_normal_cdf requires a finite argument, got {z!r}")
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
 def std_normal_sf(z: float) -> float:
     """Right tail ``1 - cdf(z)``, computed without cancellation."""
-    if not math.isfinite(z):
+    if not finite(z):
         raise DomainError(f"std_normal_sf requires a finite argument, got {z!r}")
     return 0.5 * math.erfc(z / _SQRT2)
 
@@ -126,9 +126,13 @@ class TruncatedNormalPrior:
         return (self.lo, self.hi)
 
     def pdf(self, mu: float) -> float:
-        if mu < self.lo or mu > self.hi:
+        # std_normal_pdf inline, without a call and finiteness check per quadrature node.
+        if not self.lo <= mu <= self.hi:
+            if mu != mu:  # NaN, the one number outside every comparison
+                raise DomainError(f"prior density requires a number, got {mu!r}")
             return 0.0
-        return std_normal_pdf((mu - self.mean) / self.sd) / self._scale
+        z = (mu - self.mean) / self.sd
+        return _INV_SQRT_2PI * math.exp(-0.5 * z * z) / self._scale
 
     def cdf(self, mu: float) -> float:
         if mu <= self.lo:

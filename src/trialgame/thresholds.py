@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .agent import _SQRT2, BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _level, _respond
-from .stats import std_normal_quantile, std_normal_sf
+from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _level, _respond
+from .stats import _SQRT2, std_normal_quantile, std_normal_sf
 
 #: Clamp margin of the critical level: ``alpha_hat`` is reported within
 #: ``[DEFAULT_EPS, 1 - DEFAULT_EPS]``.

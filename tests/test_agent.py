@@ -200,6 +200,14 @@ def test_pass_probability_domain_checks():
         pass_probability(0.05, 0.6, -1, 0.5)
 
 
+def test_pass_probability_rejects_a_sample_count_no_float_holds():
+    # An infinite or NaN count, or an int too large for a float, names the
+    # sample count instead of failing inside the normal tail.
+    for n in (10**400, math.inf, math.nan):
+        with pytest.raises(DomainError, match="sample count"):
+            pass_probability(0.05, 0.6, n, 0.5)
+
+
 @given(
     st.floats(min_value=1e-4, max_value=0.5),
     st.floats(min_value=1e-6, max_value=1.0 - 1e-6),

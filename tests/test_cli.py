@@ -230,6 +230,21 @@ def test_heatmap_requires_both_grids(tmp_path, capsys):
     assert "grids.R" in err and "grids.c0" in err
 
 
+def test_csv_commands_report_every_missing_input_at_once(tmp_path, capsys):
+    path = tmp_path / "instance-only.json"
+    payload = {"instance": {"R": 1.0, "c0": 0.05, "c": 0.002, "mu_b": 0.5}}
+    path.write_text(json.dumps(payload), "utf-8")
+    wants = {
+        "heatmap": ["grids.R: required", "grids.c0: required", "output: the heatmap command"],
+        "loss-sweep": ["prior: required", "output: the loss-sweep command"],
+    }
+    for command, parts in wants.items():
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 + len(parts), err
+        assert all(part in err for part in parts), err
+
+
 def test_domain_failures_exit_three(capsys):
     code = main(["best-response", "--alpha", "2", "--mu0", "0.6", *INSTANCE_FLAGS])
     assert code == 3

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trialgame
 from trialgame import (
     ConfigError,
     EconomicInstance,
@@ -191,6 +196,25 @@ def test_preset_path_accepts_either_name_form():
     assert preset_path("oncology") == preset_path("oncology.json")
     with pytest.raises(FileNotFoundError):
         preset_path("no-such-preset")
+
+
+def test_every_listed_preset_is_a_file_in_the_package():
+    presets = Path(trialgame.__file__).with_name("presets")
+    names = available_presets()
+    assert names
+    for name in names:
+        path = preset_path(name)
+        assert path.is_file()
+        assert path.parent == presets and path.name == f"{name}.json"
+
+
+def test_cli_import_leaves_importlib_resources_unloaded():
+    # Presets are found next to the package's own file.  Without site (-S),
+    # nothing else at start-up imports importlib.resources.
+    code = "import sys, trialgame.cli; sys.exit('importlib.resources' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(trialgame.__file__).parent.parent)}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, timeout=60)
+    assert result.returncode == 0
 
 
 def test_default_alpha_grid_shape():

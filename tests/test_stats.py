@@ -62,6 +62,13 @@ def test_normal_functions_reject_non_finite(bad):
             fn(bad)
 
 
+def test_normal_functions_reject_integers_too_large_for_a_float():
+    for fn in (std_normal_pdf, std_normal_cdf, std_normal_sf):
+        for huge in (10**400, -(10**400)):
+            with pytest.raises(DomainError):
+                fn(huge)
+
+
 def test_quantile_frozen_value():
     assert abs(std_normal_quantile(0.95) - QUANTILE_AT_0_95) < 1e-9
 
@@ -173,6 +180,16 @@ PRIOR_CDF_AT_HALF = 0.0013813039146160382
 @pytest.fixture()
 def prior():
     return TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
+
+
+def test_prior_density_off_its_support(prior):
+    # The density evaluates the normal expression itself: off the support it
+    # is zero, whatever the number, and a NaN belief is still a domain error.
+    for mu in (0.0, 0.4 - 1e-12, 0.7 + 1e-12, 1.0, math.inf, -math.inf, 10**400):
+        assert prior.pdf(mu) == 0.0
+    for method in (prior.pdf, prior.cdf):
+        with pytest.raises(DomainError):
+            method(math.nan)
 
 
 def test_prior_frozen_values(prior):
