@@ -35,10 +35,8 @@ from .loss import (
     sweep_alpha,
 )
 from .stats import (
-    Prior,
     TruncatedNormalPrior,
     std_normal_cdf,
-    std_normal_pdf,
     std_normal_quantile,
     std_normal_sf,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "LossBreakdown",
     "LossWeights",
     "ParticipationThreshold",
-    "Prior",
     "QuadratureSpec",
     "RunConfig",
     "SearchRangeError",
@@ -84,7 +81,6 @@ __all__ = [
     "pass_probability",
     "preset_path",
     "std_normal_cdf",
-    "std_normal_pdf",
     "std_normal_quantile",
     "std_normal_sf",
     "sweep_alpha",

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SearchRangeError, reject
-from .stats import _SQRT2, finite, std_normal_quantile, std_normal_sf
+from .stats import _SQRT2, finite, std_normal_quantile
 
 # Beliefs are clamped away from {0, 1} so the Bernoulli variance never
 # degenerates inside the solvers.
@@ -42,6 +42,7 @@ BELIEF_FLOOR = 1e-6
 BELIEF_CEIL = 1.0 - 1e-6
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_FLOAT_MIN = 2.0**-1022  # the least normal float
 
 
 def _is_int(x) -> bool:
@@ -128,11 +129,8 @@ def pass_probability(alpha: float, mu0: float, n: int, mu_b: float) -> float:
         raise DomainError(f"sample count must be a nonnegative finite number, got {n!r}")
     if n == 0:
         return 0.0
-    d = -std_normal_quantile(alpha)
-    sigma0 = math.sqrt(mu0 * (1.0 - mu0))
-    sigma_b = math.sqrt(mu_b * (1.0 - mu_b))
-    v = (d * sigma_b - (mu0 - mu_b) * math.sqrt(n)) / sigma0
-    return std_normal_sf(v)
+    ds = -std_normal_quantile(alpha) * math.sqrt(mu_b * (1.0 - mu_b))
+    return _score((mu_b, ds, 1.0, 0.0, 0.0), mu0, n)[1]
 
 
 def utility(alpha: float, mu0: float, n: int, inst: EconomicInstance) -> float:
@@ -143,8 +141,9 @@ def utility(alpha: float, mu0: float, n: int, inst: EconomicInstance) -> float:
         raise DomainError(
             f"sample count must be 0 or within [{inst.n_min}, {inst.n_max}], got {n!r}"
         )
-    p = pass_probability(alpha, mu0, n, inst.mu_b)
-    return inst.R * p - (inst.c0 + inst.c * n)
+    level = _level(alpha, inst)
+    _check_belief(mu0)
+    return _score(level, mu0, n)[0]
 
 
 def _curvature_breaks(ds: float, dmu: float, var0: float) -> tuple[float, float]:
@@ -182,6 +181,19 @@ def _level(alpha: float, inst: EconomicInstance) -> tuple:
     return mu_b, ds, inst.R, inst.c0, inst.c, inst.n_min, inst.n_max, t_max, math.log(t_max)
 
 
+def _score(level: tuple, mu0: float, n) -> tuple[float, float]:
+    """``(utility, pass_prob)`` of ``n`` samples at belief ``mu0`` and a :func:`_level`.
+
+    Reads the first five entries of a level; ``(mu_b, d * s_b, 1.0, 0.0, 0.0)``
+    scores a bare pass chance.  :func:`_respond`'s walk and one-size branch
+    inline it, bit for bit: a call per size made a ``cardiovascular`` sweep
+    slice and 20,000 best-response queries about 20% slower (Python 3.11).
+    """
+    mu_b, ds, R, c0, c = level[:5]
+    p = 0.5 * math.erfc((ds - (mu0 - mu_b) * math.sqrt(n)) / math.sqrt(mu0 * (1.0 - mu0)) / _SQRT2)
+    return R * p - (c0 + c * n), p
+
+
 def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
     """:func:`best_response` at a :func:`_level` as ``(utility, n_star, pass_prob)``.
 
@@ -194,7 +206,8 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
     ``root`` is the real size at which the slope of expected profit
     vanishes.  A convex piece offers its top end, then its bottom end.  A
     size whose utility ties the best replaces it, so the smallest of equal
-    utilities wins.
+    utilities wins.  Sizes are scored as :func:`_score` scores them: the walk
+    and the one-size branch inline it for speed, and the flat-top probe calls it.
 
     No size below ``n`` passes more often than ``n`` or costs less than
     ``n_min``.  So once a size that does not become the best has ``R*p(n) -
@@ -225,7 +238,13 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
         u = R * p - (c0 + c * n_min)
         return (u, n_min, p) if u >= 0.0 else (0.0, 0, 0.0)
     # Without a per-sample cost the slope never reaches zero.
-    k = math.log(R * dmu / (2.0 * sigma0 * c)) - _LOG_SQRT_2PI if c > 0.0 else math.inf
+    num, den = R * dmu, 2.0 * sigma0 * c
+    if c == 0.0:
+        k = math.inf
+    elif num >= _FLOAT_MIN and den >= _FLOAT_MIN and _FLOAT_MIN <= (q := num / den) < math.inf:
+        k = math.log(q) - _LOG_SQRT_2PI
+    else:  # a product or their ratio is no normal float
+        k = math.log(R) + math.log(dmu) - math.log(2.0 * sigma0) - math.log(c) - _LOG_SQRT_2PI
     n1, n2 = _curvature_breaks(ds, dmu, var0)
     best_n, best_u, best_p, last, below, hi = 0, -math.inf, 0.0, n_max + 1, 0, n_max
     # The pieces start at n2, n1 and n_min, clipped to the range.  One of
@@ -298,8 +317,8 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
     lo_n, n = n_min, best_n - 1
     if best_n > n_min and below != n:
         while lo_n < best_n:
-            p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
-            if R * p - (c0 + c * n) == best_u:
+            u, p = _score(level, mu0, n)
+            if u == best_u:
                 best_n, best_p = n, p
             else:
                 lo_n = n + 1
@@ -343,19 +362,18 @@ def best_response_bruteforce(alpha: float, mu0: float, inst: EconomicInstance) -
     Refuses ranges beyond a million sizes, where scanning stops being a
     reasonable oracle.
     """
-    _check_alpha(alpha)
+    level = _level(alpha, inst)
     _check_belief(mu0)
     if inst.n_max - inst.n_min > 1_000_000:
         raise SearchRangeError(
             f"exhaustive scan over [{inst.n_min}, {inst.n_max}] is too large; "
             "use best_response instead"
         )
-    best_n = 0
-    best_u = -math.inf
+    best_n, best_u, best_p = 0, -math.inf, 0.0
     for n in range(inst.n_min, inst.n_max + 1):
-        u = utility(alpha, mu0, n, inst)
+        u, p = _score(level, mu0, n)
         if u > best_u:
-            best_n, best_u = n, u
+            best_n, best_u, best_p = n, u, p
     if best_u >= 0.0:
-        return BestResponse(True, best_n, pass_probability(alpha, mu0, best_n, inst.mu_b), best_u)
+        return BestResponse(True, best_n, best_p, best_u)
     return BestResponse(False, 0, 0.0, 0.0)

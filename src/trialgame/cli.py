@@ -40,7 +40,7 @@ HEATMAP_COLUMNS = ("R", "c0", "alpha_hat", "clamped", "alpha_hat_le_0_05")
 
 
 def _fmt(value) -> str:
-    return value if isinstance(value, str) else f"{value:.10g}"
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
 def _emit_csv(path: str, columns, rows, args) -> None:

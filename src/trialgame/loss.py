@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _is_int, _level, _respond
 from .errors import reject
-from .stats import Prior, finite
+from .stats import TruncatedNormalPrior, finite
 from .thresholds import DEFAULT_EPS, _threshold, critical_alpha
 
 
@@ -88,7 +88,7 @@ def _simpson(f, a: float, b: float, panels: int) -> float:
 def loss_components(
     alpha: float,
     inst: EconomicInstance,
-    prior: Prior,
+    prior: TruncatedNormalPrior,
     quad: QuadratureSpec = QuadratureSpec(),
     weights: LossWeights = LossWeights(),
 ) -> LossBreakdown:
@@ -105,9 +105,8 @@ def loss_components(
     mu_tau = th.mu_tau
     mu_in = mu_tau + th.epsilon
     mu_b = inst.mu_b
-    lo, hi = prior.support
-    lo = max(lo, BELIEF_FLOOR)
-    hi = min(hi, BELIEF_CEIL)
+    lo = max(prior.lo, BELIEF_FLOOR)
+    hi = min(prior.hi, BELIEF_CEIL)
     mass_weak = prior.cdf(mu_b)
     mass_eff = 1.0 - mass_weak
 
@@ -151,7 +150,7 @@ def _clip01(x: float) -> float:
 
 def optimal_alpha(
     inst: EconomicInstance,
-    prior: Prior,
+    prior: TruncatedNormalPrior,
     weights: LossWeights,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
@@ -171,7 +170,7 @@ def optimal_alpha(
 def sweep_alpha(
     alpha_grid: Sequence[float],
     inst: EconomicInstance,
-    prior: Prior,
+    prior: TruncatedNormalPrior,
     weights: LossWeights = LossWeights(),
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> list[LossBreakdown]:

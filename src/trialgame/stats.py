@@ -1,4 +1,4 @@
-"""Numerical building blocks: a finiteness test, normal tails, truncated priors.
+"""Numerical building blocks: a finiteness test, normal tails and quantile, the prior.
 
 Everything here is deliberately dependency-free.  The standard normal CDF
 rides on the C library's ``erfc`` (absolute error well below 1e-12).  The
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
 from .errors import DomainError, reject
 
@@ -32,13 +31,6 @@ def finite(x) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
-
-
-def std_normal_pdf(z: float) -> float:
-    """Density of the standard normal distribution at ``z``."""
-    if not finite(z):
-        raise DomainError(f"std_normal_pdf requires a finite argument, got {z!r}")
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
 def std_normal_cdf(z: float) -> float:
@@ -70,17 +62,6 @@ def std_normal_quantile(p: float) -> float:
     if not (0.0 < p < 1.0):
         raise DomainError(f"std_normal_quantile requires 0 < p < 1, got {p!r}")
     return _normal_dist_inv_cdf(p, 0.0, 1.0)
-
-
-class Prior(Protocol):
-    """Belief distribution over an applicant's true success probability."""
-
-    def pdf(self, mu: float) -> float: ...
-
-    def cdf(self, mu: float) -> float: ...
-
-    @property
-    def support(self) -> tuple[float, float]: ...
 
 
 @dataclass(frozen=True)
@@ -121,12 +102,7 @@ class TruncatedNormalPrior:
         object.__setattr__(self, "_mass", mass)
         object.__setattr__(self, "_scale", self.sd * mass)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
     def pdf(self, mu: float) -> float:
-        # std_normal_pdf inline, without a call and finiteness check per quadrature node.
         if not self.lo <= mu <= self.hi:
             if mu != mu:  # NaN, the one number outside every comparison
                 raise DomainError(f"prior density requires a number, got {mu!r}")

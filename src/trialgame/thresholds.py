@@ -6,13 +6,13 @@ even is a root of a quadratic, so iterating between break-even beliefs and
 the best size just below each locates the crossing and closes a bracket
 around it of half-width ``2**-34``; no search over beliefs is needed.  The
 abstaining end is answered by the best response, and the participating end
-is witnessed by one size that pays there.  This assumes participation is
-monotone in belief, true for baselines up to about 0.6; above that a lower
-crossing may be returned, still between an abstaining and a participating
-belief.  The critical level ``alpha_hat`` is
-where a weak belief (``mu <= mu_b``) first enters.  Weak applicants always
-buy ``n_min`` samples, so it has a closed form that needs no search and no
-best response.
+is witnessed by one size that pays there, scored as the best response
+scores it.  This assumes participation is monotone in belief, true for
+baselines up to about 0.6; above that a lower crossing may be returned, still
+between an abstaining and a participating belief.  The critical level
+``alpha_hat`` is where a weak belief (``mu <= mu_b``) first enters.  Weak
+applicants always buy ``n_min`` samples, so it has a closed form that needs
+no search and no best response.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _level, _respond
-from .stats import _SQRT2, std_normal_quantile, std_normal_sf
+from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _level, _respond, _score
+from .stats import std_normal_quantile, std_normal_sf
 
 #: Clamp margin of the critical level: ``alpha_hat`` is reported within
 #: ``[DEFAULT_EPS, 1 - DEFAULT_EPS]``.
@@ -99,28 +99,19 @@ def _on_grid(mu: float) -> float:
     return math.ldexp(round(math.ldexp(mu, 52)), -52)
 
 
-def _pays(level: tuple, mu: float, n: int) -> bool:
-    """Whether ``n`` samples at belief ``mu`` earn at least zero.
-
-    Scored with :func:`_respond`'s own expression for a size, so a size that
-    pays proves that the best response participates at ``mu``.
-    """
-    mu_b, ds, R, c0, c, _, _, _, _ = level
-    p = 0.5 * math.erfc((ds - (mu - mu_b) * math.sqrt(n)) / math.sqrt(mu * (1.0 - mu)) / _SQRT2)
-    return R * p - (c0 + c * n) >= 0.0
-
-
 def _bracket(level: tuple, n_ceil: int) -> tuple[float, float]:
     """Beliefs ``(a, b)``, ``a < b``, where ``a`` abstains and ``b`` participates.
 
     Starts from the lowest break-even belief ``mu`` of ``n_min``, ``n_max``
     and ``n_ceil`` (the best size at the ceiling).  The participating end
     ``mu + _BRACKET`` is witnessed by the size ``n`` that breaks even at
-    ``mu`` (:func:`_pays`); the kernel is asked there only if ``n`` does not
-    pay.  The abstaining end ``mu - _BRACKET`` is asked of the kernel: if
-    it abstains, the bracket is closed.  If it participates with size
-    ``m``, the walk moves to ``m``'s break-even belief, and doubles ``m``
-    while the doubled size pays at the current belief, which puts its
+    ``mu`` and scored by ``agent._score`` as the kernel scores it, so a
+    witness that earns at least zero proves that the kernel participates;
+    the kernel is asked there only if ``n`` does not pay.  The abstaining
+    end ``mu - _BRACKET`` is asked of the kernel: if it abstains, the
+    bracket is closed.  If it participates with size ``m``, the walk moves
+    to ``m``'s break-even belief, and doubles ``m`` while the doubled size
+    pays at the current belief (scored the same way), which puts its
     break-even belief lower still; then both ends are tried again.  Each
     size's break-even belief is solved once.  No belief is asked at a root
     itself, where the answer flips on the last bit, and ``mu`` is put on the
@@ -142,7 +133,7 @@ def _bracket(level: tuple, n_ceil: int) -> tuple[float, float]:
     while True:
         grid = _on_grid(mu)
         hi = grid + _BRACKET if grid + _BRACKET < BELIEF_CEIL else BELIEF_CEIL
-        if not (_pays(level, hi, n) or _respond(level, hi)[1]):
+        if not (_score(level, hi, n)[0] >= 0.0 or _respond(level, hi)[1]):
             a = hi
             break
         if hi < b:
@@ -164,7 +155,7 @@ def _bracket(level: tuple, n_ceil: int) -> tuple[float, float]:
             if m == n_max:
                 break
             m = 2 * m if 2 * m < n_max else n_max
-            if m not in roots and not _pays(level, mu, m):
+            if m not in roots and _score(level, mu, m)[0] < 0.0:
                 break
         if mu == start:
             break

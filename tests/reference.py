@@ -11,7 +11,7 @@ arguments are not validated, and both apply only on the effective side
 import math
 from typing import NamedTuple
 
-from trialgame.stats import std_normal_pdf, std_normal_quantile
+from trialgame.stats import std_normal_quantile
 
 
 class CurvatureRegion(NamedTuple):
@@ -30,7 +30,8 @@ def utility_slope(alpha, mu0, n, inst):
     sigma_b = math.sqrt(inst.mu_b * (1.0 - inst.mu_b))
     rootn = math.sqrt(n)
     v = (d * sigma_b - dmu * rootn) / sigma0
-    return std_normal_pdf(v) * inst.R * dmu / (2.0 * sigma0 * rootn) - inst.c
+    pdf = 1.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * v * v)  # the normal density
+    return pdf * inst.R * dmu / (2.0 * sigma0 * rootn) - inst.c
 
 
 def curvature_regions(alpha, mu0, inst):

@@ -26,6 +26,8 @@ from trialgame import (
     TruncatedNormalPrior,
     best_response,
     best_response_bruteforce,
+    critical_alpha,
+    participation_threshold,
     pass_probability,
     std_normal_quantile,
     utility,
@@ -621,3 +623,91 @@ def test_bruteforce_refuses_unreasonable_ranges():
         best_response_bruteforce(0.05, 0.6, huge)
     # The region-based solver handles the same range fine.
     assert best_response(0.05, 0.6, huge).participates
+
+
+def test_kernel_scores_its_answer_as_score_does():
+    # _respond's walk and one-size branch repeat _score's expression inline,
+    # while the threshold's witness, the flat-top probe and the oracles call
+    # _score; the size the kernel returns must score the same bits both ways.
+    rng = random.Random(19)
+    answered = {"weak": 0, "effective": 0, "one size": 0, "flat top": 0}
+    for i in range(3000):
+        R = 10.0 ** rng.uniform(-1.0, 3.0)
+        n_min = rng.randrange(1, 40)
+        inst = EconomicInstance(
+            R=R,
+            c0=R * 10.0 ** rng.uniform(-5.0, 0.0),
+            c=0.0 if i % 5 == 0 else R * 10.0 ** rng.uniform(-14.0, -1.0),
+            mu_b=rng.uniform(0.01, 0.99),
+            n_min=n_min,
+            n_max=(n_min, 500, n_min + rng.randrange(1, 5000))[i % 3],
+        )
+        level = agent._level(10.0 ** rng.uniform(-6.0, math.log10(0.5)), inst)
+        for mu0 in (rng.uniform(BELIEF_FLOOR, inst.mu_b), rng.uniform(inst.mu_b, BELIEF_CEIL),
+                    BELIEF_CEIL):
+            u, n, p = agent._respond(level, mu0)
+            if not n:
+                assert (u, p) == (0.0, 0.0)
+                continue
+            assert (u, p) == agent._score(level, mu0, n)
+            if inst.n_min == inst.n_max:
+                answered["one size"] += 1
+            elif mu0 <= inst.mu_b:
+                answered["weak"] += 1
+            elif inst.c == 0.0:  # utility rises to a flat top, whose first size is probed
+                answered["flat top"] += n < inst.n_max
+            else:
+                answered["effective"] += 1
+    assert min(answered.values()) > 150, answered
+
+
+def test_money_values_at_the_float_limits_get_an_answer():
+    # R * dmu or 2 * s0 * c below the normal floats once made the slope's
+    # constant take log(0) or divide by zero.
+    for inst in (
+        EconomicInstance(R=5e-324, c0=0.0, c=1e-300, mu_b=0.5, n_max=500),
+        EconomicInstance(R=1e-300, c0=0.0, c=1e300, mu_b=0.5, n_max=500),
+        EconomicInstance(R=1.0, c0=0.05, c=5e-324, mu_b=0.5, n_max=500),
+        EconomicInstance(R=5e-324, c0=0.0, c=5e-324, mu_b=0.5, n_max=500),
+    ):
+        for alpha in (0.05, 0.5):
+            for mu0 in (0.6, 0.95, BELIEF_CEIL):
+                assert best_response(alpha, mu0, inst) == best_response_bruteforce(alpha, mu0, inst)
+    # With R = c = 5e-324 a size can earn exactly 0: a kernel that treated the
+    # cost as zero (an infinite slope constant) would abstain there.
+    inst = EconomicInstance(R=5e-324, c0=0.0, c=5e-324, mu_b=0.5, n_max=500)
+    assert best_response(0.5, 0.95, inst) == BestResponse(True, 1, pass_probability(0.5, 0.95, 1, 0.5), 0.0)
+    # A ratio above the largest float once made the constant infinite, and
+    # the walk then took the top of a range of 10**305 sizes.
+    small = EconomicInstance(R=1e10, c0=0.0, c=1e-300, mu_b=0.5, n_max=10**5)
+    huge = EconomicInstance(R=1e10, c0=0.0, c=1e-300, mu_b=0.5, n_max=10**305)
+    assert best_response(0.05, 0.6, huge) == best_response_bruteforce(0.05, 0.6, small)
+
+
+def test_extreme_instances_answer_and_match_the_scan():
+    # Money values from 1e-300 to 1e300 and the least subnormal, ranges of up
+    # to 10**300 sizes, levels down to 5e-324.  Every query answers or raises
+    # DomainError, and ranges of under 400 sizes match the exhaustive scan.
+    rng = random.Random(4242)
+
+    def money():
+        return 5e-324 if rng.random() < 0.15 else 10.0 ** rng.uniform(-300.0, 300.0)
+
+    scanned = 0
+    for _ in range(400):
+        n_min = rng.randrange(1, 50)
+        span = rng.choice((rng.randrange(0, 400), int(10.0 ** rng.uniform(0.0, 300.0))))
+        inst = EconomicInstance(money(), rng.choice((0.0, money())), rng.choice((0.0, money())),
+                                rng.uniform(0.01, 0.99), n_min, n_min + span)
+        alpha = rng.choice((5e-324, 10.0 ** rng.uniform(-323.0, -0.01)))
+        mu0 = rng.uniform(BELIEF_FLOOR, BELIEF_CEIL)
+        try:
+            br = best_response(alpha, mu0, inst)
+            participation_threshold(alpha, inst)
+            critical_alpha(inst)
+        except DomainError:
+            continue
+        if span < 400:
+            scanned += 1
+            assert br == best_response_bruteforce(alpha, mu0, inst)
+    assert scanned > 150

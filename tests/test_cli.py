@@ -65,6 +65,20 @@ def test_best_response_writes_csv(tmp_path, capsys):
     assert "wrote 1 rows" in capsys.readouterr().out
 
 
+def test_csv_writes_integers_exactly(tmp_path, capsys):
+    # Floats keep 10 significant digits; an int cell is written in full.
+    out_path = tmp_path / "br.csv"
+    flags = ["--alpha", "0.05", "--mu0", "0.500001", "--R", "1", "--c0", "0", "--c", "1e-14",
+             "--mu-b", "0.5", "--n-max", str(10**13)]
+    code = main(["best-response", *flags, "--output", str(out_path), "--quiet"])
+    assert code == 0
+    n_star = best_response(0.05, 0.500001, EconomicInstance(1.0, 0.0, 1e-14, 0.5, 1, 10**13)).n_star
+    assert n_star > 10**10
+    assert f"n_star: {n_star}" in capsys.readouterr().out
+    cells = out_path.read_text("utf-8").splitlines()[1].split(",")
+    assert cells[:2] == ["1", str(n_star)]
+
+
 def test_quiet_suppresses_notes(tmp_path, capsys):
     out_path = tmp_path / "br.csv"
     code = main(
@@ -249,6 +263,13 @@ def test_domain_failures_exit_three(capsys):
     code = main(["best-response", "--alpha", "2", "--mu0", "0.6", *INSTANCE_FLAGS])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_subnormal_cost_answers(capsys):
+    code = main(["threshold", "--alpha", "0.05", "--R", "1", "--c0", "0.05", "--c", "5e-324",
+                 "--mu-b", "0.5", "--n-max", "500"])
+    assert code == 0
+    assert "status: interior" in capsys.readouterr().out
 
 
 def test_size_too_large_for_a_float_exits_two(capsys):

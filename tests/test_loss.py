@@ -131,7 +131,7 @@ def loss_components_per_node(alpha, inst, prior, quad, weights):
     """
     th = participation_threshold(alpha, inst)
     mu_b = inst.mu_b
-    lo, hi = max(prior.support[0], BELIEF_FLOOR), min(prior.support[1], BELIEF_CEIL)
+    lo, hi = max(prior.lo, BELIEF_FLOOR), min(prior.hi, BELIEF_CEIL)
     mass_weak = prior.cdf(mu_b)
     mass_eff = 1.0 - mass_weak
 

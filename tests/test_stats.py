@@ -25,7 +25,6 @@ from trialgame import (
     DomainError,
     TruncatedNormalPrior,
     std_normal_cdf,
-    std_normal_pdf,
     std_normal_quantile,
     std_normal_sf,
 )
@@ -41,12 +40,6 @@ def test_cdf_frozen_values():
     assert abs(std_normal_cdf(-1.6448536) - (1.0 - CDF_AT_1_6448536)) < 1e-13
 
 
-def test_pdf_frozen_values():
-    assert abs(std_normal_pdf(0.0) - 1.0 / math.sqrt(2.0 * math.pi)) < 1e-16
-    # norm.pdf(1.0)
-    assert abs(std_normal_pdf(1.0) - 0.24197072451914337) < 1e-16
-
-
 def test_sf_complements_cdf_without_cancellation():
     for z in (-8.0, -2.5, 0.0, 1.3, 4.0, 8.0):
         assert abs(std_normal_sf(z) - (1.0 - std_normal_cdf(z))) < 1e-15
@@ -57,13 +50,13 @@ def test_sf_complements_cdf_without_cancellation():
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_normal_functions_reject_non_finite(bad):
-    for fn in (std_normal_pdf, std_normal_cdf, std_normal_sf):
+    for fn in (std_normal_cdf, std_normal_sf):
         with pytest.raises(DomainError):
             fn(bad)
 
 
 def test_normal_functions_reject_integers_too_large_for_a_float():
-    for fn in (std_normal_pdf, std_normal_cdf, std_normal_sf):
+    for fn in (std_normal_cdf, std_normal_sf):
         for huge in (10**400, -(10**400)):
             with pytest.raises(DomainError):
                 fn(huge)
@@ -199,7 +192,7 @@ def test_prior_frozen_values(prior):
 
 
 def test_prior_support_and_clamping(prior):
-    assert prior.support == (0.4, 0.7)
+    assert (prior.lo, prior.hi) == (0.4, 0.7)
     assert prior.cdf(0.39) == 0.0
     assert prior.cdf(0.4) == 0.0
     assert prior.cdf(0.7) == 1.0
@@ -238,7 +231,8 @@ def test_prior_normaliser_computed_once(prior, monkeypatch):
     mass = std_normal_cdf((0.7 - 0.62) / 0.04) - low
     for mu in (0.41, 0.5, 0.62, 0.69):
         z = (mu - 0.62) / 0.04
-        assert prior.pdf(mu) == std_normal_pdf(z) / (0.04 * mass)
+        density = 1.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * z * z)
+        assert prior.pdf(mu) == density / (0.04 * mass)
         assert prior.cdf(mu) == (std_normal_cdf(z) - low) / mass
     # ...but the normaliser is not recomputed: pdf takes no CDF, cdf one.
     calls = []

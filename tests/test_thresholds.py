@@ -265,7 +265,7 @@ def test_bracket_clamps_an_end_that_would_leave_the_belief_range(monkeypatch, en
     inst = EconomicInstance(R=1.0, c0=c0, c=0.0, mu_b=mu_b, n_min=1, n_max=1)
     assert abs(thresholds._break_even(thresholds._level(alpha, inst), 1) - mu) < 2.0**-40
     asked = []
-    for name in ("_respond", "_pays"):
+    for name in ("_respond", "_score"):
 
         def spy(level, belief, *size, real=getattr(thresholds, name)):
             asked.append(belief)
@@ -290,7 +290,7 @@ def test_threshold_falls_back_to_bisection_when_an_end_fails(monkeypatch, end):
     alpha = 0.1
     th = participation_threshold(alpha, INST)
     flipped = th.mu_tau - th.epsilon if end == "lo" else th.mu_tau + th.epsilon
-    real, real_pays = thresholds._respond, thresholds._pays
+    real, real_score = thresholds._respond, thresholds._score
     calls, asked = 0, set()
 
     def kernel(level, mu):
@@ -302,11 +302,12 @@ def test_threshold_falls_back_to_bisection_when_an_end_fails(monkeypatch, end):
             return answer
         return (0.0, 0, 0.0) if answer[1] else (1.0, INST.n_min, 1.0)
 
-    def pays(level, mu, n):
-        return mu != flipped and real_pays(level, mu, n)
+    def score(level, mu, n):  # no size pays at the flipped end
+        u, p = real_score(level, mu, n)
+        return (-1.0, p) if mu == flipped else (u, p)
 
     monkeypatch.setattr(thresholds, "_respond", kernel)
-    monkeypatch.setattr(thresholds, "_pays", pays)
+    monkeypatch.setattr(thresholds, "_score", score)
     level = thresholds._level(alpha, INST)
     assert bool(kernel(level, flipped)[1]) == (end == "lo")  # the end now answers the wrong way
     calls, asked = 0, set()
@@ -326,8 +327,18 @@ def test_threshold_witness_pays_at_the_participating_end():
     th = participation_threshold(0.1, INST)
     b = th.mu_tau + th.epsilon
     n = thresholds._respond(level, b)[1]
-    assert n and thresholds._pays(level, b, n)
-    assert not thresholds._pays(level, th.mu_tau - th.epsilon, n)
+    assert n and thresholds._score(level, b, n)[0] >= 0.0
+    assert thresholds._score(level, th.mu_tau - th.epsilon, n)[0] < 0.0
+
+
+def test_threshold_with_a_subnormal_cost_per_sample():
+    # 2 * s0 * c underflows to zero at the ceiling belief, where the kernel
+    # once divided by it.
+    inst = EconomicInstance(R=1.0, c0=0.05, c=5e-324, mu_b=0.5, n_max=500)
+    th = participation_threshold(0.05, inst)
+    assert th.status == "interior"
+    assert not best_response(0.05, th.mu_tau - th.epsilon, inst).participates
+    assert best_response(0.05, th.mu_tau + th.epsilon, inst).participates
 
 
 def test_critical_alpha_closed_form_frozen_values():
