@@ -104,11 +104,6 @@ class BestResponse:
     utility: float
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"significance level must lie strictly between 0 and 1, got {alpha!r}")
-
-
 def _check_belief(mu0: float) -> None:
     if not (BELIEF_FLOOR <= mu0 <= BELIEF_CEIL):
         raise DomainError(
@@ -119,30 +114,27 @@ def _check_belief(mu0: float) -> None:
 def pass_probability(alpha: float, mu0: float, n: int, mu_b: float) -> float:
     """Chance that a trial of size ``n`` clears the test, believed rate ``mu0``.
 
-    Running no trial never passes, so ``n = 0`` maps to exactly zero.
+    Scored at the level of an instance with ``R = 1`` and no costs, so a bad
+    ``mu_b`` is reported as the instance reports it.  Running no trial never
+    passes, so ``n = 0`` maps to exactly zero.
     """
-    _check_alpha(alpha)
+    level = _level(alpha, EconomicInstance(1.0, 0.0, 0.0, mu_b))
     _check_belief(mu0)
-    if not (0.0 < mu_b < 1.0):
-        raise DomainError(f"baseline rate must lie strictly between 0 and 1, got {mu_b!r}")
     if not (n >= 0 and finite(n)):
         raise DomainError(f"sample count must be a nonnegative finite number, got {n!r}")
-    if n == 0:
-        return 0.0
-    ds = -std_normal_quantile(alpha) * math.sqrt(mu_b * (1.0 - mu_b))
-    return _score((mu_b, ds, 1.0, 0.0, 0.0), mu0, n)[1]
+    return _score(level, mu0, n)[1] if n else 0.0
 
 
 def utility(alpha: float, mu0: float, n: int, inst: EconomicInstance) -> float:
-    """Expected profit of running ``n`` samples; abstaining (``n = 0``) is 0."""
+    """Expected profit of ``n`` samples at a checked level and belief; ``n = 0`` earns 0."""
+    level = _level(alpha, inst)
+    _check_belief(mu0)
     if n == 0:
         return 0.0
     if not (inst.n_min <= n <= inst.n_max):
         raise DomainError(
             f"sample count must be 0 or within [{inst.n_min}, {inst.n_max}], got {n!r}"
         )
-    level = _level(alpha, inst)
-    _check_belief(mu0)
     return _score(level, mu0, n)[0]
 
 
@@ -174,7 +166,8 @@ def _level(alpha: float, inst: EconomicInstance) -> tuple:
     form so that a small ``alpha`` is not rounded away in ``1 - alpha``;
     ``n_max`` ends every last concave piece.
     """
-    _check_alpha(alpha)
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"significance level must lie strictly between 0 and 1, got {alpha!r}")
     mu_b = inst.mu_b
     ds = -std_normal_quantile(alpha) * math.sqrt(mu_b * (1.0 - mu_b))
     t_max = math.sqrt(inst.n_max)
@@ -184,10 +177,10 @@ def _level(alpha: float, inst: EconomicInstance) -> tuple:
 def _score(level: tuple, mu0: float, n) -> tuple[float, float]:
     """``(utility, pass_prob)`` of ``n`` samples at belief ``mu0`` and a :func:`_level`.
 
-    Reads the first five entries of a level; ``(mu_b, d * s_b, 1.0, 0.0, 0.0)``
-    scores a bare pass chance.  :func:`_respond`'s walk and one-size branch
-    inline it, bit for bit: a call per size made a ``cardiovascular`` sweep
-    slice and 20,000 best-response queries about 20% slower (Python 3.11).
+    Reads the first five entries of a level.  :func:`_respond`'s walk and
+    one-size branch inline it, bit for bit: a call per size made a
+    ``cardiovascular`` sweep slice and 20,000 best-response queries about
+    20% slower (Python 3.11).
     """
     mu_b, ds, R, c0, c = level[:5]
     p = 0.5 * math.erfc((ds - (mu0 - mu_b) * math.sqrt(n)) / math.sqrt(mu0 * (1.0 - mu0)) / _SQRT2)

@@ -11,8 +11,9 @@ scores it.  This assumes participation is monotone in belief, true for
 baselines up to about 0.6; above that a lower crossing may be returned, still
 between an abstaining and a participating belief.  The critical level
 ``alpha_hat`` is where a weak belief (``mu <= mu_b``) first enters.  Weak
-applicants always buy ``n_min`` samples, so it has a closed form that needs
-no search and no best response.
+applicants always buy ``n_min`` samples, so it is one formula with no search
+and no best response; where a weaker belief enters first, it is the level at
+which ``n_min``'s break-even quadratic has a double root.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _break_even(level: tuple, n: int) -> float | None:
     ``(A - r mu)^2 = z^2 mu (1 - mu)``, whose roots count when
     ``(A - r mu) z >= 0``.  ``None`` when no such root lies in range.
     """
-    mu_b, ds, R, c0, c, _, _, _, _ = level
+    mu_b, ds, R, c0, c = level[:5]
     k = (c0 + c * n) / R
     if not 0.0 < k < 1.0:
         return None
@@ -121,7 +122,7 @@ def _bracket(level: tuple, n_ceil: int) -> tuple[float, float]:
     this cannot settle.
     """
     a, b = BELIEF_FLOOR, BELIEF_CEIL
-    _, _, _, _, _, n_min, n_max, _, _ = level
+    n_min, n_max = level[5:7]
     roots: dict[int, float | None] = {}
     for n in (n_min, n_max, n_ceil):
         if n not in roots:
@@ -212,31 +213,34 @@ def critical_alpha_closed_form(inst: EconomicInstance) -> float:
 def critical_alpha(inst: EconomicInstance) -> CriticalAlpha:
     """Level at which some belief ``mu <= mu_b`` first participates.
 
-    A weak belief buys ``n_min`` samples and enters at ``alpha`` exactly when
-    ``Phi^{-1}(1 - alpha) <= g(mu) = (z s(mu) - (mu_b - mu) sqrt(n_min)) / s(mu_b)``,
-    with ``z = Phi^{-1}(1 - k)``, ``k = (c0 + c n_min) / R`` and ``s`` the
-    Bernoulli standard deviation, so ``alpha_hat = sf(max g)`` over
-    ``[BELIEF_FLOOR, mu_b]``.  For ``k < 1/2``, ``g`` is concave with its
-    peak at ``(1 + x) / 2``, ``x = sqrt(n_min / (z^2 + n_min))``; otherwise
-    it is convex and an end wins.  A maximiser at ``mu_b`` gives exactly ``k``.
-    The level is exact, so the only margin is the clamp to ``[DEFAULT_EPS,
-    1 - DEFAULT_EPS]`` that :class:`CriticalAlpha`'s status records.
+    A weak belief buys ``n = n_min`` samples and enters at ``alpha`` exactly
+    when ``Phi^{-1}(1 - alpha) <= g(mu) = (z s(mu) - (mu_b - mu) sqrt(n)) / s_b``,
+    with ``z = Phi^{-1}(1 - k)``, ``k = (c0 + c n) / R`` and ``s`` the Bernoulli
+    standard deviation, so ``alpha_hat = sf(max g)`` over ``[BELIEF_FLOOR,
+    mu_b]``, and ``g(mu_b) = z`` gives ``k``.  For ``k < 1/2``, ``g`` is
+    concave and peaks above 1/2 at ``(1 + sqrt(n) / h) / 2``, ``h = sqrt(n +
+    z^2)``.  A peak below ``mu_b`` is where :func:`_break_even`'s quadratic
+    has a double root, at ``alpha_hat = sf((h + (1 - 2 mu_b) sqrt(n)) / (2
+    s_b))``; the numerator is taken as ``(z^2 + 4 n s_b^2) / (h + (2 mu_b -
+    1) sqrt(n))``, which cancels no digits.  Otherwise ``g`` is convex, and
+    the floor wins if ``g`` exceeds ``z`` there.  The level is exact, so the
+    only margin is the clamp to ``[DEFAULT_EPS, 1 - DEFAULT_EPS]`` that
+    :class:`CriticalAlpha`'s status records.
     """
     alpha_hat = k = critical_alpha_closed_form(inst)
     if 0.0 < k < 1.0:
-        mu_b = inst.mu_b
-        root_n, s_b = math.sqrt(inst.n_min), math.sqrt(mu_b * (1.0 - mu_b))
+        mu_b, mu, n = inst.mu_b, BELIEF_FLOOR, inst.n_min
+        root_n, s_b = math.sqrt(n), math.sqrt(mu_b * (1.0 - mu_b))
         z = -std_normal_quantile(k)
-
-        def g(mu: float) -> float:
-            return (z * math.sqrt(mu * (1.0 - mu)) - (mu_b - mu) * root_n) / s_b
-
-        if z > 0.0:  # the peak exceeds 1/2, so never falls below the floor
-            best = min(0.5 * (1.0 + root_n / math.sqrt(z * z + inst.n_min)), mu_b)
+        if z > 0.0:
+            h = math.hypot(root_n, z)
+            if 0.5 * (1.0 + root_n / h) < mu_b:
+                g = (z * z + 4.0 * n * mu_b * (1.0 - mu_b)) / (h + (2.0 * mu_b - 1.0) * root_n)
+                alpha_hat = std_normal_sf(g / (2.0 * s_b))
         else:
-            best = mu_b if g(mu_b) >= g(BELIEF_FLOOR) else BELIEF_FLOOR
-        if best != mu_b:
-            alpha_hat = std_normal_sf(g(best))
+            g = (z * math.sqrt(mu * (1.0 - mu)) - (mu_b - mu) * root_n) / s_b
+            if g > z:
+                alpha_hat = std_normal_sf(g)
     if alpha_hat <= DEFAULT_EPS:
         return CriticalAlpha(DEFAULT_EPS, "at_floor")
     if alpha_hat > 1.0 - DEFAULT_EPS:

@@ -1,17 +1,18 @@
-"""Test oracles for the applicant model: the slope of expected profit and
-the curvature partition of the trial-size range.
+"""Test oracles for the applicant model: the slope of expected profit, the
+curvature partition of the trial-size range, and the critical level found by
+evaluating the weak-belief maximand at its peak.
 
-Both are restated here from the model's formulas rather than imported from
-``trialgame.agent``, so a test that checks the best response against them
-checks it against an independent derivation.  They are plain oracles:
-arguments are not validated, and both apply only on the effective side
-``mu0 > mu_b``.
+They are restated here from the model's formulas rather than imported from
+``trialgame``, so a test that checks the solver against them checks it
+against an independent derivation.  They are plain oracles: arguments are
+not validated, the first two apply only on the effective side ``mu0 >
+mu_b``, and the last only where ``(c0 + c * n_min) / R`` lies in ``(0, 1/2)``.
 """
 
 import math
 from typing import NamedTuple
 
-from trialgame.stats import std_normal_quantile
+from trialgame.stats import std_normal_quantile, std_normal_sf
 
 
 class CurvatureRegion(NamedTuple):
@@ -58,3 +59,22 @@ def curvature_regions(alpha, mu0, inst):
             a = end
     # Degenerate n_min = n_max: classify the single admissible size.
     return tuple(regions) or (CurvatureRegion(lo, hi, "convex" if n1 < lo < n2 else "concave"),)
+
+
+def peak_critical_alpha(inst):
+    """Unclamped critical level, ``sf`` of the weak-belief maximand at its peak.
+
+    A weak belief ``mu`` enters at ``alpha`` when ``Phi^{-1}(1 - alpha) <=
+    g(mu) = (z s(mu) - (mu_b - mu) sqrt(n_min)) / s(mu_b)``.  For ``k < 1/2``
+    the maximand is concave and peaks at ``(1 + sqrt(n_min / (z^2 +
+    n_min))) / 2``; over ``[BELIEF_FLOOR, mu_b]`` it is largest there or, if
+    the peak lies beyond ``mu_b``, at ``mu_b``.
+    """
+    k = (inst.c0 + inst.c * inst.n_min) / inst.R
+    z = -std_normal_quantile(k)
+    mu_b, root_n = inst.mu_b, math.sqrt(inst.n_min)
+
+    def g(mu):
+        return (z * math.sqrt(mu * (1.0 - mu)) - (mu_b - mu) * root_n) / math.sqrt(mu_b * (1.0 - mu_b))
+
+    return std_normal_sf(g(min(0.5 * (1.0 + root_n / math.sqrt(z * z + inst.n_min)), mu_b)))

@@ -202,6 +202,15 @@ def test_pass_probability_domain_checks():
         pass_probability(0.05, 0.6, -1, 0.5)
 
 
+def test_pass_probability_reports_a_bad_baseline_as_the_instance_does():
+    # The level is built from an instance, so the baseline rule and its
+    # wording are the instance's.
+    for mu_b in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(DomainError, match="mu_b must lie strictly between 0 and 1") as info:
+            pass_probability(0.05, 0.6, 10, mu_b)
+        assert info.value.problems == [f"mu_b must lie strictly between 0 and 1, got {mu_b!r}"]
+
+
 def test_pass_probability_rejects_a_sample_count_no_float_holds():
     # An infinite or NaN count, or an int too large for a float, names the
     # sample count instead of failing inside the normal tail.
@@ -284,6 +293,17 @@ def test_pass_probability_monotone_in_size_on_weak_side(alpha, mu0, n, extra):
 def test_utility_frozen_value_and_abstention():
     assert abs(utility(0.05, 0.6, 100, INST) - 0.3914994872716355) < 1e-12
     assert utility(0.05, 0.6, 0, INST) == 0.0
+
+
+def test_utility_checks_level_and_belief_before_abstaining():
+    # n = 0 earns 0 only for a valid level and belief, as pass_probability
+    # and best_response require of the same inputs.
+    bad = ((5.0, 0.6), (math.nan, 0.6), (0.05, 0.0), (0.05, math.nan), (math.nan, math.nan))
+    for alpha, mu0 in bad:
+        with pytest.raises(DomainError):
+            utility(alpha, mu0, 0, INST)
+        with pytest.raises(DomainError):
+            best_response(alpha, mu0, INST)
 
 
 def test_utility_rejects_sizes_outside_admissible_range():

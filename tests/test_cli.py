@@ -259,6 +259,16 @@ def test_csv_commands_report_every_missing_input_at_once(tmp_path, capsys):
         assert all(part in err for part in parts), err
 
 
+def test_missing_instance_flags_are_named_together(capsys):
+    # No configuration and no economics flags: each field without a default
+    # is reported, in one error.
+    assert main(["best-response", "--alpha", "0.05", "--mu0", "0.6"]) == 2
+    err = capsys.readouterr().err
+    for flag in ("--R", "--c0", "--c", "--mu-b"):
+        assert f"{flag}: required when no configuration supplies the instance" in err
+    assert "--n-min" not in err and "--n-max" not in err
+
+
 def test_domain_failures_exit_three(capsys):
     code = main(["best-response", "--alpha", "2", "--mu0", "0.6", *INSTANCE_FLAGS])
     assert code == 3

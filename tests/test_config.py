@@ -141,6 +141,61 @@ def test_grid_spec_requires_all_three_fields(tmp_path):
         load_config(write(tmp_path, payload))
 
 
+def _r_grid(**spec):
+    return {"grids": {"R": spec}}
+
+
+# One malformed part of a configuration per case, and the problem it reports.
+REJECTIONS = [
+    ({"prior": [0.6, 0.05]}, "prior: expected an object"),
+    ({"grids": [1, 2]}, "grids: expected an object"),
+    ({"grids": {"R": 3.0}}, "grids.R: expected an object"),
+    (_r_grid(values=[]), "grids.R.values: expected a nonempty list of finite numbers"),
+    (_r_grid(values=3.0), "grids.R.values: expected a nonempty list of finite numbers"),
+    (_r_grid(values=[1.0, "2"]), "grids.R.values: expected a nonempty list of finite numbers"),
+    (_r_grid(stop=5.0, points=3), "grids.R.start: required (or give explicit values)"),
+    (_r_grid(start=1.0, stop=5.0), "grids.R.points: required (or give explicit values)"),
+    (_r_grid(start=5.0, stop=5.0, points=3), "grids.R: need numeric start < stop, got 5.0 and 5.0"),
+    (_r_grid(start=1.0, stop=5.0, points=1), "grids.R.points: expected an integer >= 2, got 1"),
+    (_r_grid(start=1.0, stop=5.0, points=2.5), "grids.R.points: expected an integer >= 2, got 2.5"),
+    (
+        _r_grid(start=1.0, stop=5.0, points=3, spacing="cubic"),
+        "grids.R.spacing: expected 'linear' or 'log', got 'cubic'",
+    ),
+    (_r_grid(start=-1.0, stop=1.0, points=3), "grids.R: grid values must be positive"),
+    (_r_grid(values=[0.0, 1.0]), "grids.R: grid values must be positive"),
+    ({"output": 3}, "output: expected a string path, got 3"),
+    ({"description": ["note"]}, "description: expected a string, got ['note']"),
+]
+
+
+@pytest.mark.parametrize(
+    "extra, problem", REJECTIONS, ids=[f"{i}-{p.split(':')[0]}" for i, (_, p) in enumerate(REJECTIONS)]
+)
+def test_malformed_part_is_rejected_by_path(tmp_path, extra, problem):
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(write(tmp_path, {"instance": FULL["instance"], **extra}))
+    assert excinfo.value.problems == [problem]
+
+
+def test_malformed_parts_are_reported_together(tmp_path):
+    payload = {
+        "instance": 1.0,
+        "grids": {"R": {"values": []}, "c0": {"start": 2.0, "stop": 1.0, "points": 3}},
+        "output": False,
+        "description": 7,
+    }
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(write(tmp_path, payload))
+    assert excinfo.value.problems == [
+        "instance: expected an object",
+        "grids.R.values: expected a nonempty list of finite numbers",
+        "grids.c0: need numeric start < stop, got 2.0 and 1.0",
+        "output: expected a string path, got False",
+        "description: expected a string, got 7",
+    ]
+
+
 def test_log_grid_needs_positive_start(tmp_path):
     grids = {"R": {"start": -1.0, "stop": 10.0, "points": 4, "spacing": "log"}}
     payload = {"instance": FULL["instance"], "grids": grids}

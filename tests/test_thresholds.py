@@ -36,6 +36,7 @@ from trialgame import (
     std_normal_sf,
     sweep_alpha,
 )
+from reference import peak_critical_alpha
 
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
 
@@ -520,6 +521,26 @@ def test_critical_alpha_convex_branch_floor_enters_first():
     assert abs(result.alpha_hat - 0.74372) <= 1e-5
     assert result.alpha_hat < critical_alpha_closed_form(inst)
     assert_brackets_weak_entry(inst, result)
+
+
+def test_critical_alpha_formula_matches_the_peak_evaluation():
+    # Where a weaker belief enters first, the closed form is the maximand
+    # evaluated at its peak; the two agree to a few ulps, not just closely.
+    rng = random.Random(20261019)
+    interior = 0
+    for _ in range(20_000):
+        mu_b = rng.uniform(0.55, 0.999)
+        n_min = rng.choice([1, 1, 2, 5, rng.randint(1, 400)])
+        k = 10.0 ** rng.uniform(-6.0, math.log10(0.5))
+        c = k * rng.choice([0.0, rng.random()]) / n_min
+        inst = EconomicInstance(1.0, max(k - c * n_min, 0.0), c, mu_b, n_min, n_min + 100)
+        result = critical_alpha(inst)
+        if result.status != "interior":
+            continue
+        oracle = peak_critical_alpha(inst)
+        assert result.alpha_hat == pytest.approx(oracle, rel=1e-13, abs=0.0), inst
+        interior += oracle < 0.999 * k
+    assert interior >= 5_000
 
 
 def test_critical_alpha_free_trials_at_floor():
