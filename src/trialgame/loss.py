@@ -7,11 +7,13 @@ applicants priced out of participating entirely, and weak abstainers
 (who by construction can never be approved, so that channel is zero).
 
 Components are prior-weighted averages of the best-responding pass
-probability.  The integrands jump at ``mu_tau(alpha)`` and ``mu_b``, the
-integration limits, and are not smooth between them: the pass chance steps
-wherever the integer best size switches (ROADMAP item 9) and climbs steeply
-just above ``mu_tau`` (item 8): for ``cardiovascular`` at alpha = 0.030, ``n*``
-goes from 463 to 9,305 and the pass chance from 0.056 to 0.43 within 0.002.
+probability.  Weak participants all buy ``n_min``, so that integrand is
+analytic on each piece of ``n_min``'s pay set.  The effective one jumps at
+``mu_tau(alpha)`` and ``mu_b`` and is not smooth between them: the pass
+chance steps wherever the integer best size switches (ROADMAP item 9) and
+climbs steeply just above ``mu_tau`` (item 8): for ``cardiovascular`` at
+alpha = 0.030, ``n*`` goes from 463 to 9,305 and the pass chance from 0.056
+to 0.43 within 0.002.
 """
 
 from __future__ import annotations
@@ -19,10 +21,24 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _is_int, _level, _respond
+from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _is_int, _level, _respond, _score
 from .errors import reject
 from .stats import TruncatedNormalPrior, finite
-from .thresholds import DEFAULT_EPS, _threshold, critical_alpha
+from .thresholds import DEFAULT_EPS, _pay_interval, _threshold, critical_alpha
+
+#: Positive nodes and their weights of the symmetric 12-point Gauss-Legendre rule on [-1, 1].
+_GAUSS_12 = (
+    (0.1252334085114689, 0.24914704581340277),
+    (0.3678314989981802, 0.2334925365383548),
+    (0.5873179542866175, 0.20316742672306592),
+    (0.7699026741943047, 0.16007832854334622),
+    (0.9041172563704749, 0.10693932599531843),
+    (0.9815606342467192, 0.04717533638651183),
+)
+#: Relative change at which :func:`_gauss` stops doubling its panels, and the most
+#: panels it takes (a bound that only an integral near underflow reaches).
+_GAUSS_TOL = 1e-13
+_GAUSS_MAX_PANELS = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,7 +61,7 @@ class LossWeights:
 
 @dataclass(frozen=True, slots=True)
 class QuadratureSpec:
-    """Composite Simpson panels per integral, each over a non-smooth integrand."""
+    """Composite Simpson panels over the effective side, a non-smooth integrand."""
 
     panels: int = 2000
 
@@ -75,6 +91,23 @@ class LossBreakdown:
     no_effective_mass: bool = False
 
 
+def _gauss(f, a: float, b: float) -> float:
+    """Composite 12-point Gauss-Legendre integral of a smooth ``f`` over ``[a, b]``.
+
+    Panels double from one until two sums agree to ``_GAUSS_TOL`` (36 calls
+    of ``f`` if one panel does).  No node lies on an end.
+    """
+    total, panels = None, 1
+    while True:
+        h = 0.5 * (b - a) / panels
+        mids = [a + (2 * i + 1) * h for i in range(panels)]
+        new = h * sum(w * (f(m - h * x) + f(m + h * x)) for m in mids for x, w in _GAUSS_12)
+        agreed = total is not None and abs(new - total) <= _GAUSS_TOL * abs(new)
+        if agreed or panels >= _GAUSS_MAX_PANELS:
+            return new
+        total, panels = new, 2 * panels
+
+
 def _simpson(f, a: float, b: float, panels: int) -> float:
     if b <= a:
         return 0.0
@@ -94,24 +127,25 @@ def loss_components(
 ) -> LossBreakdown:
     """Error decomposition at one significance level.
 
-    The participation threshold is solved first; both integrals then run
-    over intervals bounded by it and by the baseline.  They start at
-    ``mu_tau + epsilon``, the participating end of the threshold's bracket,
-    so no Simpson node scores an abstainer; ``fn_abstain`` takes the prior
+    A weak belief participates exactly where ``n_min`` pays, so ``fp_particip``
+    integrates ``n_min``'s pass chance (``agent._score``, no best response) by
+    :func:`_gauss` over those pieces below the baseline; below the critical
+    level there are none and it is exactly 0.  Simpson integrates the effective
+    side from ``mu_tau + epsilon``, the participating end of the threshold's
+    bracket, so no node scores an abstainer; ``fn_abstain`` takes the prior
     mass below ``mu_tau``.
     """
     level = _level(alpha, inst)
     th = _threshold(level)
     mu_tau = th.mu_tau
-    mu_in = mu_tau + th.epsilon
-    mu_b = inst.mu_b
+    mu_b, n_min = inst.mu_b, inst.n_min
     lo = max(prior.lo, BELIEF_FLOOR)
     hi = min(prior.hi, BELIEF_CEIL)
     mass_weak = prior.cdf(mu_b)
     mass_eff = 1.0 - mass_weak
 
     def pass_density(mu: float) -> float:
-        return _respond(level, mu)[2] * prior.pdf(mu)
+        return _score(level, mu, n_min)[1] * prior.pdf(mu)
 
     def fail_density(mu: float) -> float:
         return (1.0 - _respond(level, mu)[2]) * prior.pdf(mu)
@@ -121,13 +155,16 @@ def loss_components(
 
     fp_particip = 0.0
     if not no_weak:
-        a, b = max(mu_in, lo), min(mu_b, hi)
-        fp_particip = _clip01(_simpson(pass_density, a, b, quad.panels) / mass_weak)
+        for pay_lo, pay_hi in _pay_interval(level, n_min):
+            a, b = max(pay_lo, lo), min(pay_hi, mu_b, hi)
+            if a < b:
+                fp_particip += _gauss(pass_density, a, b)
+        fp_particip = _clip01(fp_particip / mass_weak)
 
     fn_particip = 0.0
     fn_abstain = 0.0
     if not no_eff:
-        a, b = max(mu_in, mu_b, lo), hi
+        a, b = max(mu_tau + th.epsilon, mu_b, lo), hi
         fn_particip = _clip01(_simpson(fail_density, a, b, quad.panels) / mass_eff)
         fn_abstain = _clip01((prior.cdf(max(mu_tau, mu_b)) - mass_weak) / mass_eff)
 

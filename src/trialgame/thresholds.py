@@ -1,19 +1,20 @@
 """Participation threshold and critical significance level.
 
 The marginal belief ``mu_tau(alpha)`` is where participation switches from
-abstaining to participating.  For a fixed trial size the belief that breaks
-even is a root of a quadratic, so iterating between break-even beliefs and
-the best size just below each locates the crossing and closes a bracket
-around it of half-width ``2**-34``; no search over beliefs is needed.  The
-abstaining end is answered by the best response, and the participating end
-is witnessed by one size that pays there, scored as the best response
-scores it.  This assumes participation is monotone in belief, true for
-baselines up to about 0.6; above that a lower crossing may be returned, still
-between an abstaining and a participating belief.  The critical level
-``alpha_hat`` is where a weak belief (``mu <= mu_b``) first enters.  Weak
-applicants always buy ``n_min`` samples, so it is one formula with no search
-and no best response; where a weaker belief enters first, it is the level at
-which ``n_min``'s break-even quadratic has a double root.
+abstaining to participating.  A fixed trial size pays on a set of beliefs
+bounded by the roots of a quadratic.  A weak belief (``mu <= mu_b``) buys
+``n_min`` alone, so where ``n_min``'s pay set starts at or below ``mu_b`` that
+root is the crossing; otherwise iterating between break-even beliefs and the
+best size just below each locates it.  Either way a bracket of half-width
+``2**-34`` is closed around it with no search over beliefs.  The abstaining
+end is answered by the best response, and the participating end is
+witnessed by one size that pays there, scored as the best response scores
+it.  An effective entry assumes participation is monotone in belief, true
+for baselines up to about 0.6; above that a lower crossing may be returned,
+still between an abstaining and a participating belief.  The critical level
+``alpha_hat``, where a weak belief first enters, is one formula with no
+search and no best response; where a weaker belief enters first, it is the
+level at which ``n_min``'s break-even quadratic has a double root.
 """
 
 from __future__ import annotations
@@ -59,32 +60,46 @@ class CriticalAlpha:
     status: str
 
 
-def _break_even(level: tuple, n: int) -> float | None:
-    """Lowest belief in the clamped range at which ``n`` samples break even.
+def _pay_interval(level: tuple, n: int) -> tuple[tuple[float, float], ...]:
+    """Pieces ``(lo, hi)`` of ``[BELIEF_FLOOR, BELIEF_CEIL]``, in order, where ``n`` samples pay.
 
-    ``R * p(n, mu) = c0 + c * n`` means ``v(mu) = z`` with ``k = (c0 + c n) / R``,
-    ``z = Phi^{-1}(1 - k)``, ``r = sqrt(n)``, ``A = d s_b + mu_b r`` and
-    ``v = (A - r mu) / s(mu)``.  Squaring gives the quadratic
-    ``(A - r mu)^2 = z^2 mu (1 - mu)``, whose roots count when
-    ``(A - r mu) z >= 0``.  ``None`` when no such root lies in range.
+    ``R * p(n, mu) >= c0 + c * n`` means ``v(mu) = (A - r mu) / s(mu) <= z``
+    with ``k = (c0 + c n) / R``, ``z = Phi^{-1}(1 - k)``, ``r = sqrt(n)`` and
+    ``A = d s_b + mu_b r``.  Squaring ``v = z`` gives the quadratic ``(A - r
+    mu)^2 = z^2 mu (1 - mu)``, whose roots count when ``(A - r mu) z >= 0``.
+    With no root the set is every belief if ``A <= 0`` and none otherwise;
+    one root starts it; two bound one interval for ``k < 1/2`` and cut a gap
+    between two end pieces for ``k > 1/2``.
     """
     mu_b, ds, R, c0, c = level[:5]
     k = (c0 + c * n) / R
+    every: tuple = ((BELIEF_FLOOR, BELIEF_CEIL),)
     if not 0.0 < k < 1.0:
-        return None
+        return every if k <= 0.0 else ()
     z = -std_normal_quantile(k)
     r = math.sqrt(n)
     a = ds + mu_b * r
     b = 2.0 * a * r + z * z
     disc = z * z * (z * z + 4.0 * a * (r - a))
+    pieces = every if a <= 0.0 else ()
     if b <= 0.0 or disc < 0.0:  # both roots at or below 0, or none real
-        return None
+        return pieces
     q = r * r + z * z
     big = (b + math.sqrt(disc)) / (2.0 * q)
-    for mu in (a * a / (q * big), big):
-        if BELIEF_FLOOR <= mu <= BELIEF_CEIL and (a - r * mu) * z >= 0.0:
-            return mu
-    return None
+    small = a * a / (q * big)
+    if z > 0.0:  # a root counts where A - r mu >= 0
+        if a - r * small >= 0.0:
+            pieces = ((small, big if a - r * big >= 0.0 else BELIEF_CEIL),)
+    elif a - r * big <= 0.0:  # and here where A - r mu <= 0
+        two = z < 0.0 and a - r * small <= 0.0
+        pieces = ((BELIEF_FLOOR, small), (big, BELIEF_CEIL)) if two else ((big, BELIEF_CEIL),)
+    if BELIEF_FLOOR <= small and big <= BELIEF_CEIL:
+        return pieces
+    return tuple(
+        (max(lo, BELIEF_FLOOR), min(hi, BELIEF_CEIL))
+        for lo, hi in pieces
+        if lo <= BELIEF_CEIL and hi >= BELIEF_FLOOR
+    )
 
 
 #: Half-width of the evaluated bracket closed around a break-even belief.
@@ -100,17 +115,17 @@ def _on_grid(mu: float) -> float:
     return math.ldexp(round(math.ldexp(mu, 52)), -52)
 
 
-def _bracket(level: tuple, n_ceil: int) -> tuple[float, float]:
+def _bracket(level: tuple, pays: dict[int, tuple]) -> tuple[float, float]:
     """Beliefs ``(a, b)``, ``a < b``, where ``a`` abstains and ``b`` participates.
 
-    Starts from the lowest break-even belief ``mu`` of ``n_min``, ``n_max``
-    and ``n_ceil`` (the best size at the ceiling).  The participating end
-    ``mu + _BRACKET`` is witnessed by the size ``n`` that breaks even at
-    ``mu`` and scored by ``agent._score`` as the kernel scores it, so a
-    witness that earns at least zero proves that the kernel participates;
-    the kernel is asked there only if ``n`` does not pay.  The abstaining
-    end ``mu - _BRACKET`` is asked of the kernel: if it abstains, the
-    bracket is closed.  If it participates with size ``m``, the walk moves
+    Starts from the lowest break-even belief ``mu``, the first end of the
+    pay sets ``pays`` (each size's :func:`_pay_interval`, which the walk
+    adds to).  The participating end ``mu + _BRACKET`` is witnessed by the
+    size ``n`` that breaks even at ``mu`` and scored by ``agent._score`` as
+    the kernel scores it, so a witness that earns at least zero proves that
+    the kernel participates; the kernel is asked there only if ``n`` does
+    not pay.  The abstaining end ``mu - _BRACKET`` is asked of the kernel:
+    if it abstains, the bracket is closed.  If it participates with size ``m``, the walk moves
     to ``m``'s break-even belief, and doubles ``m`` while the doubled size
     pays at the current belief (scored the same way), which puts its
     break-even belief lower still; then both ends are tried again.  Each
@@ -122,12 +137,8 @@ def _bracket(level: tuple, n_ceil: int) -> tuple[float, float]:
     this cannot settle.
     """
     a, b = BELIEF_FLOOR, BELIEF_CEIL
-    n_min, n_max = level[5:7]
-    roots: dict[int, float | None] = {}
-    for n in (n_min, n_max, n_ceil):
-        if n not in roots:
-            roots[n] = _break_even(level, n)
-    found = [(mu, n) for n, mu in roots.items() if mu is not None]
+    n_max = level[6]
+    found = [(pay[0][0], n) for n, pay in pays.items() if pay]
     if not found:
         return a, b
     mu, n = min(found)
@@ -148,15 +159,15 @@ def _bracket(level: tuple, n_ceil: int) -> tuple[float, float]:
         # otherwise; a doubled size that pays there breaks even lower still.
         b, start = lo, mu
         while True:
-            if m not in roots:
-                roots[m] = _break_even(level, m)
-            if roots[m] is None or not roots[m] < mu:
+            if m not in pays:
+                pays[m] = _pay_interval(level, m)
+            if not pays[m] or not pays[m][0][0] < mu:
                 break
-            mu, n = roots[m], m
+            mu, n = pays[m][0][0], m
             if m == n_max:
                 break
             m = 2 * m if 2 * m < n_max else n_max
-            if m not in roots and _score(level, mu, m)[0] < 0.0:
+            if m not in pays and _score(level, mu, m)[0] < 0.0:
                 break
         if mu == start:
             break
@@ -167,10 +178,18 @@ def _threshold(level: tuple) -> ParticipationThreshold:
     """:func:`participation_threshold` at a :func:`_level`."""
     if _respond(level, BELIEF_FLOOR)[1]:  # n_star, which is 0 only when abstaining
         return ParticipationThreshold(BELIEF_FLOOR, 0.0, "all_participate")
-    n_ceil = _respond(level, BELIEF_CEIL)[1]
-    if not n_ceil:
-        return ParticipationThreshold(BELIEF_CEIL, 0.0, "none_participate")
-    a, b = _bracket(level, n_ceil)
+    n_min, n_max = level[5:7]
+    pays = {n_min: _pay_interval(level, n_min)}
+    # A weak belief buys n_min alone, so where n_min's first root is weak it
+    # is the entry, and only otherwise is an effective belief asked.
+    if not pays[n_min] or pays[n_min][0][0] > level[0]:
+        n_ceil = _respond(level, BELIEF_CEIL)[1]
+        if not n_ceil:
+            return ParticipationThreshold(BELIEF_CEIL, 0.0, "none_participate")
+        for n in (n_max, n_ceil):
+            if n not in pays:
+                pays[n] = _pay_interval(level, n)
+    a, b = _bracket(level, pays)
     while b - a > 2.0 * _BRACKET:
         mid = _on_grid(0.5 * (a + b))
         if _respond(level, mid)[1]:
@@ -192,8 +211,11 @@ def participation_threshold(alpha: float, inst: EconomicInstance) -> Participati
     bisected at grid points down to that width.  ``mu_tau`` is the midpoint
     and ``epsilon`` the half-width, and ``mu_tau - epsilon`` and ``mu_tau +
     epsilon`` recompute ``a`` and ``b`` exactly, unless one is a clamp
-    belief.  Interior thresholds cost 3 best responses at the least: the
-    two clamp probes and the closing ask.
+    belief.  Where ``n_min``'s pay set starts at or below the baseline, the
+    walk starts from that root alone and the ceiling is not probed: 2 best
+    responses at the least, the floor probe and the closing ask, both at
+    weak beliefs.  Otherwise it starts from the lowest root of ``n_min``,
+    ``n_max`` and the ceiling's best size: 3 at the least.
     """
     return _threshold(_level(alpha, inst))
 
@@ -205,7 +227,9 @@ def critical_alpha_closed_form(inst: EconomicInstance) -> float:
     exactly ``alpha`` no matter the trial size, so it participates exactly
     when ``R * alpha`` covers the cheapest trial: ``(c0 + c * n_min) / R``.
     This is :func:`critical_alpha` whenever the baseline belief is the
-    first weak belief to enter, which always holds for ``mu_b <= 1/2``.
+    first weak belief to enter.  For ``mu_b <= 1/2`` that holds when ``k <
+    1/2``, and when ``k >= 1/2`` only if the floor belief enters no earlier
+    (``g(BELIEF_FLOOR) <= z`` in :func:`critical_alpha`).
     """
     return (inst.c0 + inst.c * inst.n_min) / inst.R
 
@@ -219,7 +243,7 @@ def critical_alpha(inst: EconomicInstance) -> CriticalAlpha:
     standard deviation, so ``alpha_hat = sf(max g)`` over ``[BELIEF_FLOOR,
     mu_b]``, and ``g(mu_b) = z`` gives ``k``.  For ``k < 1/2``, ``g`` is
     concave and peaks above 1/2 at ``(1 + sqrt(n) / h) / 2``, ``h = sqrt(n +
-    z^2)``.  A peak below ``mu_b`` is where :func:`_break_even`'s quadratic
+    z^2)``.  A peak below ``mu_b`` is where :func:`_pay_interval`'s quadratic
     has a double root, at ``alpha_hat = sf((h + (1 - 2 mu_b) sqrt(n)) / (2
     s_b))``; the numerator is taken as ``(z^2 + 4 n s_b^2) / (h + (2 mu_b -
     1) sqrt(n))``, which cancels no digits.  Otherwise ``g`` is convex, and

@@ -157,9 +157,12 @@ def test_loss_sweep_preset_bytes_are_pinned(tmp_path):
     # the n_max = 500 of fn-curves-062 does not.  cardiovascular was re-frozen
     # when the threshold's participating end became a one-size witness, which
     # moves mu_tau by under 6e-11 on rows where sizes nearly tie at break-even.
+    # Both were re-frozen when fp_particip became Gauss-Legendre over n_min's
+    # pay pieces: fp_particip moved by up to 1.4e-8 and total_loss by up to
+    # 8.2e-9 relative (Simpson's error), and no other column moved.
     pinned = {
-        "fn-curves-062": "f9c2d67423a6f2dee77ed6fcafe96377f22c6cbb8ce3cdb51d3e87a021596254",
-        "cardiovascular": "2992d5a928c214825976b796a0f991c150acbe9c84fdf6cd5f71e73f24efacc8",
+        "fn-curves-062": "b3fed2b86f6b9a8e107bba1c7ddb5664fee368fb8e6fbd6c3ecaeb85074f0896",
+        "cardiovascular": "b32bf837b745a8ef8d050b9d9dc018c9a19e87f171cbfade660e7edb54f66ed6",
     }
     for preset, digest in pinned.items():
         out_path = tmp_path / f"sweep-{preset}.csv"

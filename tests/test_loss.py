@@ -1,18 +1,21 @@
 """Regulator loss decomposition, quadrature accuracy, sweeps.
 
 Quadrature is validated against analytic integrals and adaptive
-scipy.integrate.quad references, and the per-level solver against the
-per-node form that asks the public best response at every Simpson node;
-component values on the standard unit instance are frozen for regression.
+scipy.integrate.quad references: the weak side on every preset row and on
+seeded instances, over pay pieces held to brentq roots.  The per-level
+solver is checked against the per-node form that asks the public best
+response at every node; component values on the standard unit instance are
+frozen for regression.
 Conditional-mass edge cases (priors entirely on one side of the baseline)
 are exercised explicitly.
 """
 
 import dataclasses
 import math
+import random
 
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy import stats as sps
 
 from trialgame import (
@@ -24,6 +27,7 @@ from trialgame import (
     LossWeights,
     QuadratureSpec,
     TruncatedNormalPrior,
+    available_presets,
     best_response,
     critical_alpha,
     load_config,
@@ -33,7 +37,9 @@ from trialgame import (
     preset_path,
     sweep_alpha,
 )
-from trialgame.loss import _simpson
+from trialgame.agent import _level
+from trialgame.loss import _gauss, _simpson
+from trialgame.thresholds import _pay_interval
 
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
 PRIOR = TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
@@ -123,11 +129,124 @@ def test_loss_components_match_adaptive_quadrature():
     assert bd.fp_particip == 0.0  # threshold sits above the baseline here
 
 
-def loss_components_per_node(alpha, inst, prior, quad, weights):
-    """The loss decomposition with one public ``best_response`` per Simpson node.
+def weak_pass_chance(alpha, inst):
+    """``n_min``'s pass chance as a function of belief, restated from the model."""
+    n, mu_b = inst.n_min, inst.mu_b
+    ds = float(sps.norm.isf(alpha)) * math.sqrt(mu_b * (1.0 - mu_b))
+    return lambda mu: 0.5 * math.erfc((ds - (mu - mu_b) * math.sqrt(n)) / math.sqrt(mu * (1.0 - mu)) / math.sqrt(2.0))
 
-    Same threshold, limits and summation order as ``loss_components``, so
-    the two must agree exactly.
+
+def weak_pay_pieces_reference(alpha, inst, prior):
+    """Stretches of the prior's weak beliefs where ``n_min`` pays.
+
+    Their ends are brentq roots of the utility's sign changes on a 400-point
+    scan, so a stretch narrower than the scan's step can be missed.
+    """
+    pass_chance = weak_pass_chance(alpha, inst)
+
+    def utility(mu):
+        return inst.R * pass_chance(mu) - (inst.c0 + inst.c * inst.n_min)
+
+    lo, hi = max(prior.lo, BELIEF_FLOOR), min(prior.hi, BELIEF_CEIL, inst.mu_b)
+    if not lo < hi:
+        return []
+    grid = [lo + (hi - lo) * i / 400 for i in range(401)]
+    ends = [lo, hi]
+    for x, y in zip(grid, grid[1:]):
+        if (utility(x) >= 0.0) != (utility(y) >= 0.0):
+            ends.insert(-1, optimize.brentq(utility, x, y, xtol=1e-16, rtol=1e-15))
+    return [(a, b) for a, b in zip(ends, ends[1:]) if b > a and utility(0.5 * (a + b)) >= 0.0]
+
+
+def assert_fp_particip_matches_reference(alpha, inst, prior):
+    """``fp_particip`` against ``scipy.integrate.quad`` over the same pay pieces.
+
+    The pieces are first held to the brentq reference's to 1e-12 (they agree
+    to a few ulps where the utility crosses zero at a slope); the integral
+    over them must then agree to 1e-12 relative.  Where a piece is narrow,
+    an ulp of an end moves it by more than that, so the ends are shared.
+    """
+    bd = loss_components(alpha, inst, prior, QuadratureSpec(panels=10))
+    lo, hi = max(prior.lo, BELIEF_FLOOR), min(prior.hi, BELIEF_CEIL, inst.mu_b)
+    pieces = [
+        (max(a, lo), min(b, hi))
+        for a, b in _pay_interval(_level(alpha, inst), inst.n_min)
+        if max(a, lo) < min(b, hi)
+    ]
+    if prior.cdf(inst.mu_b) <= 0.0:
+        assert bd.fp_particip == 0.0 and bd.no_weak_mass
+        return 0.0
+    ref = weak_pay_pieces_reference(alpha, inst, prior)
+    assert len(pieces) == len(ref), (alpha, inst, prior, pieces, ref)
+    for piece, ref_piece in zip(pieces, ref):
+        assert max(abs(x - y) for x, y in zip(piece, ref_piece)) <= 1e-12, (alpha, inst, prior, pieces, ref)
+    pass_chance = weak_pass_chance(alpha, inst)
+    want = 0.0
+    for a, b in pieces:
+        peak = [prior.mean] if a < prior.mean < b else None
+        want += integrate.quad(
+            lambda mu: pass_chance(mu) * prior.pdf(mu), a, b, epsabs=0.0, epsrel=1e-13, limit=200, points=peak
+        )[0]
+    want /= prior.cdf(inst.mu_b)
+    assert abs(bd.fp_particip - want) <= 1e-12 * want, (alpha, inst, prior, bd.fp_particip, want)
+    return bd.fp_particip
+
+
+def test_fp_particip_matches_adaptive_quadrature_on_every_preset_row():
+    # Below the critical level no weak belief pays, so the rate is exactly 0.
+    weak_rows = 0
+    for preset in available_presets():
+        cfg = load_config(preset_path(preset))
+        alpha_hat = critical_alpha(cfg.instance).alpha_hat
+        for alpha in cfg.alpha_grid:
+            fp = assert_fp_particip_matches_reference(alpha, cfg.instance, cfg.prior)
+            assert fp == 0.0 or alpha > alpha_hat, (preset, alpha)
+            weak_rows += fp > 0.0
+    assert weak_rows > 500
+
+
+def test_fp_particip_matches_adaptive_quadrature_on_seeded_instances():
+    # Priors down to sd 0.005, n_min up to 1,000, baselines up to 0.95, and
+    # k = (c0 + c * n_min) / R on both sides of 1/2, where a pay set can be
+    # two pieces or end below the baseline.
+    rng = random.Random(2026)
+    weak_rows, high_k = 0, 0
+    for _ in range(2000):
+        R = 10.0 ** rng.uniform(0.0, 3.0)
+        alpha = math.exp(rng.uniform(math.log(1e-3), math.log(0.99)))
+        k = min(0.99, alpha * 10.0 ** rng.uniform(-1.0, 0.2))
+        n_min = rng.choice([1, 1, 3, 10, 50, 200, 1000])
+        c = R * k * rng.uniform(0.0, 0.5) / n_min
+        mu_b = rng.uniform(0.05, 0.95)
+        inst = EconomicInstance(R, R * k - c * n_min, c, mu_b, n_min, n_min + 100)
+        mean = min(0.95, max(0.05, mu_b + rng.uniform(-0.3, 0.3)))
+        prior = TruncatedNormalPrior(
+            mean, 10.0 ** rng.uniform(math.log10(0.005), math.log10(0.3)),
+            rng.uniform(1e-6, max(1e-6, mean - 0.05)), rng.uniform(min(mean + 0.05, 0.999), 0.999),
+        )
+        fp = assert_fp_particip_matches_reference(alpha, inst, prior)
+        weak_rows += fp > 0.0
+        high_k += fp > 0.0 and k > 0.5
+    assert weak_rows > 1000 and high_k > 10
+
+
+def test_fp_particip_skips_the_gap_of_a_two_piece_pay_set():
+    # With k = 0.95 > 1/2 and A = d s_b + mu_b < 0, the one size pays on
+    # [1e-6, 0.0042) and above 0.67, so weak participation has a gap that
+    # Simpson integrated across (0.0063469).
+    inst = EconomicInstance(R=1.0, c0=0.95, c=0.0, mu_b=0.3, n_min=1, n_max=1)
+    prior = TruncatedNormalPrior(mean=0.3, sd=0.2, lo=1e-6, hi=0.999)
+    fp = assert_fp_particip_matches_reference(0.81, inst, prior)
+    assert round(fp, 7) == 0.0062879
+    assert len(_pay_interval(_level(0.81, inst), 1)) == 2
+
+
+def loss_components_per_node(alpha, inst, prior, quad, weights):
+    """The loss decomposition with one public ``best_response`` per node.
+
+    Same threshold, limits, rules and summation order as ``loss_components``,
+    so the two must agree exactly: Gauss-Legendre over ``n_min``'s pay pieces
+    below the baseline, Simpson above it.
     """
     th = participation_threshold(alpha, inst)
     mu_b = inst.mu_b
@@ -144,8 +263,12 @@ def loss_components_per_node(alpha, inst, prior, quad, weights):
     def fail_density(mu):
         return (1.0 - best_response(alpha, mu, inst).pass_prob) * prior.pdf(mu)
 
-    a, b = max(th.mu_tau + th.epsilon, lo), min(mu_b, hi)
-    fp = clip(_simpson(pass_density, a, b, quad.panels) / mass_weak)
+    fp = 0.0
+    for pay_lo, pay_hi in _pay_interval(_level(alpha, inst), inst.n_min):
+        a, b = max(pay_lo, lo), min(pay_hi, mu_b, hi)
+        if a < b:
+            fp += _gauss(pass_density, a, b)
+    fp = clip(fp / mass_weak)
     a, b = max(th.mu_tau + th.epsilon, mu_b, lo), hi
     fn = clip(_simpson(fail_density, a, b, quad.panels) / mass_eff)
     abstain = clip((prior.cdf(max(th.mu_tau, mu_b)) - mass_weak) / mass_eff)

@@ -79,10 +79,11 @@ def test_threshold_non_increasing_in_alpha():
         assert later <= earlier + 1e-6
 
 
-# Kernel calls over each preset's alpha grid, measured when the participating
-# end became a one-size witness (3,020 and 3,578 before).  A change to the
-# walk that costs more calls fails here; one that saves calls re-pins.
-PRESET_KERNEL_CALLS = {"cardiovascular": 2039, "oncology": 2242}
+# Kernel calls over each preset's alpha grid, measured when a weak entry
+# stopped probing the ceiling (2,039 and 2,242 before; 3,020 and 3,578 before
+# the participating end became a one-size witness).  A change to the walk that
+# costs more calls fails here; one that saves calls re-pins.
+PRESET_KERNEL_CALLS = {"cardiovascular": 1905, "oncology": 2160}
 
 
 def test_threshold_uses_logarithmically_many_best_responses(monkeypatch):
@@ -99,9 +100,10 @@ def test_threshold_uses_logarithmically_many_best_responses(monkeypatch):
     monkeypatch.setattr(thresholds, "_respond", counting)
     th = thresholds.participation_threshold(0.1, INST)
     assert th.status == "interior"
-    # Two clamp probes and the closing ask; the participating end is
-    # witnessed by one size's utility.  The plain bisection would ask about 22.
-    assert calls <= 3
+    # A weak belief enters, so the floor probe and the closing ask, both at
+    # weak beliefs; the participating end is witnessed by one size's utility.
+    # The plain bisection would ask about 22.
+    assert calls <= 2
     measured = {}
     for preset in PRESET_KERNEL_CALLS:
         cfg = load_config(preset_path(preset))
@@ -222,13 +224,28 @@ def test_threshold_brackets_a_crossing_for_high_baselines():
     assert interior >= 300
 
 
+def test_weak_entry_is_found_where_the_ceiling_abstains():
+    # One sample at a high baseline: the size pays on [0.3467, 0.9508], so
+    # weak beliefs participate while the ceiling belief abstains.  A weak
+    # entry asks no ceiling probe, so it is not reported as none_participate.
+    inst = EconomicInstance(R=1.0, c0=0.01, c=0.0, mu_b=0.7, n_min=1, n_max=1)
+    th = participation_threshold(0.05, inst)
+    assert th.status == "interior"
+    assert round(th.mu_tau, 4) == 0.3467
+    assert not best_response(0.05, th.mu_tau - th.epsilon, inst).participates
+    assert best_response(0.05, th.mu_tau + th.epsilon, inst).participates
+    assert best_response(0.05, inst.mu_b, inst).participates
+    assert not best_response(0.05, BELIEF_CEIL, inst).participates
+
+
 def test_kernel_callers_pass_only_clamped_beliefs(monkeypatch):
-    # The kernel trusts its callers: only best_response checks a belief.
-    # The threshold and the loss integrands must keep within the clamp on a
-    # whole sweep, a sparse one, a prior reaching past the clamp, and
-    # thresholds where participation can be non-monotone.
-    calls = 0
-    real = thresholds._respond
+    # The kernel and the scorer trust their callers: only best_response
+    # checks a belief.  The threshold, the effective-side integrand (the
+    # kernel) and the weak-side integrand (the scorer) must keep within the
+    # clamp on a whole sweep, a sparse one, a prior reaching past the clamp,
+    # and thresholds where participation can be non-monotone.
+    calls, scored = 0, 0
+    real, real_score = thresholds._respond, loss._score
 
     def checked(level, mu):
         nonlocal calls
@@ -236,8 +253,15 @@ def test_kernel_callers_pass_only_clamped_beliefs(monkeypatch):
         assert BELIEF_FLOOR <= mu <= BELIEF_CEIL, mu
         return real(level, mu)
 
+    def checked_score(level, mu, n):
+        nonlocal scored
+        scored += 1
+        assert BELIEF_FLOOR <= mu <= BELIEF_CEIL, mu
+        return real_score(level, mu, n)
+
     monkeypatch.setattr(thresholds, "_respond", checked)
     monkeypatch.setattr(loss, "_respond", checked)
+    monkeypatch.setattr(loss, "_score", checked_score)
     for preset, step in (("fn-curves-062", 1), ("cardiovascular", 10)):
         cfg = load_config(preset_path(preset))
         sweep_alpha(cfg.alpha_grid[::step], cfg.instance, cfg.prior, cfg.weights, cfg.quadrature)
@@ -247,7 +271,7 @@ def test_kernel_callers_pass_only_clamped_beliefs(monkeypatch):
     for _ in range(600):
         inst = random_instance(rng, (0.6 + 1e-9, 0.95))
         participation_threshold(log_uniform_alpha(rng), inst)
-    assert calls > 100_000
+    assert scored > 0 and calls + scored > 100_000, (calls, scored)
 
 
 @pytest.mark.parametrize("end", ["floor", "ceil"])
@@ -264,7 +288,7 @@ def test_bracket_clamps_an_end_that_would_leave_the_belief_range(monkeypatch, en
         alpha, mu_b, mu = std_normal_sf(0.998), 0.5, BELIEF_CEIL - 2.0**-36
     c0 = pass_probability(alpha, mu, 1, mu_b)
     inst = EconomicInstance(R=1.0, c0=c0, c=0.0, mu_b=mu_b, n_min=1, n_max=1)
-    assert abs(thresholds._break_even(thresholds._level(alpha, inst), 1) - mu) < 2.0**-40
+    assert abs(thresholds._pay_interval(thresholds._level(alpha, inst), 1)[0][0] - mu) < 2.0**-40
     asked = []
     for name in ("_respond", "_score"):
 
@@ -353,6 +377,19 @@ def test_critical_alpha_search_matches_closed_form(inst):
     result = critical_alpha(inst)
     assert result.status == "interior"
     assert abs(result.alpha_hat - critical_alpha_closed_form(inst)) < 2e-6
+
+
+def test_closed_form_can_miss_the_first_entry_at_a_baseline_of_one_half():
+    # k = 0.99 >= 1/2: the floor belief enters before the baseline one, so
+    # the closed form holds for mu_b <= 1/2 only when k < 1/2 (or g at the
+    # floor does not exceed z).
+    inst = EconomicInstance(R=1.0, c0=0.99, c=0.0, mu_b=0.5, n_min=1, n_max=10)
+    result = critical_alpha(inst)
+    assert result.status == "interior"
+    assert round(result.alpha_hat, 5) == 0.84247
+    assert critical_alpha_closed_form(inst) == 0.99
+    assert best_response(0.9, BELIEF_FLOOR, inst).participates
+    assert not best_response(0.9, inst.mu_b, inst).participates
 
 
 def test_critical_alpha_reports_achieved_belief_gap():
