@@ -30,7 +30,6 @@ retained as an oracle.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -76,8 +75,7 @@ class EconomicInstance:
             problems.append(f"c0 must be a nonnegative finite number, got {self.c0!r}")
         if not (self.c >= 0.0 and finite(self.c)):
             problems.append(f"c must be a nonnegative finite number, got {self.c!r}")
-        if not (0.0 < self.mu_b < 1.0):
-            problems.append(f"mu_b must lie strictly between 0 and 1, got {self.mu_b!r}")
+        problems += _baseline_problems(self.mu_b)
         # One problem per size: a size that is no integer gets no range rule.
         whole = _is_int(self.n_min)
         if not whole:
@@ -112,20 +110,28 @@ def _check_belief(mu0: float) -> None:
         )
 
 
-@functools.lru_cache(maxsize=256)  # an instance takes 3 us to check, the rest of a call 1 us
-def _unit_level(alpha: float, mu_b: float) -> tuple:
-    """The level of an instance with ``R = 1`` and no costs; a rejected input is not kept."""
-    return _level(alpha, EconomicInstance(1.0, 0.0, 0.0, mu_b))
+def _baseline_problems(mu_b: float) -> tuple[str, ...]:
+    return () if 0.0 < mu_b < 1.0 else (f"mu_b must lie strictly between 0 and 1, got {mu_b!r}",)
+
+
+class _Unit:  # what _level reads of an instance with R = 1 and no costs, built unchecked
+    __slots__ = ("mu_b",)
+    R, c0, c, n_min, n_max = 1.0, 0.0, 0.0, 1, 1
+
+    def __init__(self, mu_b: float) -> None:
+        self.mu_b = mu_b
 
 
 def pass_probability(alpha: float, mu0: float, n: int, mu_b: float) -> float:
     """Chance that a trial of size ``n`` clears the test, believed rate ``mu0``.
 
-    Scored at the level of an instance with ``R = 1`` and no costs, so a bad
-    ``mu_b`` is reported as the instance reports it.  Running no trial never
+    Scored at the level of an instance with ``R = 1`` and no costs, and a
+    bad ``mu_b`` is reported by the instance's rule.  Running no trial never
     passes, so ``n = 0`` maps to exactly zero.
     """
-    level = _unit_level(alpha, mu_b)
+    if problems := _baseline_problems(mu_b):
+        raise DomainError(problems[0], list(problems))
+    level = _level(alpha, _Unit(mu_b))
     _check_belief(mu0)
     if not (n >= 0 and finite(n)):
         raise DomainError(f"sample count must be a nonnegative finite number, got {n!r}")

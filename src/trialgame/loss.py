@@ -7,17 +7,16 @@ applicants priced out of participating entirely, and weak abstainers
 (who by construction can never be approved, so that channel is zero).
 
 Components are prior-weighted averages of the best-responding pass
-probability.  Weak participants all buy ``n_min``, so that integrand is
-analytic on each piece of ``n_min``'s pay set.  The effective one jumps at
-``mu_tau(alpha)`` and ``mu_b`` and is not smooth between them: the pass
-chance steps wherever the integer best size switches (ROADMAP item 9) and
-climbs steeply just above ``mu_tau`` (item 8): for ``cardiovascular`` at
-alpha = 0.030, ``n*`` goes from 463 to 9,305 and the pass chance from 0.056
-to 0.43 within 0.002.
+probability.  Weak participants all buy ``n_min``, a smooth integrand on
+each piece of its pay set.  The effective one is not smooth: the pass chance
+steps wherever the best size switches (ROADMAP item 9) and climbs steeply
+above ``mu_tau`` (item 8), for ``cardiovascular`` at alpha = 0.030 from 0.056
+to 0.43 within 0.002 as ``n*`` goes from 463 to 9,305.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -27,18 +26,10 @@ from .stats import TruncatedNormalPrior, finite
 from .thresholds import DEFAULT_EPS, _pay_interval, _threshold, critical_alpha
 
 #: Positive nodes and their weights of the symmetric 12-point Gauss-Legendre rule on [-1, 1].
-_GAUSS_12 = (
-    (0.1252334085114689, 0.24914704581340277),
-    (0.3678314989981802, 0.2334925365383548),
-    (0.5873179542866175, 0.20316742672306592),
-    (0.7699026741943047, 0.16007832854334622),
-    (0.9041172563704749, 0.10693932599531843),
-    (0.9815606342467192, 0.04717533638651183),
-)
-#: Relative change at which :func:`_gauss` stops doubling its panels, and the most
-#: panels it takes (a bound that only an integral near underflow reaches).
-_GAUSS_TOL = 1e-13
-_GAUSS_MAX_PANELS = 1024
+_GAUSS_12 = ((0.1252334085114689, 0.24914704581340277), (0.3678314989981802, 0.2334925365383548),
+             (0.5873179542866175, 0.20316742672306592), (0.7699026741943047, 0.16007832854334622),
+             (0.9041172563704749, 0.10693932599531843), (0.9815606342467192, 0.04717533638651183))
+_GAUSS_TOL = 1e-13  # relative agreement of two sums at which _gauss stops doubling its panels
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,21 +82,17 @@ class LossBreakdown:
     no_effective_mass: bool = False
 
 
-def _gauss(f, a: float, b: float) -> float:
-    """Composite 12-point Gauss-Legendre integral of a smooth ``f`` over ``[a, b]``.
-
-    Panels double from one until two sums agree to ``_GAUSS_TOL`` (36 calls
-    of ``f`` if one panel does).  No node lies on an end.
-    """
-    total, panels = None, 1
-    while True:
+def _gauss(f, a: float, b: float, panels: int) -> float:
+    """Gauss-Legendre integral of ``f`` on ``[a, b]``; ``panels`` double up to ten times."""
+    total = None
+    for _ in range(11):
         h = 0.5 * (b - a) / panels
         mids = [a + (2 * i + 1) * h for i in range(panels)]
         new = h * sum(w * (f(m - h * x) + f(m + h * x)) for m in mids for x, w in _GAUSS_12)
-        agreed = total is not None and abs(new - total) <= _GAUSS_TOL * abs(new)
-        if agreed or panels >= _GAUSS_MAX_PANELS:
-            return new
+        if total is not None and abs(new - total) < _GAUSS_TOL * abs(new):  # never two zeros
+            break
         total, panels = new, 2 * panels
+    return new
 
 
 def _simpson(f, a: float, b: float, panels: int) -> float:
@@ -128,12 +115,10 @@ def loss_components(
     """Error decomposition at one significance level.
 
     A weak belief participates exactly where ``n_min`` pays, so ``fp_particip``
-    integrates ``n_min``'s pass chance (``agent._score``, no best response) by
-    :func:`_gauss` over those pieces below the baseline; below the critical
-    level there are none and it is exactly 0.  Simpson integrates the effective
-    side from ``mu_tau + epsilon``, the participating end of the threshold's
-    bracket, so no node scores an abstainer; ``fn_abstain`` takes the prior
-    mass below ``mu_tau``.
+    integrates ``n_min``'s pass chance by :func:`_gauss` over those pieces below
+    the baseline.  Simpson integrates the effective side from ``mu_tau +
+    epsilon``, the participating end of the threshold's bracket, so no node
+    scores an abstainer; ``fn_abstain`` takes the prior mass below ``mu_tau``.
     """
     level = _level(alpha, inst)
     th = _threshold(level)
@@ -155,10 +140,12 @@ def loss_components(
 
     fp_particip = 0.0
     if not no_weak:
+        # Beyond 40 sd the density is 0.0; panels of 4 sd leave no node blind to it.
         for pay_lo, pay_hi in _pay_interval(level, n_min):
-            a, b = max(pay_lo, lo), min(pay_hi, mu_b, hi)
+            a = max(pay_lo, lo, prior.mean - 40.0 * prior.sd)
+            b = min(pay_hi, mu_b, hi, prior.mean + 40.0 * prior.sd)
             if a < b:
-                fp_particip += _gauss(pass_density, a, b)
+                fp_particip += _gauss(pass_density, a, b, math.ceil((b - a) / (4.0 * prior.sd)))
         fp_particip = _clip01(fp_particip / mass_weak)
 
     fn_particip = 0.0

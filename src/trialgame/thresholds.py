@@ -1,20 +1,16 @@
 """Participation threshold and critical significance level.
 
 The marginal belief ``mu_tau(alpha)`` is where participation switches from
-abstaining to participating.  A fixed trial size pays on a set of beliefs
-bounded by the roots of a quadratic.  A weak belief (``mu <= mu_b``) buys
-``n_min`` alone, so where ``n_min``'s pay set starts at or below ``mu_b`` that
-root is the crossing; otherwise iterating between break-even beliefs and the
-best size just below each locates it.  Either way a bracket of half-width
-``2**-34`` is closed around it with no search over beliefs.  The abstaining
-end is answered by the best response, and the participating end is
-witnessed by one size that pays there, scored as the best response scores
-it.  An effective entry assumes participation is monotone in belief, true
-for baselines up to about 0.6; above that a lower crossing may be returned,
-still between an abstaining and a participating belief.  The critical level
-``alpha_hat``, where a weak belief first enters, is one formula with no
-search and no best response; where a weaker belief enters first, it is the
-level at which ``n_min``'s break-even quadratic has a double root.
+abstaining to participating.  A fixed trial size pays between roots of a
+quadratic.  A weak belief (``mu <= mu_b``) buys ``n_min`` alone, so a root of
+``n_min`` at or below ``mu_b`` is the crossing; otherwise iterating between
+break-even beliefs and the best size just below each locates it.  A bracket
+of half-width ``2**-34`` is closed around it with no search over beliefs:
+the best response answers its abstaining end, and one size that pays
+witnesses its participating end.  An effective entry assumes participation
+is monotone in belief, true for baselines up to about 0.6; above that a lower
+crossing may be returned.  The critical level ``alpha_hat``, where a weak
+belief first enters, is one formula with no search and no best response.
 """
 
 from __future__ import annotations
@@ -63,25 +59,22 @@ class CriticalAlpha:
 def _pay_interval(level: tuple, n: int) -> tuple[tuple[float, float], ...]:
     """Pieces ``(lo, hi)`` of ``[BELIEF_FLOOR, BELIEF_CEIL]``, in order, where ``n`` samples pay.
 
-    ``R * p(n, mu) >= c0 + c * n`` means ``v(mu) = (A - r mu) / s(mu) <= z``
-    with ``k = (c0 + c n) / R``, ``z = Phi^{-1}(1 - k)``, ``r = sqrt(n)`` and
-    ``A = d s_b + mu_b r``.  Squaring ``v = z`` gives the quadratic ``(A - r
-    mu)^2 = z^2 mu (1 - mu)``, whose roots count when ``(A - r mu) z >= 0``.
-    With no root the set is every belief if ``A <= 0`` and none otherwise;
-    one root starts it; two bound one interval for ``k < 1/2`` and cut a gap
-    between two end pieces for ``k > 1/2``.
+    ``R p(n, mu) >= c0 + c n`` means ``v(mu) = (A - r mu) / s(mu) <= z`` with
+    ``k = (c0 + c n) / R``, ``z = Phi^{-1}(1 - k)``, ``r = sqrt(n)``, ``A = d
+    s_b + mu_b r``.  ``v = z`` squares to ``(A - r mu)^2 = z^2 mu (1 - mu)``,
+    whose roots count where ``(A - r mu) z >= 0``: two bound one interval for
+    ``k < 1/2`` and cut a gap between two end pieces for ``k > 1/2``.
     """
     mu_b, ds, R, c0, c = level[:5]
     k = (c0 + c * n) / R
-    every: tuple = ((BELIEF_FLOOR, BELIEF_CEIL),)
     if not 0.0 < k < 1.0:
-        return every if k <= 0.0 else ()
+        return ((BELIEF_FLOOR, BELIEF_CEIL),) if k <= 0.0 else ()
     z = -std_normal_quantile(k)
     r = math.sqrt(n)
     a = ds + mu_b * r
     b = 2.0 * a * r + z * z
     disc = z * z * (z * z + 4.0 * a * (r - a))
-    pieces = every if a <= 0.0 else ()
+    pieces = ((BELIEF_FLOOR, BELIEF_CEIL),) if a <= 0.0 else ()
     if b <= 0.0 or disc < 0.0:  # both roots at or below 0, or none real
         return pieces
     q = r * r + z * z
@@ -93,13 +86,10 @@ def _pay_interval(level: tuple, n: int) -> tuple[tuple[float, float], ...]:
     elif a - r * big <= 0.0:  # and here where A - r mu <= 0
         two = z < 0.0 and a - r * small <= 0.0
         pieces = ((BELIEF_FLOOR, small), (big, BELIEF_CEIL)) if two else ((big, BELIEF_CEIL),)
-    if BELIEF_FLOOR <= small and big <= BELIEF_CEIL:
+    if BELIEF_FLOOR <= small and big <= BELIEF_CEIL:  # nothing to clip: 1 us a threshold
         return pieces
-    return tuple(
-        (max(lo, BELIEF_FLOOR), min(hi, BELIEF_CEIL))
-        for lo, hi in pieces
-        if lo <= BELIEF_CEIL and hi >= BELIEF_FLOOR
-    )
+    clip = ((max(lo, BELIEF_FLOOR), min(hi, BELIEF_CEIL)) for lo, hi in pieces)
+    return tuple((lo, hi) for lo, hi in clip if lo <= hi)
 
 
 #: Half-width of the evaluated bracket closed around a break-even belief.
@@ -118,23 +108,22 @@ def _on_grid(mu: float) -> float:
 def _bracket(level: tuple, pays: dict[int, tuple]) -> tuple[float, float]:
     """Beliefs ``(a, b)``, ``a < b``, where ``a`` abstains and ``b`` participates.
 
-    Starts from the lowest break-even belief ``mu``, the first end of the
-    pay sets ``pays`` (each size's :func:`_pay_interval`, which the walk
-    adds to).  The participating end ``mu + _BRACKET`` is witnessed by the
-    size ``n`` that breaks even at ``mu`` and scored by ``agent._score`` as
-    the kernel scores it, so a witness that earns at least zero proves that
-    the kernel participates; the kernel is asked there only if ``n`` does
-    not pay.  The abstaining end ``mu - _BRACKET`` is asked of the kernel:
-    if it abstains, the bracket is closed.  If it participates with size ``m``, the walk moves
-    to ``m``'s break-even belief, and doubles ``m`` while the doubled size
-    pays at the current belief (scored the same way), which puts its
-    break-even belief lower still; then both ends are tried again.  Each
-    size's break-even belief is solved once.  No belief is asked at a root
-    itself, where the answer flips on the last bit, and ``mu`` is put on the
-    grid of :func:`_on_grid` first.  The walk stops, leaving a wider bracket
-    for the caller to bisect, if the witnessed end abstains or the kernel's
-    size breaks even no lower.  The clamp ends are returned for whatever
-    this cannot settle.
+    Starts from the lowest break-even belief ``mu`` among the pay sets ``pays``
+    (:func:`_pay_interval` by size, which the walk adds to).  The participating
+    end ``mu + _BRACKET`` is witnessed by the size ``n`` that breaks even at
+    ``mu`` and scored by ``agent._score`` as the kernel scores it, so a witness
+    that earns at least zero proves that the kernel participates; the kernel is
+    asked there only if ``n`` does not pay.  The abstaining end
+    ``mu - _BRACKET`` is asked of the kernel: if it abstains, the bracket is closed.
+    If it participates with ``m``, the walk moves to ``m``'s break-even belief,
+    and doubles ``m`` while the doubled size pays at the current belief (scored
+    the same way), which puts its break-even belief lower still; then both ends
+    are tried again.  Each size's break-even belief is solved once.  No belief
+    is asked at a root itself, where the answer flips on the last bit, and
+    ``mu`` is put on the grid of :func:`_on_grid` first.  The walk stops,
+    leaving a wider bracket for the caller to bisect, if the witnessed end
+    abstains or the kernel's size breaks even no lower.  The clamp ends are
+    returned for whatever this cannot settle.
     """
     a, b = BELIEF_FLOOR, BELIEF_CEIL
     n_max = level[6]
@@ -180,9 +169,7 @@ def _threshold(level: tuple) -> ParticipationThreshold:
         return ParticipationThreshold(BELIEF_FLOOR, 0.0, "all_participate")
     n_min, n_max = level[5:7]
     pays = {n_min: _pay_interval(level, n_min)}
-    # A weak belief buys n_min alone, so where n_min's first root is weak it
-    # is the entry, and only otherwise is an effective belief asked.
-    if not pays[n_min] or pays[n_min][0][0] > level[0]:
+    if not pays[n_min] or pays[n_min][0][0] > level[0]:  # else a weak root of n_min is the entry
         n_ceil = _respond(level, BELIEF_CEIL)[1]
         if not n_ceil:
             return ParticipationThreshold(BELIEF_CEIL, 0.0, "none_participate")
@@ -211,11 +198,9 @@ def participation_threshold(alpha: float, inst: EconomicInstance) -> Participati
     bisected at grid points down to that width.  ``mu_tau`` is the midpoint
     and ``epsilon`` the half-width, and ``mu_tau - epsilon`` and ``mu_tau +
     epsilon`` recompute ``a`` and ``b`` exactly, unless one is a clamp
-    belief.  Where ``n_min``'s pay set starts at or below the baseline, the
-    walk starts from that root alone and the ceiling is not probed: 2 best
-    responses at the least, the floor probe and the closing ask, both at
-    weak beliefs.  Otherwise it starts from the lowest root of ``n_min``,
-    ``n_max`` and the ceiling's best size: 3 at the least.
+    belief.  Where ``n_min`` pays at a weak belief the walk starts from its
+    root alone, at 2 best responses at the least, both at weak beliefs;
+    otherwise at 3, with the ceiling probe.
     """
     return _threshold(_level(alpha, inst))
 
@@ -226,10 +211,9 @@ def critical_alpha_closed_form(inst: EconomicInstance) -> float:
     An applicant whose belief equals the baseline passes with probability
     exactly ``alpha`` no matter the trial size, so it participates exactly
     when ``R * alpha`` covers the cheapest trial: ``(c0 + c * n_min) / R``.
-    This is :func:`critical_alpha` whenever the baseline belief is the
-    first weak belief to enter.  For ``mu_b <= 1/2`` that holds when ``k <
-    1/2``, and when ``k >= 1/2`` only if the floor belief enters no earlier
-    (``g(BELIEF_FLOOR) <= z`` in :func:`critical_alpha`).
+    This is :func:`critical_alpha` when the baseline belief enters first:
+    for ``mu_b <= 1/2`` whenever ``k < 1/2``, and for ``k >= 1/2`` only if
+    ``g(BELIEF_FLOOR) <= z`` (see :func:`critical_alpha`).
     """
     return (inst.c0 + inst.c * inst.n_min) / inst.R
 

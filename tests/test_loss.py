@@ -34,6 +34,7 @@ from trialgame import (
     loss_components,
     optimal_alpha,
     participation_threshold,
+    pass_probability,
     preset_path,
     sweep_alpha,
 )
@@ -241,12 +242,25 @@ def test_fp_particip_skips_the_gap_of_a_two_piece_pay_set():
     assert len(_pay_interval(_level(0.81, inst), 1)) == 2
 
 
+def test_fp_particip_sees_a_prior_narrower_than_the_pay_piece():
+    # One size that every belief buys at no cost.  At sd 3e-4 every node of
+    # a one- and a two-panel rule over [0.1, 0.5] lies over 40 sd from the
+    # mean, where the density is 0.0, and two zero sums agreed on 0.
+    inst = EconomicInstance(R=1.0, c0=0.0, c=0.0, mu_b=0.5, n_min=1, n_max=1)
+    at_mean = pass_probability(0.5, 0.4, 1, 0.5)
+    fp = assert_fp_particip_matches_reference(0.5, inst, TruncatedNormalPrior(0.4, 3e-4, 0.1, 0.9))
+    assert fp == pytest.approx(at_mean, rel=1e-6)
+    for sd in (1e-6, 1e-9, 1e-12):
+        fp = loss_components(0.5, inst, TruncatedNormalPrior(0.4, sd, 0.1, 0.9)).fp_particip
+        assert fp == pytest.approx(at_mean, rel=1e-10), sd
+
+
 def loss_components_per_node(alpha, inst, prior, quad, weights):
     """The loss decomposition with one public ``best_response`` per node.
 
     Same threshold, limits, rules and summation order as ``loss_components``,
     so the two must agree exactly: Gauss-Legendre over ``n_min``'s pay pieces
-    below the baseline, Simpson above it.
+    below the baseline within 40 sd of the prior mean, Simpson above it.
     """
     th = participation_threshold(alpha, inst)
     mu_b = inst.mu_b
@@ -263,11 +277,12 @@ def loss_components_per_node(alpha, inst, prior, quad, weights):
     def fail_density(mu):
         return (1.0 - best_response(alpha, mu, inst).pass_prob) * prior.pdf(mu)
 
-    fp = 0.0
+    fp, sd = 0.0, prior.sd
     for pay_lo, pay_hi in _pay_interval(_level(alpha, inst), inst.n_min):
-        a, b = max(pay_lo, lo), min(pay_hi, mu_b, hi)
+        a = max(pay_lo, lo, prior.mean - 40.0 * sd)
+        b = min(pay_hi, mu_b, hi, prior.mean + 40.0 * sd)
         if a < b:
-            fp += _gauss(pass_density, a, b)
+            fp += _gauss(pass_density, a, b, math.ceil((b - a) / (4.0 * sd)))
     fp = clip(fp / mass_weak)
     a, b = max(th.mu_tau + th.epsilon, mu_b, lo), hi
     fn = clip(_simpson(fail_density, a, b, quad.panels) / mass_eff)
