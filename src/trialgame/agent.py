@@ -23,9 +23,9 @@ pieces are walked from the top down, largest size first, and ties go to the
 smaller size.  On the effective side the pass chance never falls as ``n``
 grows, so the pass chance of a size that does not win bounds every smaller
 size, and the walk stops as soon as that bound leaves them no chance.  What
-depends only on the level is set up once by ``_level``; the threshold and the
-loss integrals then ask ``_respond`` for each belief.  The exhaustive scan is
-retained as an oracle.
+depends only on the level, the root's ``ln R - ln c`` among it, is set up once
+by ``_level``; the threshold and the loss integrals then ask ``_respond`` for
+each belief.  The exhaustive scan is retained as an oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ BELIEF_FLOOR = 1e-6
 BELIEF_CEIL = 1.0 - 1e-6
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_FLOAT_MIN = 2.0**-1022  # the least normal float
 
 
 def _is_int(x) -> bool:
@@ -174,17 +173,18 @@ def _curvature_breaks(ds: float, dmu: float, var0: float) -> tuple[float, float]
 def _level(alpha: float, inst: EconomicInstance) -> tuple:
     """Checked ``alpha`` and the best response's belief-independent constants.
 
-    ``(mu_b, d * s_b, R, c0, c, n_min, n_max, sqrt(n_max), ln sqrt(n_max))``
+    ``(mu_b, d * s_b, R, c0, c, n_min, n_max, ln R - ln c - ln sqrt(2*pi))``
     with ``d = Phi^{-1}(1 - alpha) = -Phi^{-1}(alpha)``, taken in the second
-    form so that a small ``alpha`` is not rounded away in ``1 - alpha``;
-    ``n_max`` ends every last concave piece.
+    form so that a small ``alpha`` is not rounded away in ``1 - alpha``; the
+    last is ``inf`` when ``c = 0``, and no positive ``R`` or ``c`` overflows
+    it, as each is logged on its own.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"significance level must lie strictly between 0 and 1, got {alpha!r}")
-    mu_b = inst.mu_b
+    mu_b, R, c = inst.mu_b, inst.R, inst.c
     ds = -std_normal_quantile(alpha) * math.sqrt(mu_b * (1.0 - mu_b))
-    t_max = math.sqrt(inst.n_max)
-    return mu_b, ds, inst.R, inst.c0, inst.c, inst.n_min, inst.n_max, t_max, math.log(t_max)
+    k_level = math.log(R) - math.log(c) - _LOG_SQRT_2PI if c else math.inf
+    return mu_b, ds, R, inst.c0, c, inst.n_min, inst.n_max, k_level
 
 
 def _score(level: tuple, mu0: float, n) -> tuple[float, float]:
@@ -224,18 +224,19 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
 
     In ``t = sqrt(n)``, ``h(t) = ln((slope + c) / c) = k - v^2/2 - ln t``
     has the sign of the slope, with ``v = (ds - dmu*t)/s_0`` and ``k =
-    ln(R*dmu/(2*s_0*c)) - ln sqrt(2*pi)``.  On a concave piece ``h'(t) =
-    v*dmu/s_0 - 1/t < 0``, so ``h`` has at most one root.  When ``h`` keeps
-    one sign over the piece the end it points to is the root.  Otherwise
-    Newton steps start where ``h`` would vanish if ``ln t`` kept its value
-    at the piece's start, each replaced by bisection if it would leave the
-    bracket, until a step moves ``n`` by less than a quarter sample.
+    ln(R*dmu/(2*s_0*c)) - ln sqrt(2*pi)``, the level's last entry plus
+    ``ln(dmu/(2*s_0))``.  On a concave piece ``h'(t) = v*dmu/s_0 - 1/t < 0``,
+    so ``h`` has at most one root.  When ``h`` keeps one sign over the piece
+    the end it points to is the root.  Otherwise Newton steps start where
+    ``h`` would vanish if ``ln t`` kept its value at the piece's start, each
+    replaced by bisection if it would leave the bracket, until a step moves
+    ``n`` by less than a quarter sample.
 
     ``mu0`` is not checked: :func:`best_response` checks it once, and the
     other callers (``thresholds._threshold`` and ``_bracket``, the loss
     integrands) only pass beliefs in ``[BELIEF_FLOOR, BELIEF_CEIL]``.
     """
-    mu_b, ds, R, c0, c, n_min, n_max, t_max, log_t_max = level
+    mu_b, ds, R, c0, c, n_min, n_max, k_level = level
     var0 = mu0 * (1.0 - mu0)
     sigma0 = math.sqrt(var0)
     dmu = mu0 - mu_b
@@ -243,14 +244,7 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
         p = 0.5 * math.erfc((ds - dmu * math.sqrt(n_min)) / sigma0 / _SQRT2)
         u = R * p - (c0 + c * n_min)
         return (u, n_min, p) if u >= 0.0 else (0.0, 0, 0.0)
-    # Without a per-sample cost the slope never reaches zero.
-    num, den = R * dmu, 2.0 * sigma0 * c
-    if c == 0.0:
-        k = math.inf
-    elif num >= _FLOAT_MIN and den >= _FLOAT_MIN and _FLOAT_MIN <= (q := num / den) < math.inf:
-        k = math.log(q) - _LOG_SQRT_2PI
-    else:  # a product or their ratio is no normal float
-        k = math.log(R) + math.log(dmu) - math.log(2.0 * sigma0) - math.log(c) - _LOG_SQRT_2PI
+    k = k_level + math.log(dmu / (2.0 * sigma0))  # inf without a per-sample cost
     n1, n2 = _curvature_breaks(ds, dmu, var0)
     best_n, best_u, best_p, last, below, hi = 0, -math.inf, 0.0, n_max + 1, 0, n_max
     # The pieces start at n2, n1 and n_min, clipped to the range.  One of
@@ -271,13 +265,9 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
             if h_lo <= 0.0:
                 root = a
             else:
-                if b == n_max:
-                    t_hi, log_t_hi = t_max, log_t_max
-                else:
-                    t_hi = math.sqrt(b)
-                    log_t_hi = math.log(t_hi)
+                t_hi = math.sqrt(b)
                 v_hi = (ds - dmu * t_hi) / sigma0
-                if k - 0.5 * v_hi * v_hi - log_t_hi >= 0.0:
+                if k - 0.5 * v_hi * v_hi - math.log(t_hi) >= 0.0:
                     root = b
                 else:
                     t = (ds + sigma0 * math.sqrt(2.0 * h_lo + v * v)) / dmu

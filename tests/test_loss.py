@@ -255,6 +255,24 @@ def test_fp_particip_sees_a_prior_narrower_than_the_pay_piece():
         assert fp == pytest.approx(at_mean, rel=1e-10), sd
 
 
+def test_fp_particip_sees_the_sliver_where_a_free_huge_trial_passes():
+    # Free trials pay at every belief, but at n = 1e10 and more the pass
+    # chance is 0.0 but for a sliver below mu_b narrower than the finest
+    # panel over [1e-6, mu_b]; 1e12 read 2.1e-23 and 1e14 read 0.0.  The pay
+    # piece ends where the pass chance reaches 1e-300.
+    prior = TruncatedNormalPrior(0.45, 0.2, 0.01, 0.99)
+    for n, want in ((10**8, 6.5947135e-5), (10**10, 6.5944812e-6), (10**12, 6.5944580e-7), (10**14, 6.5944557e-8)):
+        inst = EconomicInstance(R=1.0, c0=0.0, c=0.0, mu_b=0.5, n_min=n, n_max=n)
+        fp = loss_components(0.5, inst, prior, QuadratureSpec(panels=10)).fp_particip
+        (a, b), = _pay_interval(_level(0.5, inst), n)
+        assert pass_probability(0.5, a, n, 0.5) == pytest.approx(1e-300, rel=1e-6) and b == BELIEF_CEIL
+        pass_chance = weak_pass_chance(0.5, inst)
+        ref = integrate.quad(lambda mu: pass_chance(mu) * prior.pdf(mu), a, inst.mu_b,
+                             epsabs=0.0, epsrel=1e-13, limit=200)[0] / prior.cdf(inst.mu_b)
+        assert abs(fp - ref) <= 1e-10 * ref, (n, fp, ref)
+        assert fp == pytest.approx(want, rel=1e-7)
+
+
 def loss_components_per_node(alpha, inst, prior, quad, weights):
     """The loss decomposition with one public ``best_response`` per node.
 

@@ -366,6 +366,47 @@ def test_threshold_with_a_subnormal_cost_per_sample():
     assert best_response(0.05, th.mu_tau + th.epsilon, inst).participates
 
 
+def test_bracket_doubling_stops_at_n_max(monkeypatch):
+    # Found by a seeded search over n_max in [2, 16]: the walk doubles its
+    # size into the cap n_max = 13 three times.  n_max's pay set is solved
+    # before the walk, so its break-even belief is never below the walk's,
+    # and the doubling ends there.  The bracket is the one pinned before the
+    # walk lost its separate exit at n_max.
+    inst = EconomicInstance(R=13.188232471759031, c0=0.21927073681604772, c=1.045335387587985,
+                            mu_b=0.37061498378712515, n_min=1, n_max=13)
+    alpha = 0.00013120614963852822
+    answered, asked = [], []
+    real_bracket, real_respond = thresholds._bracket, thresholds._respond
+
+    class Recording(dict):
+        def __contains__(self, n):
+            asked.append(n)
+            return super().__contains__(n)
+
+    def respond(level, mu):
+        out = real_respond(level, mu)
+        answered.append(out[1])
+        return out
+
+    monkeypatch.setattr(thresholds, "_bracket", lambda level, pays: real_bracket(level, Recording(pays)))
+    monkeypatch.setattr(thresholds, "_respond", respond)
+    th = assert_threshold_brackets_the_crossing(alpha, inst)
+    assert repr(th) == "ParticipationThreshold(mu_tau=0.9673795458061742, epsilon=5.820766091346741e-11, status='interior')"
+    # Each doubling into the cap asks twice whether 13 is solved: in the
+    # doubling's own test, then at the top of the walk, which leaves there.
+    assert 13 not in answered and asked.count(13) == 6, (answered, asked)
+
+
+def test_threshold_where_the_cost_ratio_underflows():
+    # (c0 + c * n) / R rounds to 0, yet at alpha = 5e-324 no belief passes
+    # often enough to pay c0.  A pay set of every belief once sent the walk
+    # to a weak entry that failed, and the bisection then reported an
+    # interior crossing at the ceiling, where the kernel abstains.
+    inst = EconomicInstance(R=3.833161785340572e284, c0=7.49528251286847e-165, c=0.0,
+                            mu_b=0.5618236224371544, n_min=10, n_max=10)
+    assert assert_threshold_brackets_the_crossing(5e-324, inst).status == "none_participate"
+
+
 def test_critical_alpha_closed_form_frozen_values():
     assert abs(critical_alpha_closed_form(CARDIO) - 0.03964269662921348) < 1e-15
     assert abs(critical_alpha_closed_form(ONCO) - 0.1296272) < 1e-15
