@@ -150,41 +150,22 @@ def utility(alpha: float, mu0: float, n: int, inst: EconomicInstance) -> float:
     return _score(level, mu0, n)[0]
 
 
-def _curvature_breaks(ds: float, dmu: float, var0: float) -> tuple[float, float]:
-    """Real trial sizes ``(n1, n2)`` bounding the window where the utility is convex.
-
-    With ``v(n) = (d*s_b - dmu*sqrt(n)) / s_0`` the second derivative of
-    expected profit is ``R * dmu * pdf(v) / (4 * s_0 * n^{3/2}) *
-    (v * dmu * sqrt(n) / s_0 - 1)``, so in ``t = sqrt(n)`` its sign is
-    ruled by the quadratic ``t^2 - (d*s_b/dmu)*t + s_0^2/dmu^2``
-    (positive value means concave).  The root product is always positive,
-    so sign changes come in pairs: either none, reported as the empty window
-    ``(0.0, 0.0)``, or two positive roots bracketing a convex window.  Takes
-    ``ds = d*s_b``, ``dmu = mu0 - mu_b > 0`` and ``var0 = s_0^2``.
-    """
-    disc = ds * ds - 4.0 * var0
-    if disc <= 0.0 or ds <= 0.0:
-        return 0.0, 0.0
-    t_hi = (ds + math.sqrt(disc)) / (2.0 * dmu)
-    t_lo = (var0 / (dmu * dmu)) / t_hi
-    return t_lo * t_lo, t_hi * t_hi
-
-
 def _level(alpha: float, inst: EconomicInstance) -> tuple:
     """Checked ``alpha`` and the best response's belief-independent constants.
 
-    ``(mu_b, d * s_b, R, c0, c, n_min, n_max, ln R - ln c - ln sqrt(2*pi))``
-    with ``d = Phi^{-1}(1 - alpha) = -Phi^{-1}(alpha)``, taken in the second
-    form so that a small ``alpha`` is not rounded away in ``1 - alpha``; the
-    last is ``inf`` when ``c = 0``, and no positive ``R`` or ``c`` overflows
-    it, as each is logged on its own.
+    ``(mu_b, d * s_b, R, c0, c, n_min, n_max, ln R - ln c - ln sqrt(2*pi),
+    c0 + c*n_min, 1e-12*R)`` with ``d = Phi^{-1}(1 - alpha) = -Phi^{-1}(alpha)``,
+    taken in the second form so that a small ``alpha`` is not rounded away in
+    ``1 - alpha``.  The log term is ``inf`` when ``c = 0``, and no positive
+    ``R`` or ``c`` overflows it, as each is logged on its own.  The last two
+    are the cheapest trial's cost and the walk's margin.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"significance level must lie strictly between 0 and 1, got {alpha!r}")
     mu_b, R, c = inst.mu_b, inst.R, inst.c
     ds = -std_normal_quantile(alpha) * math.sqrt(mu_b * (1.0 - mu_b))
     k_level = math.log(R) - math.log(c) - _LOG_SQRT_2PI if c else math.inf
-    return mu_b, ds, R, inst.c0, c, inst.n_min, inst.n_max, k_level
+    return mu_b, ds, R, inst.c0, c, inst.n_min, inst.n_max, k_level, inst.c0 + c * inst.n_min, 1e-12 * R
 
 
 def _score(level: tuple, mu0: float, n) -> tuple[float, float]:
@@ -204,59 +185,85 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
     """:func:`best_response` at a :func:`_level` as ``(utility, n_star, pass_prob)``.
 
     Abstaining is ``(0.0, 0, 0.0)``.  A weak belief, or a single admissible
-    size, scores ``n_min`` alone.  Otherwise the pieces of ``[n_min, n_max]``
-    cut by the convex window of :func:`_curvature_breaks` are walked from the
-    top down, and each candidate size is scored as it comes; a size not below
-    the one scored before it is skipped.  A concave piece offers the sizes
-    from ``floor(root) + 2`` down to ``floor(root) - 1`` within it, where
-    ``root`` is the real size at which the slope of expected profit
-    vanishes.  A convex piece offers its top end, then its bottom end.  A
-    size whose utility ties the best replaces it, so the smallest of equal
-    utilities wins.  Sizes are scored as :func:`_score` scores them: the walk
-    and the one-size branch inline it for speed, and the flat-top probe calls it.
+    size, scores ``n_min`` alone.  Otherwise ``[n_min, n_max]`` is cut into
+    pieces by the window ``(n1, n2)`` where the utility is convex, and the
+    pieces are walked from the top down; each candidate size is scored as it
+    comes, and a size not below the one scored before it is skipped.  With
+    ``v(n) = (d*s_b - dmu*sqrt(n)) / s_0``, the second derivative of expected
+    profit has the sign of ``v*dmu*sqrt(n)/s_0 - 1``, so in ``t = sqrt(n)``
+    the window lies between the roots of ``t^2 - (ds/dmu)*t + s_0^2/dmu^2``,
+    whose product is positive: two positive roots, or no window at all.  A
+    concave piece offers the sizes from ``floor(root) + 2`` down to
+    ``floor(root) - 1`` within it, where ``root`` is the real size at which
+    the slope of expected profit vanishes.  A convex piece offers its top
+    end, then its bottom end.  A size whose utility ties the best replaces
+    it, so the smallest of equal utilities wins.  Sizes are scored as
+    :func:`_score` scores them: the walk and the one-size branch inline it
+    for speed, and the flat-top probe calls it.
 
     No size below ``n`` passes more often than ``n`` or costs less than
     ``n_min``.  So once a size that does not become the best has ``R*p(n) -
     (c0 + c*n_min)`` short of the best utility by more than ``1e-12*R``,
-    nothing left can win or tie, and the walk stops.  ``below``, the first
-    size scored after the best, is the largest scored size under it; the
-    flat-top probe (participants only) skips ``best_n - 1`` if it is ``below``.
+    nothing left can win or tie, and the walk stops.  Every size up to
+    ``n2`` has ``sqrt(n) <= ds/dmu``, so ``v >= 0`` and a pass chance of at
+    most 1/2; the walk therefore also stops before the convex piece, without
+    scoring its top, once ``R/2 - (c0 + c*n_min)`` is short by that margin.
+    ``below``, the first size scored after the best, is the largest scored
+    size under it; the flat-top probe (participants only) skips ``best_n -
+    1`` if it is ``below``.
 
     In ``t = sqrt(n)``, ``h(t) = ln((slope + c) / c) = k - v^2/2 - ln t``
     has the sign of the slope, with ``v = (ds - dmu*t)/s_0`` and ``k =
-    ln(R*dmu/(2*s_0*c)) - ln sqrt(2*pi)``, the level's last entry plus
+    ln(R*dmu/(2*s_0*c)) - ln sqrt(2*pi)``, the level's log term plus
     ``ln(dmu/(2*s_0))``.  On a concave piece ``h'(t) = v*dmu/s_0 - 1/t < 0``,
-    so ``h`` has at most one root.  When ``h`` keeps one sign over the piece
-    the end it points to is the root.  Otherwise Newton steps start where
-    ``h`` would vanish if ``ln t`` kept its value at the piece's start, each
-    replaced by bisection if it would leave the bracket, until a step moves
-    ``n`` by less than a quarter sample.
+    so ``h`` has at most one root.  If ``h <= 0`` at the piece's start, the
+    start is the root.  Otherwise Newton steps start where ``h`` would vanish
+    if ``ln t`` kept its value there; ``h = ln t_lo - ln t <= 0`` at that
+    start, so the root lies below it, and only a start at or past the
+    piece's top end asks whether ``h`` stays positive up to that end, which
+    is then the root.  Each step is replaced by bisection if it would leave
+    the bracket, until one moves ``n`` by less than a quarter sample.  On
+    the top piece ``t >= sqrt(n2) >= s_0/dmu``, so ``h`` is concave and every
+    Newton step ends at or above the root: where no step was bisected and
+    ``c > 1e-12*R`` (below that the utility is flat at float resolution), the
+    window there reaches only ``floor(root) + 1``.
 
     ``mu0`` is not checked: :func:`best_response` checks it once, and the
     other callers (``thresholds._threshold`` and ``_bracket``, the loss
     integrands) only pass beliefs in ``[BELIEF_FLOOR, BELIEF_CEIL]``.
     """
-    mu_b, ds, R, c0, c, n_min, n_max, k_level = level
+    mu_b, ds, R, c0, c, n_min, n_max, k_level, cost_min, margin = level
     var0 = mu0 * (1.0 - mu0)
     sigma0 = math.sqrt(var0)
     dmu = mu0 - mu_b
     if dmu <= 0.0 or n_min == n_max:
         p = 0.5 * math.erfc((ds - dmu * math.sqrt(n_min)) / sigma0 / _SQRT2)
-        u = R * p - (c0 + c * n_min)
+        u = R * p - cost_min
         return (u, n_min, p) if u >= 0.0 else (0.0, 0, 0.0)
     k = k_level + math.log(dmu / (2.0 * sigma0))  # inf without a per-sample cost
-    n1, n2 = _curvature_breaks(ds, dmu, var0)
+    disc = ds * ds - 4.0 * var0
+    n1 = n2 = 0.0
+    if disc > 0.0 and ds > 0.0:
+        t2 = (ds + math.sqrt(disc)) / (2.0 * dmu)
+        t1 = (var0 / (dmu * dmu)) / t2
+        n1, n2 = t1 * t1, t2 * t2
     best_n, best_u, best_p, last, below, hi = 0, -math.inf, 0.0, n_max + 1, 0, n_max
     # The pieces start at n2, n1 and n_min, clipped to the range.  One of
-    # positive length is walked, and the next piece ends at its start.
-    for a_real, concave in ((n2, True), (n1, False), (n_min, True)):
+    # positive length is walked, and the next piece ends at its start.  A
+    # piece's second entry is how far above the root its window reaches, and
+    # 0 marks the convex piece; above a convex window h is concave.
+    top = 1 if n2 and c > margin else 2
+    for a_real, up in ((n2, top), (n1, 0), (n_min, 2)):
         if a_real < n_min:
             a_real = n_min
         if not a_real < hi:
             continue
         a, b = math.ceil(a_real), math.floor(hi)
         hi = a_real
-        if not concave:
+        if not up:
+            # Every size left has v >= 0, so a pass chance of at most 1/2.
+            if R * 0.5 - cost_min < best_u - margin:
+                break
             window = (b, a) if a <= b else ()
         else:
             t_lo = math.sqrt(a)
@@ -265,12 +272,14 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
             if h_lo <= 0.0:
                 root = a
             else:
+                # h <= 0 at this start, so the root lies below it, and the top
+                # end can be the root only when the start reaches it.
+                t = (ds + sigma0 * math.sqrt(2.0 * h_lo + v * v)) / dmu
                 t_hi = math.sqrt(b)
-                v_hi = (ds - dmu * t_hi) / sigma0
-                if k - 0.5 * v_hi * v_hi - math.log(t_hi) >= 0.0:
+                if not t < t_hi and (
+                        k - 0.5 * (v_hi := (ds - dmu * t_hi) / sigma0) * v_hi - math.log(t_hi) >= 0.0):
                     root = b
                 else:
-                    t = (ds + sigma0 * math.sqrt(2.0 * h_lo + v * v)) / dmu
                     if not t_lo < t < t_hi:
                         t = 0.5 * (t_lo + t_hi)
                     while True:
@@ -282,12 +291,12 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
                             t_hi = t
                         t_next = t - h / (v * dmu / sigma0 - 1.0 / t)
                         if not t_lo < t_next < t_hi:
-                            t_next = 0.5 * (t_lo + t_hi)
+                            t_next, up = 0.5 * (t_lo + t_hi), 2
                         if abs(t_next * t_next - t * t) < 0.25:
                             break
                         t = t_next
                     root = math.floor(t_next * t_next)
-            window = range(root + 2 if root + 2 < b else b, (root - 1 if root - 1 > a else a) - 1, -1)
+            window = range(root + up if root + up < b else b, (root - 1 if root - 1 > a else a) - 1, -1)
         for n in window:
             if n < last:
                 p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
@@ -300,7 +309,7 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
                     # Nothing smaller can reach best_u, so nothing is left to
                     # walk.  The margin covers an ``erfc`` that misses
                     # monotonicity by an ulp.
-                    if R * p - (c0 + c * n_min) < best_u - 1e-12 * R:
+                    if R * p - cost_min < best_u - margin:
                         hi = n_min
                         break
                 last = n

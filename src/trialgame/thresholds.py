@@ -173,11 +173,12 @@ def _threshold(level: tuple) -> ParticipationThreshold:
     pays = {n_min: _pay_interval(level, n_min)}
     if not pays[n_min] or pays[n_min][0][0] > level[0]:  # else a weak root of n_min is the entry
         n_ceil = _respond(level, BELIEF_CEIL)[1]
-        if not n_ceil:
-            return ParticipationThreshold(BELIEF_CEIL, 0.0, "none_participate")
-        for n in (n_max, n_ceil):
+        for n in (n_max, n_ceil or n_max):
             if n not in pays:
                 pays[n] = _pay_interval(level, n)
+        # A pay set can end below an abstaining ceiling; none_participate needs none.
+        if not (n_ceil or any(pays.values())):
+            return ParticipationThreshold(BELIEF_CEIL, 0.0, "none_participate")
     a, b = _bracket(level, pays)
     while b - a > 2.0 * _BRACKET:
         mid = _on_grid(0.5 * (a + b))
@@ -202,7 +203,8 @@ def participation_threshold(alpha: float, inst: EconomicInstance) -> Participati
     epsilon`` recompute ``a`` and ``b`` exactly, unless one is a clamp
     belief.  Where ``n_min`` pays at a weak belief the walk starts from its
     root alone, at 2 best responses at the least, both at weak beliefs;
-    otherwise at 3, with the ceiling probe.
+    otherwise at 3, with the ceiling probe.  An abstaining ceiling reports
+    ``none_participate`` only if neither ``n_min`` nor ``n_max`` pays.
     """
     return _threshold(_level(alpha, inst))
 

@@ -35,21 +35,30 @@ def utility_slope(alpha, mu0, n, inst):
     return pdf * inst.R * dmu / (2.0 * sigma0 * rootn) - inst.c
 
 
-def curvature_regions(alpha, mu0, inst):
-    """Ordered, contiguous partition of [n_min, n_max] by the curvature of expected profit.
+def convex_window(alpha, mu0, inst):
+    """Real sizes ``(n1, n2)`` bounding the window where expected profit is convex in ``n``.
 
     With ``v(n) = (d*s_b - dmu*sqrt(n)) / s_0`` the second derivative of
     expected profit has, in ``t = sqrt(n)``, the sign of the quadratic
     ``t^2 - (d*s_b/dmu)*t + s_0^2/dmu^2`` (positive means concave).  When
-    its roots are real and positive they bound the convex window.
+    its roots are real and positive they bound the window; otherwise there
+    is none, reported as ``(0.0, 0.0)``.  Takes ``mu0 > mu_b``.
     """
     dmu = mu0 - inst.mu_b
     b = -std_normal_quantile(alpha) * math.sqrt(inst.mu_b * (1.0 - inst.mu_b)) / dmu
     disc = b * b - 4.0 * mu0 * (1.0 - mu0) / (dmu * dmu)
-    n1 = n2 = 0.0
     if b > 0.0 and disc > 0.0:
-        n1 = ((b - math.sqrt(disc)) / 2.0) ** 2
-        n2 = ((b + math.sqrt(disc)) / 2.0) ** 2
+        return ((b - math.sqrt(disc)) / 2.0) ** 2, ((b + math.sqrt(disc)) / 2.0) ** 2
+    return 0.0, 0.0
+
+
+def curvature_regions(alpha, mu0, inst):
+    """Ordered, contiguous partition of [n_min, n_max] by the curvature of expected profit.
+
+    The convex window of :func:`convex_window` splits the range into at most
+    a concave, a convex and a concave piece.
+    """
+    n1, n2 = convex_window(alpha, mu0, inst)
     lo, hi = float(inst.n_min), float(inst.n_max)
     regions, a = [], lo
     for end, shape in ((n1, "concave"), (n2, "convex"), (hi, "concave")):

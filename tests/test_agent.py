@@ -10,6 +10,7 @@ independent closed-form evaluation (scipy.stats.norm) or from the scan.
 import hashlib
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,12 +28,14 @@ from trialgame import (
     best_response,
     best_response_bruteforce,
     critical_alpha,
+    load_config,
     participation_threshold,
     pass_probability,
+    preset_path,
     std_normal_quantile,
     utility,
 )
-from reference import curvature_regions, utility_slope
+from reference import convex_window, curvature_regions, utility_slope
 
 # One instance reused throughout: unit revenue, affordable trials.
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
@@ -679,6 +682,95 @@ def test_kernel_scores_its_answer_as_score_does():
             else:
                 answered["effective"] += 1
     assert min(answered.values()) > 150, answered
+
+
+def test_sizes_up_to_the_convex_window_pass_at_most_half_the_time():
+    # The walk ends before the convex piece, leaving its top unscored, once
+    # R/2 - (c0 + c*n_min) falls short of the best: every size up to the
+    # window's top n2 has sqrt(n) <= d*s_b/dmu, so v >= 0 and p <= 1/2.
+    rng = random.Random(2323)
+    windows, most = 0, 0.0
+    for _ in range(20000):
+        mu_b = rng.uniform(0.01, 0.99)
+        alpha = 10.0 ** rng.uniform(-12.0, math.log10(0.5))
+        mu0 = rng.uniform(mu_b, BELIEF_CEIL)
+        if mu0 == mu_b:
+            continue
+        n2 = convex_window(alpha, mu0, EconomicInstance(1.0, 0.0, 0.0, mu_b))[1]
+        if n2 >= 1.0:
+            windows += 1
+            most = max(most, pass_probability(alpha, mu0, math.floor(n2), mu_b))
+    assert windows > 15000
+    assert 0.49 < most <= 0.5
+
+
+def test_frozen_log_start_lies_at_or_above_the_slope_root():
+    # Where the slope changes sign on a concave piece [a, b], the kernel's
+    # Newton start (ds + s0*sqrt(2*h(sqrt(a)) + v(a)^2))/dmu has h = ln
+    # sqrt(a) - ln t <= 0, so the root lies below it: the check h(sqrt(b))
+    # >= 0 is needed only for a start at or past sqrt(b).  The root here is
+    # bisected on the reference slope.
+    rng = random.Random(2324)
+    starts, inside = 0, 0
+    for _ in range(3000):
+        R = 10.0 ** rng.uniform(-1.0, 3.0)
+        n_min = rng.randrange(1, 30)
+        inst = EconomicInstance(R, R * 10.0 ** rng.uniform(-5.0, -1.0), R * 10.0 ** rng.uniform(-9.0, -1.0),
+                                rng.uniform(0.05, 0.95), n_min, n_min + int(10.0 ** rng.uniform(1.0, 6.0)))
+        alpha = 10.0 ** rng.uniform(-6.0, math.log10(0.9))
+        mu0 = rng.uniform(inst.mu_b, BELIEF_CEIL)
+        mu_b, ds = agent._level(alpha, inst)[:2]
+        dmu, s0 = mu0 - mu_b, math.sqrt(mu0 * (1.0 - mu0))
+        k = math.log(inst.R * dmu / (2.0 * s0 * inst.c)) - 0.5 * math.log(2.0 * math.pi)
+        for region in curvature_regions(alpha, mu0, inst):
+            a, b = math.ceil(region.n_lo), math.floor(region.n_hi)
+            if region.shape != "concave" or not a < b:
+                continue
+            if not utility_slope(alpha, mu0, a, inst) > 0.0 > utility_slope(alpha, mu0, b, inst):
+                continue
+            v = (ds - dmu * math.sqrt(a)) / s0
+            h = k - 0.5 * v * v - math.log(math.sqrt(a))
+            if h <= 0.0:
+                continue
+            t = (ds + s0 * math.sqrt(2.0 * h + v * v)) / dmu
+            lo, hi = float(a), float(b)
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if utility_slope(alpha, mu0, mid, inst) > 0.0 else (lo, mid)
+            assert t * t >= lo * (1.0 - 1e-9), (alpha, mu0, inst)
+            starts += 1
+            inside += t * t < b
+    assert starts > 1500 and inside > 1400, (starts, inside)
+
+
+def test_top_window_keeps_four_sizes_where_the_cost_is_at_float_resolution():
+    # The top piece scores floor(root) + 1 down to floor(root) - 1 only where
+    # c > 1e-12*R.  Here c/R = 1.05e-14: the utility near the root moves by
+    # ulps of R, and a window without that guard returned 4,434, a utility
+    # an ulp lower than the scan's.
+    alpha, mu0 = 5.88587676173611e-05, 0.5263075060460747
+    inst = EconomicInstance(R=161.75727154780222, c0=0.0012120450374618374, c=1.7019021952162468e-12,
+                            mu_b=0.4450319811546379, n_min=36, n_max=100_000)
+    br = best_response(alpha, mu0, inst)
+    assert br == best_response_bruteforce(alpha, mu0, inst)
+    assert br.n_star == 4437
+
+
+def test_kernel_reaches_erfc_through_its_math_module(monkeypatch):
+    # perfbench/spans.py counts erfc by swapping agent's math module, so a
+    # module-level alias of math.erfc would blind it.  A cardiovascular node
+    # at alpha = 0.05 has no convex window at mu = 0.6 and scores the four
+    # sizes 485 down to 482.  At mu = 0.9 it scores 25, 24 and 23: the top
+    # piece's three sizes, and the one-half bound then ends the walk before
+    # the convex window's top, 2.
+    counted = []
+    monkeypatch.setattr(agent, "math", types.SimpleNamespace(
+        **{**vars(math), "erfc": lambda x: counted.append(x) or math.erfc(x)}))
+    level = agent._level(0.05, load_config(preset_path("cardiovascular")).instance)
+    for mu0, n_star, scored in ((0.6, 483, 4), (0.9, 24, 3)):
+        counted.clear()
+        assert agent._respond(level, mu0)[1] == n_star
+        assert len(counted) == scored
 
 
 def test_money_values_at_the_float_limits_get_an_answer():

@@ -238,6 +238,25 @@ def test_weak_entry_is_found_where_the_ceiling_abstains():
     assert not best_response(0.05, BELIEF_CEIL, inst).participates
 
 
+def test_effective_entry_is_found_where_the_ceiling_abstains():
+    # One sample at a low baseline with A = d*s_b + mu_b > 1: the size pays
+    # on [0.674650778, 0.870394944] only, above the baseline and below the
+    # ceiling, which abstains.  The pay set is bracketed, not reported as
+    # none_participate.
+    inst = EconomicInstance(R=1.0, c0=0.07, c=0.0, mu_b=0.3, n_min=1, n_max=1)
+    (lo, hi), = thresholds._pay_interval(thresholds._level(0.01, inst), 1)
+    assert (round(lo, 9), round(hi, 9)) == (0.674650778, 0.870394944)
+    th = participation_threshold(0.01, inst)
+    assert th.status == "interior"
+    assert abs(th.mu_tau - lo) <= th.epsilon <= thresholds._BRACKET
+    assert not best_response(0.01, th.mu_tau - th.epsilon, inst).participates
+    assert best_response(0.01, th.mu_tau + th.epsilon, inst).participates
+    assert best_response(0.01, 0.79, inst).participates
+    assert not best_response(0.01, BELIEF_CEIL, inst).participates
+    # Where nothing pays anywhere, the ceiling's abstention still ends it.
+    assert participation_threshold(0.001, inst).status == "none_participate"
+
+
 def test_kernel_callers_pass_only_clamped_beliefs(monkeypatch):
     # The kernel and the scorer trust their callers: only best_response
     # checks a belief.  The threshold, the effective-side integrand (the
