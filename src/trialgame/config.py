@@ -5,7 +5,7 @@ A configuration file drives the CLI.  Top-level keys:
     instance     required; economics of the approval problem
     prior        truncated normal belief distribution (sweeps only)
     weights      loss weights, default both 1
-    quadrature   Simpson panels per segment, default 2000
+    quadrature   Simpson panels over the effective side, default 2000
     grids        alpha / R / c0 grids, either explicit values or
                  {start, stop, points, spacing} with linear or log spacing
     output       default CSV destination

@@ -20,10 +20,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .agent import BELIEF_CEIL, BELIEF_FLOOR, EconomicInstance, _is_int, _level, _respond, _score
+from .agent import EconomicInstance, _is_int, _level, _respond, _score
 from .errors import reject
 from .stats import TruncatedNormalPrior, finite
-from .thresholds import DEFAULT_EPS, _pay_interval, _threshold, critical_alpha
+from .thresholds import DEFAULT_EPS, _threshold, critical_alpha
 
 #: Positive nodes and their weights of the symmetric 12-point Gauss-Legendre rule on [-1, 1].
 _GAUSS_12 = ((0.1252334085114689, 0.24914704581340277), (0.3678314989981802, 0.2334925365383548),
@@ -114,23 +114,22 @@ def loss_components(
 ) -> LossBreakdown:
     """Error decomposition at one significance level.
 
-    A weak belief participates exactly where ``n_min`` pays, so ``fp_particip``
-    integrates ``n_min``'s pass chance by :func:`_gauss` over those pieces below
-    the baseline.  Simpson integrates the effective side from ``mu_tau +
-    epsilon``, the participating end of the threshold's bracket, so no node
-    scores an abstainer; ``fn_abstain`` takes the prior mass below ``mu_tau``.
+    Each channel is a sum over its side's participating pieces, which the
+    threshold hands over (:func:`~trialgame.thresholds._threshold`), each cut
+    to the prior's support.  A weak belief participates exactly where
+    ``n_min`` pays, so ``fp_particip`` integrates ``n_min``'s pass chance by
+    :func:`_gauss` over the weak pieces.  Simpson integrates the effective
+    piece, which starts at the participating end of the threshold's bracket,
+    so no node scores an abstainer; ``fn_abstain`` takes the prior mass below
+    ``mu_tau``.
     """
     level = _level(alpha, inst)
-    th = _threshold(level)
-    mu_tau = th.mu_tau
-    mu_b, n_min = inst.mu_b, inst.n_min
-    lo = max(prior.lo, BELIEF_FLOOR)
-    hi = min(prior.hi, BELIEF_CEIL)
-    mass_weak = prior.cdf(mu_b)
+    th, weak, effective = _threshold(level)
+    mass_weak = prior.cdf(inst.mu_b)
     mass_eff = 1.0 - mass_weak
 
     def pass_density(mu: float) -> float:
-        return _score(level, mu, n_min)[1] * prior.pdf(mu)
+        return _score(level, mu, inst.n_min)[1] * prior.pdf(mu)
 
     def fail_density(mu: float) -> float:
         return (1.0 - _respond(level, mu)[2]) * prior.pdf(mu)
@@ -141,31 +140,22 @@ def loss_components(
     fp_particip = 0.0
     if not no_weak:
         # Beyond 40 sd the density is 0.0; panels of 4 sd leave no node blind to it.
-        for pay_lo, pay_hi in _pay_interval(level, n_min):
-            a = max(pay_lo, lo, prior.mean - 40.0 * prior.sd)
-            b = min(pay_hi, mu_b, hi, prior.mean + 40.0 * prior.sd)
+        for a, b in weak:
+            a = max(a, prior.lo, prior.mean - 40.0 * prior.sd)
+            b = min(b, prior.hi, prior.mean + 40.0 * prior.sd)
             if a < b:
                 fp_particip += _gauss(pass_density, a, b, math.ceil((b - a) / (4.0 * prior.sd)))
         fp_particip = _clip01(fp_particip / mass_weak)
 
-    fn_particip = 0.0
-    fn_abstain = 0.0
+    fn_particip = fn_abstain = 0.0
     if not no_eff:
-        a, b = max(mu_tau + th.epsilon, mu_b, lo), hi
-        fn_particip = _clip01(_simpson(fail_density, a, b, quad.panels) / mass_eff)
-        fn_abstain = _clip01((prior.cdf(max(mu_tau, mu_b)) - mass_weak) / mass_eff)
+        for a, b in effective:
+            fn_particip += _simpson(fail_density, max(a, prior.lo), min(b, prior.hi), quad.panels)
+        fn_particip = _clip01(fn_particip / mass_eff)
+        fn_abstain = _clip01((prior.cdf(max(th.mu_tau, inst.mu_b)) - mass_weak) / mass_eff)
 
     total = weights.lambda_fp * fp_particip + weights.lambda_fn * (fn_particip + fn_abstain)
-    return LossBreakdown(
-        fp_particip=fp_particip,
-        fn_particip=fn_particip,
-        fn_abstain=fn_abstain,
-        total=total,
-        mu_tau=mu_tau,
-        threshold_status=th.status,
-        no_weak_mass=no_weak,
-        no_effective_mass=no_eff,
-    )
+    return LossBreakdown(fp_particip, fn_particip, fn_abstain, total, th.mu_tau, th.status, no_weak, no_eff)
 
 
 def _clip01(x: float) -> float:

@@ -12,6 +12,7 @@ without that accelerator gets the same algorithm, bit for bit, in Python from
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, reject
@@ -70,6 +71,8 @@ class TruncatedNormalPrior:
 
     ``pdf`` and ``cdf`` are renormalised so the retained mass integrates
     to one; outside ``[lo, hi]`` the density is zero and the CDF clamps.
+    Where ``lo >= mean`` both come from right tails, as ``Phi(hi) - Phi(lo)``
+    cancels near 1.  A retained mass below the least normal float is none.
     """
 
     mean: float
@@ -88,9 +91,11 @@ class TruncatedNormalPrior:
         if not self.lo < self.hi < 1.0:
             problems.append(f"hi must lie strictly between lo and 1, got {self.hi!r}")
         if not problems:
-            low = std_normal_cdf((self.lo - self.mean) / self.sd)
-            mass = std_normal_cdf((self.hi - self.mean) / self.sd) - low
-            if mass <= 0.0:
+            upper = self.lo >= self.mean
+            tail = std_normal_sf if upper else std_normal_cdf
+            low = tail((self.lo - self.mean) / self.sd)
+            mass = abs(tail((self.hi - self.mean) / self.sd) - low)
+            if mass < sys.float_info.min:
                 problems.append(
                     f"support must carry probability mass, got [{self.lo!r}, {self.hi!r}] "
                     f"under mean={self.mean!r}, sd={self.sd!r}"
@@ -98,6 +103,7 @@ class TruncatedNormalPrior:
         reject(self, problems)
         # Constant per prior, so computed once.  Plain attributes, not
         # fields: equality, hashing and repr see only the four parameters.
+        object.__setattr__(self, "_upper", upper)
         object.__setattr__(self, "_low", low)
         object.__setattr__(self, "_mass", mass)
         object.__setattr__(self, "_scale", self.sd * mass)
@@ -115,4 +121,7 @@ class TruncatedNormalPrior:
             return 0.0
         if mu >= self.hi:
             return 1.0
-        return (std_normal_cdf((mu - self.mean) / self.sd) - self._low) / self._mass
+        z = (mu - self.mean) / self.sd
+        if self._upper:
+            return (self._low - std_normal_sf(z)) / self._mass
+        return (std_normal_cdf(z) - self._low) / self._mass

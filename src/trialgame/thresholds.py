@@ -165,28 +165,36 @@ def _bracket(level: tuple, pays: dict[int, tuple]) -> tuple[float, float]:
     return (a, b) if a < b else (BELIEF_FLOOR, BELIEF_CEIL)
 
 
-def _threshold(level: tuple) -> ParticipationThreshold:
-    """:func:`participation_threshold` at a :func:`_level`."""
-    if _respond(level, BELIEF_FLOOR)[1]:  # n_star, which is 0 only when abstaining
-        return ParticipationThreshold(BELIEF_FLOOR, 0.0, "all_participate")
-    n_min, n_max = level[5:7]
+def _threshold(level: tuple) -> tuple[ParticipationThreshold, list, list]:
+    """:func:`participation_threshold` at a :func:`_level`, and the pieces ``(lo, hi)`` that take part.
+
+    Weak beliefs buy ``n_min`` alone, so their pieces are ``n_min``'s pay
+    pieces cut at ``mu_b``.  The effective piece runs from the higher of
+    ``mu_b`` and ``mu_tau + epsilon`` to ``BELIEF_CEIL``; ``none_participate``
+    has none.  These are the limits of the loss's integrals.
+    """
+    mu_b, n_min, n_max = level[0], level[5], level[6]
     pays = {n_min: _pay_interval(level, n_min)}
-    if not pays[n_min] or pays[n_min][0][0] > level[0]:  # else a weak root of n_min is the entry
+    status, a, b = "interior", BELIEF_FLOOR, BELIEF_FLOOR
+    if _respond(level, BELIEF_FLOOR)[1]:  # n_star, which is 0 only when abstaining
+        status = "all_participate"
+    elif not pays[n_min] or pays[n_min][0][0] > mu_b:  # else a weak root of n_min is the entry
         n_ceil = _respond(level, BELIEF_CEIL)[1]
         for n in (n_max, n_ceil or n_max):
             if n not in pays:
                 pays[n] = _pay_interval(level, n)
         # A pay set can end below an abstaining ceiling; none_participate needs none.
         if not (n_ceil or any(pays.values())):
-            return ParticipationThreshold(BELIEF_CEIL, 0.0, "none_participate")
-    a, b = _bracket(level, pays)
-    while b - a > 2.0 * _BRACKET:
-        mid = _on_grid(0.5 * (a + b))
-        if _respond(level, mid)[1]:
-            b = mid
-        else:
-            a = mid
-    return ParticipationThreshold(0.5 * (a + b), 0.5 * (b - a), "interior")
+            status, a, b = "none_participate", BELIEF_CEIL, BELIEF_CEIL
+    if status == "interior":
+        a, b = _bracket(level, pays)
+        while b - a > 2.0 * _BRACKET:
+            mid = _on_grid(0.5 * (a + b))
+            a, b = (a, mid) if _respond(level, mid)[1] else (mid, b)
+    th = ParticipationThreshold(0.5 * (a + b), 0.5 * (b - a), status)
+    weak = [(lo, hi if hi < mu_b else mu_b) for lo, hi in pays[n_min] if lo < hi and lo < mu_b]
+    start = th.mu_tau + th.epsilon if th.mu_tau + th.epsilon > mu_b else mu_b
+    return th, weak, [] if status == "none_participate" else [(start, BELIEF_CEIL)]
 
 
 def participation_threshold(alpha: float, inst: EconomicInstance) -> ParticipationThreshold:
@@ -206,7 +214,7 @@ def participation_threshold(alpha: float, inst: EconomicInstance) -> Participati
     otherwise at 3, with the ceiling probe.  An abstaining ceiling reports
     ``none_participate`` only if neither ``n_min`` nor ``n_max`` pays.
     """
-    return _threshold(_level(alpha, inst))
+    return _threshold(_level(alpha, inst))[0]
 
 
 def critical_alpha_closed_form(inst: EconomicInstance) -> float:

@@ -745,15 +745,31 @@ def test_frozen_log_start_lies_at_or_above_the_slope_root():
 
 def test_top_window_keeps_four_sizes_where_the_cost_is_at_float_resolution():
     # The top piece scores floor(root) + 1 down to floor(root) - 1 only where
-    # c > 1e-12*R.  Here c/R = 1.05e-14: the utility near the root moves by
-    # ulps of R, and a window without that guard returned 4,434, a utility
-    # an ulp lower than the scan's.
-    alpha, mu0 = 5.88587676173611e-05, 0.5263075060460747
-    inst = EconomicInstance(R=161.75727154780222, c0=0.0012120450374618374, c=1.7019021952162468e-12,
-                            mu_b=0.4450319811546379, n_min=36, n_max=100_000)
-    br = best_response(alpha, mu0, inst)
-    assert br == best_response_bruteforce(alpha, mu0, inst)
-    assert br.n_star == 4437
+    # c > 1e-12*R.  In the first query c/R = 1.05e-14: the utility near the
+    # root moves by ulps of R, and a window without that guard returned
+    # 4,434, a utility an ulp lower than the scan's.  Without the guard the
+    # kernel digest still passes, but each of the six seeded queries after
+    # it, c/R from 1.07e-15 to 1.14e-13, also misses the scan's size.
+    for alpha, mu0, money, mu_b, n_min, n_star in (
+        (5.88587676173611e-05, 0.5263075060460747,
+         (161.75727154780222, 0.0012120450374618374, 1.7019021952162468e-12), 0.4450319811546379, 36, 4437),
+        (0.0005038605408374344, 0.15514849171326534,
+         (0.42126473032522493, 0.05843647446569222, 4.509184238122574e-16), 0.11982570432559812, 9, 10814),
+        (0.004246014646902825, 0.7416307432150995,
+         (3.328319629100849, 0.011307241659437927, 5.122015304630703e-15), 0.7183589511524537, 9, 33180),
+        (0.0008484731513841789, 0.6045127391187144,
+         (70.90037258574353, 0.3238082431563538, 1.9264317042075273e-13), 0.48232984485556324, 14, 1777),
+        (0.0012411922873689911, 0.35404588896344313,
+         (69.67815681197236, 19.79460906479276, 3.472077732913815e-13), 0.2626409956959867, 4, 2714),
+        (0.008540805897504054, 0.8968322715309798,
+         (49.50982936137433, 0.6067665223087394, 1.0537224172977536e-12), 0.8777173422904161, 7, 21523),
+        (0.0006546410347337608, 0.2766297227626282,
+         (2.072178044051347, 0.4093119998761513, 2.357717435484274e-13), 0.2558302543898161, 12, 41130),
+    ):
+        inst = EconomicInstance(*money, mu_b=mu_b, n_min=n_min, n_max=100_000)
+        br = best_response(alpha, mu0, inst)
+        assert br == best_response_bruteforce(alpha, mu0, inst), (alpha, mu0, inst)
+        assert br.n_star == n_star
 
 
 def test_kernel_reaches_erfc_through_its_math_module(monkeypatch):

@@ -321,6 +321,22 @@ def test_config_validation_exits_two(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_prior_with_a_subnormal_mass_exits_two(tmp_path, capsys):
+    # Its mass, 3e-323, once passed validation and the sweep's first density
+    # divided by zero, exiting 1 with a traceback.
+    out_path = tmp_path / "sweep.csv"
+    cfg = sweep_config(
+        tmp_path,
+        instance={"R": 1.0, "c0": 0.05, "c": 0.002, "mu_b": 0.9844, "n_min": 1, "n_max": 500},
+        prior={"mean": 0.9042317154104523, "sd": 0.0027966647181192055,
+               "lo": 0.43148444649486345, "hi": 0.7967748006897861},
+        grids={"alpha": {"values": [0.2822]}},
+    )
+    assert main(["loss-sweep", "--config", str(cfg), "--output", str(out_path)]) == 2
+    assert "prior.support must carry probability mass" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_unknown_preset_exits_four(capsys):
     code = main(["critical-alpha", "--config", "no-such-preset"])
     assert code == 4

@@ -13,6 +13,7 @@ are exercised explicitly.
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 from scipy import integrate, optimize
@@ -278,7 +279,9 @@ def loss_components_per_node(alpha, inst, prior, quad, weights):
 
     Same threshold, limits, rules and summation order as ``loss_components``,
     so the two must agree exactly: Gauss-Legendre over ``n_min``'s pay pieces
-    below the baseline within 40 sd of the prior mean, Simpson above it.
+    below the baseline within 40 sd of the prior mean, Simpson above it.  The
+    limits are derived here from the pay set and the threshold's bracket, not
+    taken from the pieces the threshold hands the loss.
     """
     th = participation_threshold(alpha, inst)
     mu_b = inst.mu_b
@@ -309,18 +312,84 @@ def loss_components_per_node(alpha, inst, prior, quad, weights):
     return LossBreakdown(fp, fn, abstain, total, th.mu_tau, th.status)
 
 
-@pytest.mark.parametrize("preset", ["cardiovascular", "fn-curves-062"])
-def test_loss_components_match_per_node_best_responses(preset):
-    cfg = load_config(preset_path(preset))
-    args = (cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
-    statuses, weak_rows = set(), 0
-    for alpha in (1e-4, 0.003, 0.02, 0.05, 0.1, 0.3, 0.9):
-        bd = loss_components(alpha, *args)
-        assert bd == loss_components_per_node(alpha, *args), alpha
+def per_node_rows(source):
+    """Rows ``(alpha, inst, prior, quad, weights)`` for the per-node comparison.
+
+    A preset gives seven levels.  ``"seeded"`` gives priors with mass on both
+    sides of the baseline (the per-node form divides by each), baselines up to
+    0.95, rows where every belief or none participates, and two one-size pay
+    sets with a gap: one weak piece ending below the baseline, and two.
+    """
+    if source != "seeded":
+        cfg = load_config(preset_path(source))
+        args = (cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
+        return [(alpha, *args) for alpha in (1e-4, 0.003, 0.02, 0.05, 0.1, 0.3, 0.9)]
+    quad, weights = QuadratureSpec(panels=20), LossWeights(lambda_fp=2.0, lambda_fn=0.5)
+    rows = [
+        (0.81, EconomicInstance(R=1.0, c0=0.95, c=0.0, mu_b=0.3, n_min=1, n_max=1),
+         TruncatedNormalPrior(0.3, 0.2, 1e-6, 0.999), quad, weights),
+        (0.99, EconomicInstance(R=1.0, c0=0.95, c=0.0, mu_b=0.7, n_min=1, n_max=1),
+         TruncatedNormalPrior(0.5, 0.2, 1e-6, 0.999), quad, weights),
+    ]
+    rng = random.Random(16)
+    while len(rows) < 300:
+        R = 10.0 ** rng.uniform(0.0, 3.0)
+        alpha = math.exp(rng.uniform(math.log(1e-3), math.log(0.99)))
+        k = min(0.99, alpha * 10.0 ** rng.uniform(-1.0, 0.5))
+        n_min = rng.choice([1, 1, 3, 10, 50])
+        c = R * k * rng.uniform(0.0, 0.5) / n_min
+        mu_b = rng.uniform(0.05, 0.95)
+        inst = EconomicInstance(R, R * k - c * n_min, c, mu_b, n_min, n_min + rng.choice([0, 20, 200]))
+        sd = 10.0 ** rng.uniform(-2.0, -0.5)
+        prior = TruncatedNormalPrior(mu_b + rng.uniform(-2.0, 2.0) * sd, sd,
+                                     rng.uniform(1e-6, mu_b), rng.uniform(mu_b, 0.999))
+        if 0.0 < prior.cdf(mu_b) < 1.0:
+            rows.append((alpha, inst, prior, quad, weights))
+    return rows
+
+
+@pytest.mark.parametrize("source", ["cardiovascular", "fn-curves-062", "seeded"])
+def test_loss_components_match_per_node_best_responses(source):
+    statuses, weak_rows, two_weak, ends_below, high_mu_b = set(), 0, 0, 0, 0
+    for alpha, inst, *args in per_node_rows(source):
+        bd = loss_components(alpha, inst, *args)
+        assert bd == loss_components_per_node(alpha, inst, *args), (alpha, inst, args[0])
         statuses.add(bd.threshold_status)
         weak_rows += bd.fp_particip > 0.0  # weak beliefs participate
-    assert statuses == {"interior", "all_participate"}
-    assert weak_rows >= 3
+        weak = [(lo, hi) for lo, hi in _pay_interval(_level(alpha, inst), inst.n_min) if lo < inst.mu_b]
+        two_weak += len(weak) == 2
+        ends_below += any(hi < inst.mu_b for _, hi in weak)
+        high_mu_b += inst.mu_b > 0.6
+    if source == "seeded":
+        assert statuses == {"interior", "all_participate", "none_participate"}
+        assert two_weak >= 1 and ends_below >= 5 and high_mu_b >= 100 and weak_rows >= 200
+    else:
+        assert statuses == {"interior", "all_participate"}
+        assert weak_rows >= 3
+
+
+def test_loss_components_solves_the_weak_pay_set_once_per_row():
+    # The threshold solves n_min's pay set and hands the loss its pieces, so
+    # no row solves it twice.  Every execution of _pay_interval is counted,
+    # whatever name it was called by.
+    code = _pay_interval.__code__
+    solved = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            solved.append(frame.f_locals["n"])
+
+    statuses = set()
+    for alpha, inst, *args in per_node_rows("seeded") + per_node_rows("cardiovascular"):
+        solved.clear()
+        sys.setprofile(profile)
+        try:
+            bd = loss_components(alpha, inst, *args)
+        finally:
+            sys.setprofile(None)
+        assert solved.count(inst.n_min) == 1, (alpha, inst, solved)
+        statuses.add(bd.threshold_status)
+    assert statuses == {"interior", "all_participate", "none_participate"}
 
 
 def test_loss_components_weighted_total_identity():

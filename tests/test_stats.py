@@ -219,10 +219,34 @@ def test_prior_validation():
     # Support so far into the tail that it carries no numerical mass.
     with pytest.raises(DomainError, match="support must carry probability mass"):
         TruncatedNormalPrior(mean=0.99, sd=1e-4, lo=0.01, hi=0.02)
+    # A subnormal mass, 3e-323, left the density a scale of 0.0 (pdf divided
+    # by zero) and quantised the CDF (1/3 at 0.7967); it counts as none.
+    with pytest.raises(DomainError, match="support must carry probability mass"):
+        TruncatedNormalPrior(mean=0.9042317154104523, sd=0.0027966647181192055,
+                             lo=0.43148444649486345, hi=0.7967748006897861)
     # Every offending field is reported at once.
     with pytest.raises(DomainError) as excinfo:
         TruncatedNormalPrior(mean=math.inf, sd=0.0, lo=0.0, hi=1.5)
     assert [p.split()[0] for p in excinfo.value.problems] == ["mean", "sd", "lo", "hi"]
+
+
+def test_prior_above_its_mean_keeps_its_digits():
+    # Phi(hi) - Phi(lo) cancels near 1 where the support lies wholly above
+    # the mean: the density of TN(0.3, 0.05) on [0.6, 0.9] integrated to
+    # 1 - 5.6e-8, and TN(0.2, 0.05) on [0.7, 0.95], mass 7.6e-24, was
+    # rejected as massless.  Each must match scipy and its mirror image.
+    for mean, lo, hi in ((0.3, 0.6, 0.9), (0.2, 0.7, 0.95)):
+        prior = TruncatedNormalPrior(mean, 0.05, lo, hi)
+        mirror = TruncatedNormalPrior(1.0 - mean, 0.05, 1.0 - hi, 1.0 - lo)
+        ref = sps.truncnorm((lo - mean) / 0.05, (hi - mean) / 0.05, loc=mean, scale=0.05)
+        total = integrate.quad(prior.pdf, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200, points=[lo + 0.01])[0]
+        assert abs(total - 1.0) < 1e-10, (mean, lo, hi, total)
+        for i in range(21):
+            mu = lo + (hi - lo) * i / 20
+            assert prior.pdf(mu) == pytest.approx(float(ref.pdf(mu)), rel=1e-12)
+            assert prior.cdf(mu) == pytest.approx(float(ref.cdf(mu)), abs=1e-14)
+            assert prior.pdf(mu) == pytest.approx(mirror.pdf(1.0 - mu), rel=1e-12)
+            assert prior.cdf(mu) == pytest.approx(1.0 - mirror.cdf(1.0 - mu), abs=1e-14)
 
 
 def test_prior_normaliser_computed_once(prior, monkeypatch):
