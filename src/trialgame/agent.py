@@ -181,7 +181,7 @@ def _score(level: tuple, mu0: float, n) -> tuple[float, float]:
     return R * p - (c0 + c * n), p
 
 
-def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
+def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float]:
     """:func:`best_response` at a :func:`_level` as ``(utility, n_star, pass_prob)``.
 
     Abstaining is ``(0.0, 0, 0.0)``.  A weak belief, or a single admissible
@@ -221,12 +221,21 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
     if ``ln t`` kept its value there; ``h = ln t_lo - ln t <= 0`` at that
     start, so the root lies below it, and only a start at or past the
     piece's top end asks whether ``h`` stays positive up to that end, which
-    is then the root.  Each step is replaced by bisection if it would leave
-    the bracket, until one moves ``n`` by less than a quarter sample.  On
-    the top piece ``t >= sqrt(n2) >= s_0/dmu``, so ``h`` is concave and every
-    Newton step ends at or above the root: where no step was bisected and
-    ``c > 1e-12*R`` (below that the utility is flat at float resolution), the
-    window there reaches only ``floor(root) + 1``.
+    is then the root.  A ``hint``, a size whose square root lies above the
+    piece's start and below both that Newton start and the top end, is the
+    start instead; ``loss_components`` passes the ``n_star`` of the
+    previous node, most often a few samples from the root, and every other
+    caller passes none (0).  Each step is replaced by bisection if it would
+    leave the bracket, until one moves ``n`` by less than a quarter sample.
+    On the top piece ``t >= sqrt(n2) >= s_0/dmu``, so ``h`` is concave and
+    every Newton step, from either start, ends at or above the root: where no
+    step was bisected and ``c > 1e-12*R`` (below that the utility is flat at
+    float resolution), the window there reaches only ``floor(root) + 1``.
+    Either start's window holds the piece's best size, so a hint moves no
+    answer.  Where ``c <= 2e-10*R`` the hint is ignored: the utility is flat
+    near the root there, and a hinted start could end on another size whose
+    utility is within an ulp of ``R``.  The hint cuts a ``cardiovascular``
+    sweep's Newton steps per effective call from 3.3 to 2.2.
 
     ``mu0`` is not checked: :func:`best_response` checks it once, and the
     other callers (``thresholds._threshold`` and ``_bracket``, the loss
@@ -280,7 +289,11 @@ def _respond(level: tuple, mu0: float) -> tuple[float, int, float]:
                         k - 0.5 * (v_hi := (ds - dmu * t_hi) / sigma0) * v_hi - math.log(t_hi) >= 0.0):
                     root = b
                 else:
-                    if not t_lo < t < t_hi:
+                    # A hint above the piece's start and below both the
+                    # frozen-log start and the top end starts Newton instead.
+                    if hint and c > 2e-10 * R and t_lo < (t_hint := math.sqrt(hint)) < t and t_hint < t_hi:
+                        t = t_hint
+                    elif not t_lo < t < t_hi:
                         t = 0.5 * (t_lo + t_hi)
                     while True:
                         v = (ds - dmu * t) / sigma0

@@ -120,19 +120,29 @@ def loss_components(
     ``n_min`` pays, so ``fp_particip`` integrates ``n_min``'s pass chance by
     :func:`_gauss` over the weak pieces.  Simpson integrates the effective
     piece, which starts at the participating end of the threshold's bracket,
-    so no node scores an abstainer; ``fn_abstain`` takes the prior mass below
-    ``mu_tau``.
+    so no node scores an abstainer; each node hands its ``n_star`` to the
+    next as the kernel's Newton start (the ``hint`` of
+    :func:`~trialgame.agent._respond`), which moves no answer: the kernel
+    ignores it where ``c <= 2e-10*R``, as sizes there can tie within an ulp.
+    ``fn_abstain`` takes the prior mass between ``mu_b`` and ``mu_tau``.
+    Both effective-side masses come from the prior's upper tail, which keeps
+    its digits where the weak side holds nearly all the mass and ``1 - cdf``
+    cancels.
     """
     level = _level(alpha, inst)
     th, weak, effective = _threshold(level)
     mass_weak = prior.cdf(inst.mu_b)
-    mass_eff = 1.0 - mass_weak
+    mass_eff = prior._sf(inst.mu_b)
 
     def pass_density(mu: float) -> float:
         return _score(level, mu, inst.n_min)[1] * prior.pdf(mu)
 
+    hint = 0
+
     def fail_density(mu: float) -> float:
-        return (1.0 - _respond(level, mu)[2]) * prior.pdf(mu)
+        nonlocal hint
+        _, hint, p = _respond(level, mu, hint)
+        return (1.0 - p) * prior.pdf(mu)
 
     no_weak = mass_weak <= 0.0
     no_eff = mass_eff <= 0.0
@@ -152,7 +162,7 @@ def loss_components(
         for a, b in effective:
             fn_particip += _simpson(fail_density, max(a, prior.lo), min(b, prior.hi), quad.panels)
         fn_particip = _clip01(fn_particip / mass_eff)
-        fn_abstain = _clip01((prior.cdf(max(th.mu_tau, inst.mu_b)) - mass_weak) / mass_eff)
+        fn_abstain = _clip01((mass_eff - prior._sf(max(th.mu_tau, inst.mu_b))) / mass_eff)
 
     total = weights.lambda_fp * fp_particip + weights.lambda_fn * (fn_particip + fn_abstain)
     return LossBreakdown(fp_particip, fn_particip, fn_abstain, total, th.mu_tau, th.status, no_weak, no_eff)

@@ -125,3 +125,19 @@ class TruncatedNormalPrior:
         if self._upper:
             return (self._low - std_normal_sf(z)) / self._mass
         return (std_normal_cdf(z) - self._low) / self._mass
+
+    def _sf(self, mu: float) -> float:
+        """``1 - cdf(mu)`` from the normal tails on ``mu``'s side of the mean.
+
+        Right tails from the mean up, left ones below it: those keep their
+        digits where ``cdf`` nears 1, where ``1 - cdf`` cancels, and where the
+        support lies far below the mean, where right tails cancel.
+        """
+        if mu <= self.lo:
+            return 1.0
+        if mu >= self.hi:
+            return 0.0
+        z, z_hi = (mu - self.mean) / self.sd, (self.hi - self.mean) / self.sd
+        if mu < self.mean:
+            return (std_normal_cdf(z_hi) - std_normal_cdf(z)) / self._mass
+        return (std_normal_sf(z) - std_normal_sf(z_hi)) / self._mass

@@ -287,7 +287,7 @@ def loss_components_per_node(alpha, inst, prior, quad, weights):
     mu_b = inst.mu_b
     lo, hi = max(prior.lo, BELIEF_FLOOR), min(prior.hi, BELIEF_CEIL)
     mass_weak = prior.cdf(mu_b)
-    mass_eff = 1.0 - mass_weak
+    mass_eff = prior._sf(mu_b)
 
     def clip(x):
         return min(max(x, 0.0), 1.0)
@@ -307,7 +307,7 @@ def loss_components_per_node(alpha, inst, prior, quad, weights):
     fp = clip(fp / mass_weak)
     a, b = max(th.mu_tau + th.epsilon, mu_b, lo), hi
     fn = clip(_simpson(fail_density, a, b, quad.panels) / mass_eff)
-    abstain = clip((prior.cdf(max(th.mu_tau, mu_b)) - mass_weak) / mass_eff)
+    abstain = clip((mass_eff - prior._sf(max(th.mu_tau, mu_b))) / mass_eff)
     total = weights.lambda_fp * fp + weights.lambda_fn * (fn + abstain)
     return LossBreakdown(fp, fn, abstain, total, th.mu_tau, th.status)
 
@@ -422,6 +422,37 @@ def test_loss_components_prior_entirely_weak():
     assert not bd.no_weak_mass
     assert bd.fn_particip == 0.0
     assert bd.fn_abstain == 0.0
+
+
+@pytest.mark.parametrize("prior, mu_b, alpha", [
+    # 9.9e-10 of the mass lies above mu_b: 1 - cdf read it 5.3e-9 too high,
+    # and fn_abstain, a difference of two cdf values near 1, 8.4e-9.
+    (TruncatedNormalPrior(0.3, 0.05, 0.1, 0.9), 0.6, 0.05),
+    # The support lies 9 sd below the mean: the right tails at mu_b and hi
+    # both round to 1, which once read the effective side as empty.
+    (TruncatedNormalPrior(0.9, 0.05, 0.1, 0.45), 0.4499, 0.3),
+    # A support 5 sd below the mean, where right tails lost 2e-10 of the mass.
+    (TruncatedNormalPrior(0.7, 0.05, 0.1, 0.45), 0.4, 0.05),
+])
+def test_effective_side_mass_keeps_its_digits(prior, mu_b, alpha):
+    ref = sps.truncnorm((prior.lo - prior.mean) / prior.sd, (prior.hi - prior.mean) / prior.sd,
+                        loc=prior.mean, scale=prior.sd)
+    for mu in (mu_b, 0.5 * (mu_b + prior.hi), prior.hi - 0.01 * prior.sd):
+        assert prior._sf(mu) == pytest.approx(float(ref.sf(mu)), rel=1e-11)
+    assert (prior._sf(prior.lo), prior._sf(prior.hi)) == (1.0, 0.0)
+    inst = dataclasses.replace(INST, mu_b=mu_b)
+    quad = QuadratureSpec(panels=50)
+    th = participation_threshold(alpha, inst)
+    bd = loss_components(alpha, inst, prior, quad)
+    assert not bd.no_effective_mass
+    mass = float(ref.sf(mu_b))
+    want = (mass - float(ref.sf(max(th.mu_tau, mu_b)))) / mass
+    assert bd.fn_abstain == pytest.approx(want, rel=1e-11, abs=1e-15)
+    # fn_particip divides the effective side's Simpson sum by that mass.
+    node_sum = _simpson(lambda mu: (1.0 - best_response(alpha, mu, inst).pass_prob) * prior.pdf(mu),
+                        max(th.mu_tau + th.epsilon, mu_b), prior.hi, quad.panels)
+    assert node_sum > 0.0 or want == 1.0
+    assert bd.fn_particip == pytest.approx(node_sum / mass, rel=1e-11)
 
 
 def test_loss_components_rejects_bad_alpha():

@@ -262,15 +262,20 @@ def test_kernel_callers_pass_only_clamped_beliefs(monkeypatch):
     # checks a belief.  The threshold, the effective-side integrand (the
     # kernel) and the weak-side integrand (the scorer) must keep within the
     # clamp on a whole sweep, a sparse one, a prior reaching past the clamp,
-    # and thresholds where participation can be non-monotone.
-    calls, scored = 0, 0
+    # and thresholds where participation can be non-monotone.  A size hint,
+    # which the effective-side integrand passes on from node to node, is 0
+    # or an admissible size.
+    calls, scored, hinted = 0, 0, 0
     real, real_score = thresholds._respond, loss._score
 
-    def checked(level, mu):
-        nonlocal calls
+    def checked(level, mu, hint=0):
+        nonlocal calls, hinted
         calls += 1
+        hinted += hint > 0
         assert BELIEF_FLOOR <= mu <= BELIEF_CEIL, mu
-        return real(level, mu)
+        n_min, n_max = level[5:7]
+        assert hint == 0 or n_min <= hint <= n_max, (hint, n_min, n_max)
+        return real(level, mu, hint)
 
     def checked_score(level, mu, n):
         nonlocal scored
@@ -291,6 +296,7 @@ def test_kernel_callers_pass_only_clamped_beliefs(monkeypatch):
         inst = random_instance(rng, (0.6 + 1e-9, 0.95))
         participation_threshold(log_uniform_alpha(rng), inst)
     assert scored > 0 and calls + scored > 100_000, (calls, scored)
+    assert hinted > 50_000, hinted
 
 
 @pytest.mark.parametrize("end", ["floor", "ceil"])
