@@ -74,7 +74,8 @@ class EconomicInstance:
             problems.append(f"c0 must be a nonnegative finite number, got {self.c0!r}")
         if not (self.c >= 0.0 and finite(self.c)):
             problems.append(f"c must be a nonnegative finite number, got {self.c!r}")
-        problems += _baseline_problems(self.mu_b)
+        if not 0.0 < self.mu_b < 1.0:
+            problems.append(f"mu_b must lie strictly between 0 and 1, got {self.mu_b!r}")
         # One problem per size: a size that is no integer gets no range rule.
         whole = _is_int(self.n_min)
         if not whole:
@@ -109,28 +110,14 @@ def _check_belief(mu0: float) -> None:
         )
 
 
-def _baseline_problems(mu_b: float) -> tuple[str, ...]:
-    return () if 0.0 < mu_b < 1.0 else (f"mu_b must lie strictly between 0 and 1, got {mu_b!r}",)
-
-
-class _Unit:  # what _level reads of an instance with R = 1 and no costs, built unchecked
-    __slots__ = ("mu_b",)
-    R, c0, c, n_min, n_max = 1.0, 0.0, 0.0, 1, 1
-
-    def __init__(self, mu_b: float) -> None:
-        self.mu_b = mu_b
-
-
 def pass_probability(alpha: float, mu0: float, n: int, mu_b: float) -> float:
     """Chance that a trial of size ``n`` clears the test, believed rate ``mu0``.
 
-    Scored at the level of an instance with ``R = 1`` and no costs, and a
-    bad ``mu_b`` is reported by the instance's rule.  Running no trial never
-    passes, so ``n = 0`` maps to exactly zero.
+    Scored at the level of ``EconomicInstance(1.0, 0.0, 0.0, mu_b)``, which
+    reports a bad ``mu_b``.  Running no trial never passes, so ``n = 0`` maps
+    to exactly zero.
     """
-    if problems := _baseline_problems(mu_b):
-        raise DomainError(problems[0], list(problems))
-    level = _level(alpha, _Unit(mu_b))
+    level = _level(alpha, EconomicInstance(1.0, 0.0, 0.0, mu_b))
     _check_belief(mu0)
     if not (n >= 0 and finite(n)):
         raise DomainError(f"sample count must be a nonnegative finite number, got {n!r}")

@@ -125,9 +125,10 @@ def loss_components(
     :func:`~trialgame.agent._respond`), which moves no answer: the kernel
     ignores it where ``c <= 2e-10*R``, as sizes there can tie within an ulp.
     ``fn_abstain`` takes the prior mass between ``mu_b`` and ``mu_tau``.
-    Both effective-side masses come from the prior's upper tail, which keeps
-    its digits where the weak side holds nearly all the mass and ``1 - cdf``
-    cancels.
+    Both effective-side masses come from the prior's ``_sf``, which
+    differences the normal tails on the belief's side of the mean, so it
+    keeps its digits where the weak side holds nearly all the mass and ``1 -
+    cdf`` cancels.
     """
     level = _level(alpha, inst)
     th, weak, effective = _threshold(level)

@@ -71,8 +71,10 @@ class TruncatedNormalPrior:
 
     ``pdf`` and ``cdf`` are renormalised so the retained mass integrates
     to one; outside ``[lo, hi]`` the density is zero and the CDF clamps.
-    Where ``lo >= mean`` both come from right tails, as ``Phi(hi) - Phi(lo)``
-    cancels near 1.  A retained mass below the least normal float is none.
+    The retained mass, ``cdf`` and ``_sf`` are each the normal mass of one
+    interval ``[a, b]``, taken from the tails on ``a``'s side of the mean
+    (``_between``), as ``Phi(b) - Phi(a)`` cancels near 1.  A retained mass
+    below the least normal float is none.
     """
 
     mean: float
@@ -91,10 +93,7 @@ class TruncatedNormalPrior:
         if not self.lo < self.hi < 1.0:
             problems.append(f"hi must lie strictly between lo and 1, got {self.hi!r}")
         if not problems:
-            upper = self.lo >= self.mean
-            tail = std_normal_sf if upper else std_normal_cdf
-            low = tail((self.lo - self.mean) / self.sd)
-            mass = abs(tail((self.hi - self.mean) / self.sd) - low)
+            mass = self._between(self.lo, self.hi)
             if mass < sys.float_info.min:
                 problems.append(
                     f"support must carry probability mass, got [{self.lo!r}, {self.hi!r}] "
@@ -103,8 +102,6 @@ class TruncatedNormalPrior:
         reject(self, problems)
         # Constant per prior, so computed once.  Plain attributes, not
         # fields: equality, hashing and repr see only the four parameters.
-        object.__setattr__(self, "_upper", upper)
-        object.__setattr__(self, "_low", low)
         object.__setattr__(self, "_mass", mass)
         object.__setattr__(self, "_scale", self.sd * mass)
 
@@ -121,23 +118,24 @@ class TruncatedNormalPrior:
             return 0.0
         if mu >= self.hi:
             return 1.0
-        z = (mu - self.mean) / self.sd
-        if self._upper:
-            return (self._low - std_normal_sf(z)) / self._mass
-        return (std_normal_cdf(z) - self._low) / self._mass
+        return self._between(self.lo, mu) / self._mass
 
     def _sf(self, mu: float) -> float:
-        """``1 - cdf(mu)`` from the normal tails on ``mu``'s side of the mean.
-
-        Right tails from the mean up, left ones below it: those keep their
-        digits where ``cdf`` nears 1, where ``1 - cdf`` cancels, and where the
-        support lies far below the mean, where right tails cancel.
-        """
+        """``1 - cdf(mu)`` as the mass of ``[mu, hi]``, which keeps its digits where ``cdf`` nears 1."""
         if mu <= self.lo:
             return 1.0
         if mu >= self.hi:
             return 0.0
-        z, z_hi = (mu - self.mean) / self.sd, (self.hi - self.mean) / self.sd
-        if mu < self.mean:
-            return (std_normal_cdf(z_hi) - std_normal_cdf(z)) / self._mass
-        return (std_normal_sf(z) - std_normal_sf(z_hi)) / self._mass
+        return self._between(mu, self.hi) / self._mass
+
+    def _between(self, a: float, b: float) -> float:
+        """Normal mass of ``[a, b]``, unnormalised, from the tails on ``a``'s side of the mean.
+
+        Left tails where ``a`` lies below the mean, right ones from it up: the
+        tail taken away is then below 1/2, so no difference cancels two values
+        near 1, as ``Phi(b) - Phi(a)`` does far above the mean.
+        """
+        za, zb = (a - self.mean) / self.sd, (b - self.mean) / self.sd
+        if a < self.mean:
+            return std_normal_cdf(zb) - std_normal_cdf(za)
+        return std_normal_sf(za) - std_normal_sf(zb)

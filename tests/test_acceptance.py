@@ -5,7 +5,8 @@ and pins the tolerance it enforces.  Random-instance generators are
 seeded so every run exercises the identical population; generator ranges
 stay inside the regime where participation is monotone in the belief
 (baseline rates up to 0.6), which is where the marginal-belief analysis
-behind the closed forms applies.
+behind the closed forms applies.  Criterion 9a's claim holds at every
+baseline, so its generator reaches up to 0.95.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ from scipy.stats import binom, norm
 
 from trialgame import (
     EconomicInstance,
+    QuadratureSpec,
     TruncatedNormalPrior,
     best_response,
     best_response_bruteforce,
@@ -26,6 +28,7 @@ from trialgame import (
     critical_alpha_closed_form,
     default_alpha_grid,
     load_config,
+    loss_components,
     participation_threshold,
     pass_probability,
     preset_path,
@@ -33,7 +36,9 @@ from trialgame import (
     std_normal_quantile,
     sweep_alpha,
 )
+from trialgame.agent import _level
 from trialgame.loss import _simpson
+from trialgame.thresholds import _pay_interval
 
 
 def report(name: str, ok: bool, detail: str) -> str:
@@ -278,5 +283,82 @@ def test_criterion_8_repeated_runs_are_byte_identical(tmp_path):
         ok,
         f"loss-sweep {len(sweep_a)} bytes identical: {sweep_ok}; "
         f"heatmap {len(heat_a)} bytes identical: {heat_ok}; headers pinned: {headers_ok}",
+    )
+    assert ok, line
+
+
+def test_criterion_9a_false_positives_vanish_below_alpha_hat_and_never_fall_above():
+    """fp_particip is exactly 0 below alpha_hat and never falls above it.
+
+    Below the critical level no weak belief pays.  Above it, raising alpha
+    lowers ``d``, so ``n_min``'s pay set at alpha lies inside its pay set at
+    any higher level and its pass chance rises at every belief: the
+    integrand and its domain both grow over a fixed weak mass.  The weak
+    side is integrated to 1e-13 relative, so a fall of more than 1e-12
+    relative fails.  ``fp_particip`` reads no Simpson panels, so 10 do.
+    """
+    quad = QuadratureSpec(10)
+    started = time.monotonic()
+    cases = []
+    for name in ("cardiovascular", "oncology", "vaccine",
+                 "fn-curves-053", "fn-curves-062", "fn-curves-067"):
+        cfg = load_config(preset_path(name))
+        alpha_hat = critical_alpha(cfg.instance).alpha_hat
+        near = {alpha_hat * (1.0 + s) for s in (-1e-3, -1e-9, 1e-9, 1e-3)}
+        cases.append((cfg.instance, cfg.prior, sorted(near.union(cfg.alpha_grid))))
+    # Seeded instances: baselines above 0.6, and cheapest-trial shares k on
+    # both sides of 1/2, where n_min's pay set is one interval or two ends.
+    rng = random.Random(9)
+    high_baseline = k_above_half = 0
+    while len(cases) < 6 + 300:
+        mu_b = rng.uniform(0.05, 0.95)
+        n_min = rng.randrange(1, 51)
+        k = rng.choice((10.0 ** rng.uniform(-3.0, math.log10(0.5)), rng.uniform(0.5, 0.95)))
+        R = 10.0 ** rng.uniform(0.0, 3.0)
+        c = k * R * rng.random() / n_min
+        inst = EconomicInstance(R, k * R - c * n_min, c, mu_b, n_min, n_min + rng.randrange(10, 5000))
+        critical = critical_alpha(inst)
+        if critical.status != "interior":
+            continue
+        prior = TruncatedNormalPrior(
+            mu_b + rng.uniform(-0.15, 0.15), rng.uniform(0.02, 0.3),
+            mu_b * rng.uniform(0.01, 0.9), mu_b + (1.0 - mu_b) * rng.uniform(0.1, 0.99),
+        )
+        near = {critical.alpha_hat * (1.0 + s) for s in (-1e-3, -1e-9, 1e-9, 1e-3)}
+        spread = {10.0 ** rng.uniform(-4.0, math.log10(1.0 - 1e-6)) for _ in range(30)}
+        close = {critical.alpha_hat * (1.0 + rng.uniform(0.0, 0.5)) for _ in range(26)}
+        grid = sorted(a for a in near | spread | close if a < 1.0)
+        high_baseline += mu_b > 0.6
+        k_above_half += k > 0.5
+        cases.append((inst, prior, grid))
+    nonzero_below = falls = steps = escapes = two_piece = 0
+    for inst, prior, grid in cases:
+        alpha_hat = critical_alpha(inst).alpha_hat
+        previous = previous_pieces = None
+        for alpha in grid:
+            fp = loss_components(alpha, inst, prior, quad).fp_particip
+            if alpha < alpha_hat:
+                nonzero_below += fp != 0.0
+            elif previous is not None and previous[0] >= alpha_hat:
+                steps += 1
+                falls += fp < previous[1] * (1.0 - 1e-12)
+            # The reason: each of n_min's pay pieces lies inside one at the next level.
+            pieces = _pay_interval(_level(alpha, inst), inst.n_min)
+            two_piece += len(pieces) == 2
+            if previous_pieces is not None:
+                escapes += sum(
+                    not any(lo2 <= lo and hi <= hi2 for lo2, hi2 in pieces)
+                    for lo, hi in previous_pieces
+                )
+            previous, previous_pieces = (alpha, fp), pieces
+    elapsed = time.monotonic() - started
+    ok = (nonzero_below == falls == escapes == 0 and high_baseline and k_above_half
+          and two_piece and elapsed < 60.0)
+    line = report(
+        "criterion 9a (false positives vanish below alpha_hat, never fall above)",
+        ok,
+        f"{len(cases)} instances ({high_baseline} with mu_b > 0.6, {k_above_half} with k > 1/2): "
+        f"{nonzero_below} non-zero below alpha_hat, {falls} falls in {steps} steps above, "
+        f"{escapes} pay pieces leaving the next level's ({two_piece} two-piece sets); {elapsed:.1f}s",
     )
     assert ok, line

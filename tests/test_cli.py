@@ -182,7 +182,8 @@ def test_loss_sweep_preset_bytes_are_pinned(tmp_path):
 
 def test_heatmap_preset_bytes_are_pinned(tmp_path):
     # The category presets' full R x c0 grids, each through the closed-form
-    # critical level.
+    # critical level.  The CI workflow's installed-CLI step checks vaccine's
+    # digest too: re-freeze the two together.
     pinned = {
         "cardiovascular": "da88b515e2173a1c862beb5e884d54f6fe3b5a4feca019303fae685368fbe8f3",
         "oncology": "3b44dd6534a4d7af5aeca114d0493acd490a78af2b4f491119abaa95bd901aa1",

@@ -258,13 +258,16 @@ def test_prior_normaliser_computed_once(prior, monkeypatch):
         density = 1.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * z * z)
         assert prior.pdf(mu) == density / (0.04 * mass)
         assert prior.cdf(mu) == (std_normal_cdf(z) - low) / mass
-    # ...but the normaliser is not recomputed: pdf takes no CDF, cdf one.
+    # ...but the normaliser is not recomputed: pdf takes no tail, and cdf
+    # takes the tails at lo and mu, none at hi.
     calls = []
-    monkeypatch.setattr(stats, "std_normal_cdf", lambda z: calls.append(z) or std_normal_cdf(z))
+    for name, tail in (("std_normal_cdf", std_normal_cdf), ("std_normal_sf", std_normal_sf)):
+        monkeypatch.setattr(stats, name, lambda z, name=name, tail=tail: calls.append((name, z)) or tail(z))
     prior.pdf(0.6)
     assert calls == []
     prior.cdf(0.6)
-    assert len(calls) == 1
+    z_lo, z_mu = (0.4 - 0.62) / 0.04, (0.6 - 0.62) / 0.04
+    assert sorted(calls) == sorted([("std_normal_cdf", z_lo), ("std_normal_cdf", z_mu)])
     # The cache is invisible to the record's identity.
     twin = TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
     assert prior == twin and hash(prior) == hash(twin)
