@@ -25,7 +25,9 @@ grows, so the pass chance of a size that does not win bounds every smaller
 size, and the walk stops as soon as that bound leaves them no chance.  What
 depends only on the level, the root's ``ln R - ln c`` among it, is set up once
 by ``_level``; the threshold and the loss integrals then ask ``_respond`` for
-each belief.  The exhaustive scan is retained as an oracle.
+each belief.  A single best response at a weak belief, or with one admissible
+size, scores ``n_min`` straight from the instance and builds no level.  The
+exhaustive scan is retained as an oracle.
 """
 
 from __future__ import annotations
@@ -90,9 +92,9 @@ class EconomicInstance:
 
 
 # Results are plain slotted records, not frozen ones: a frozen dataclass sets
-# each field through object.__setattr__, about 1 us a record against 0.3 us,
-# and a weak-belief best response takes under 2 us in all.  The solvers'
-# inputs stay frozen and hashable.
+# each field through object.__setattr__, about 0.7 us a record against 0.2 us,
+# and a weak-belief best response takes about 0.8 us in all (Python 3.11).
+# The solvers' inputs stay frozen and hashable.
 @dataclass(slots=True)
 class BestResponse:
     """Outcome of the applicant's participation and trial-size choice."""
@@ -137,20 +139,28 @@ def utility(alpha: float, mu0: float, n: int, inst: EconomicInstance) -> float:
     return _score(level, mu0, n)[0]
 
 
+def _ds(alpha: float, mu_b: float) -> float:
+    """Checked ``alpha``'s ``d * s_b``, with ``d = Phi^{-1}(1 - alpha) = -Phi^{-1}(alpha)``.
+
+    ``d`` is taken in the second form so that a small ``alpha`` is not
+    rounded away in ``1 - alpha``, and ``s_b = sqrt(mu_b * (1 - mu_b))``.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"significance level must lie strictly between 0 and 1, got {alpha!r}")
+    return -std_normal_quantile(alpha) * math.sqrt(mu_b * (1.0 - mu_b))
+
+
 def _level(alpha: float, inst: EconomicInstance) -> tuple:
     """Checked ``alpha`` and the best response's belief-independent constants.
 
     ``(mu_b, d * s_b, R, c0, c, n_min, n_max, ln R - ln c - ln sqrt(2*pi),
-    c0 + c*n_min, 1e-12*R)`` with ``d = Phi^{-1}(1 - alpha) = -Phi^{-1}(alpha)``,
-    taken in the second form so that a small ``alpha`` is not rounded away in
-    ``1 - alpha``.  The log term is ``inf`` when ``c = 0``, and no positive
-    ``R`` or ``c`` overflows it, as each is logged on its own.  The last two
-    are the cheapest trial's cost and the walk's margin.
+    c0 + c*n_min, 1e-12*R)``, with ``d * s_b`` from :func:`_ds`.  The log
+    term is ``inf`` when ``c = 0``, and no positive ``R`` or ``c`` overflows
+    it, as each is logged on its own.  The last two are the cheapest trial's
+    cost and the walk's margin.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"significance level must lie strictly between 0 and 1, got {alpha!r}")
     mu_b, R, c = inst.mu_b, inst.R, inst.c
-    ds = -std_normal_quantile(alpha) * math.sqrt(mu_b * (1.0 - mu_b))
+    ds = _ds(alpha, mu_b)
     k_level = math.log(R) - math.log(c) - _LOG_SQRT_2PI if c else math.inf
     return mu_b, ds, R, inst.c0, c, inst.n_min, inst.n_max, k_level, inst.c0 + c * inst.n_min, 1e-12 * R
 
@@ -159,9 +169,9 @@ def _score(level: tuple, mu0: float, n) -> tuple[float, float]:
     """``(utility, pass_prob)`` of ``n`` samples at belief ``mu0`` and a :func:`_level`.
 
     Reads the first five entries of a level.  :func:`_respond`'s walk and
-    one-size branch inline it, bit for bit: a call per size made a
-    ``cardiovascular`` sweep slice and 20,000 best-response queries about
-    20% slower (Python 3.11).
+    one-size branch, and :func:`best_response`'s one-size path, inline it,
+    bit for bit: a call per size made a ``cardiovascular`` sweep slice and
+    20,000 best-response queries about 20% slower (Python 3.11).
     """
     mu_b, ds, R, c0, c = level[:5]
     p = 0.5 * math.erfc((ds - (mu0 - mu_b) * math.sqrt(n)) / math.sqrt(mu0 * (1.0 - mu0)) / _SQRT2)
@@ -353,7 +363,22 @@ def best_response(alpha: float, mu0: float, inst: EconomicInstance) -> BestRespo
     with ``R`` up to 1,000) the utility is flat or noisy over several sizes
     near the root, so ``n_star`` can miss the scan's by a few samples, with
     a utility at most an ulp or two of ``R`` lower.
+
+    A weak belief, or a single admissible size, is answered from the
+    instance: ``n_min`` is scored with the operations of :func:`_respond`'s
+    one-size branch, so the bits are the kernel's, and no :func:`_level` is
+    built, whose slope constant only the walk reads.  Such queries are more
+    than half of a uniform query stream, and answering them so cut its
+    median query time by more than a quarter (Python 3.11, 2-CPU host).
+    ``alpha`` is still checked before a numeric belief.
     """
+    mu_b, n_min = inst.mu_b, inst.n_min
+    if mu0 <= mu_b or n_min == inst.n_max:
+        ds = _ds(alpha, mu_b)
+        _check_belief(mu0)
+        p = 0.5 * math.erfc((ds - (mu0 - mu_b) * math.sqrt(n_min)) / math.sqrt(mu0 * (1.0 - mu0)) / _SQRT2)
+        u = inst.R * p - (inst.c0 + inst.c * n_min)
+        return BestResponse(True, n_min, p, u) if u >= 0.0 else BestResponse(False, 0, 0.0, 0.0)
     level = _level(alpha, inst)
     _check_belief(mu0)
     u, n_star, p = _respond(level, mu0)

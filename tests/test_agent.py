@@ -493,11 +493,14 @@ def test_kernel_validates_level_and_belief():
     for mu0 in (0.0, 0.5 * BELIEF_FLOOR, BELIEF_CEIL + 1e-9, 1.0, math.nan):
         with pytest.raises(DomainError, match="belief"):
             best_response(0.05, mu0, INST)
+    # A belief of 1.0 takes the level's path and 0.0, a weak one, the
+    # one-size path; both report alpha with the level's message.
     for alpha in (0.0, 1.0, -0.1, 1.5, math.nan):
         with pytest.raises(DomainError, match="significance level"):
             agent._level(alpha, INST)
-        with pytest.raises(DomainError, match="significance level"):
-            best_response(alpha, 1.0, INST)
+        for mu0 in (1.0, 0.0):
+            with pytest.raises(DomainError, match="significance level"):
+                best_response(alpha, mu0, INST)
 
 
 # sha256 of the kernel's answers to the queries below, frozen from the
@@ -512,7 +515,9 @@ KERNEL_DIGEST = "b60355c012d4ca0d8c556b04e88edc354562146a89267d302f51e15d08d1366
 def test_kernel_output_bits_are_pinned():
     # 24,000 queries: c = 0 and c/R in [1e-14, 1e-1], n_max of 500, 100,000,
     # n_min and random, the clamp beliefs, the baseline itself and beliefs
-    # just above it, with mu_b in (0.01, 0.99).
+    # just above it, with mu_b in (0.01, 0.99).  The public best_response,
+    # which answers weak beliefs and single sizes without the kernel, must
+    # give the kernel's record bit for bit.
     rng = random.Random(20261018)
     digest = hashlib.sha256()
     for i in range(4000):
@@ -522,11 +527,14 @@ def test_kernel_output_bits_are_pinned():
         c = 0.0 if i % 7 == 0 else R * 10.0 ** rng.uniform(-14.0, -1.0)
         inst = EconomicInstance(R=R, c0=R * 10.0 ** rng.uniform(-5.0, 0.0), c=c,
                                 mu_b=rng.uniform(0.01, 0.99), n_min=n_min, n_max=n_max)
-        level = agent._level(10.0 ** rng.uniform(-4.0, math.log10(0.5)), inst)
+        alpha = 10.0 ** rng.uniform(-4.0, math.log10(0.5))
+        level = agent._level(alpha, inst)
         near = inst.mu_b + 10.0 ** rng.uniform(-6.0, -0.5)
         for mu0 in (BELIEF_FLOOR, BELIEF_CEIL, inst.mu_b, min(near, BELIEF_CEIL),
                     rng.uniform(inst.mu_b, BELIEF_CEIL), rng.uniform(BELIEF_FLOOR, BELIEF_CEIL)):
-            digest.update(repr(agent._respond(level, mu0)).encode())
+            u, n_star, p = agent._respond(level, mu0)
+            digest.update(repr((u, n_star, p)).encode())
+            assert repr(best_response(alpha, mu0, inst)) == repr(BestResponse(n_star > 0, n_star, p, u))
     assert digest.hexdigest() == KERNEL_DIGEST
 
 
