@@ -120,9 +120,10 @@ def loss_components(
     ``n_min`` pays, so ``fp_particip`` integrates ``n_min``'s pass chance by
     :func:`_gauss` over the weak pieces.  Simpson integrates the effective
     piece, which starts at the participating end of the threshold's bracket,
-    so no node scores an abstainer; each node hands its ``n_star`` to the
-    next as the kernel's Newton start (the ``hint`` of
-    :func:`~trialgame.agent._respond`), which moves no answer: the kernel
+    so no node scores an abstainer.  Each node asks the kernel to check a
+    predicted size first (the ``hint`` of :func:`~trialgame.agent._respond`):
+    ``2*n1 - n0`` from the ``n_star`` of the two nodes before it, or ``n1``
+    where that is no admissible size.  A hint moves no answer: the kernel
     ignores it where ``c <= 2e-10*R``, as sizes there can tie within an ulp.
     ``fn_abstain`` takes the prior mass between ``mu_b`` and ``mu_tau``.
     Both effective-side masses come from the prior's ``_sf``, which
@@ -138,11 +139,14 @@ def loss_components(
     def pass_density(mu: float) -> float:
         return _score(level, mu, inst.n_min)[1] * prior.pdf(mu)
 
-    hint = 0
+    n_min, n_max = inst.n_min, inst.n_max
+    n0 = n1 = 0
 
     def fail_density(mu: float) -> float:
-        nonlocal hint
-        _, hint, p = _respond(level, mu, hint)
+        nonlocal n0, n1
+        hint = 2 * n1 - n0
+        _, n, p = _respond(level, mu, hint if n_min <= hint <= n_max else n1)
+        n0, n1 = n1, n
         return (1.0 - p) * prior.pdf(mu)
 
     no_weak = mass_weak <= 0.0

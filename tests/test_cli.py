@@ -163,8 +163,8 @@ def test_loss_sweep_preset_bytes_are_pinned(tmp_path):
     # other four were frozen before the effective-side integrand began to
     # hand each node's size to the next as a Newton start; vaccine's entering
     # applicant buys n_max at alpha <= 0.01, so its hints sit at the cap.
-    # The CI workflow's installed-CLI step checks fn-curves-062's digest too:
-    # re-freeze the two together.
+    # The CI workflow's installed-CLI step checks fn-curves-062's and
+    # cardiovascular's digests too: re-freeze them together.
     pinned = {
         "fn-curves-062": "b3fed2b86f6b9a8e107bba1c7ddb5664fee368fb8e6fbd6c3ecaeb85074f0896",
         "cardiovascular": "b32bf837b745a8ef8d050b9d9dc018c9a19e87f171cbfade660e7edb54f66ed6",
