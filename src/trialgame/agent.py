@@ -195,8 +195,8 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     the slope of expected profit vanishes.  A convex piece offers its top
     end, then its bottom end.  A size whose utility ties the best replaces
     it, so the smallest of equal utilities wins.  Sizes are scored as
-    :func:`_score` scores them: the walk and the one-size branch inline it
-    for speed, and the flat-top probe calls it.
+    :func:`_score` scores them: the walk, the hint check and the one-size
+    branch inline it for speed, and the flat-top probe calls it.
 
     No size below ``n`` passes more often than ``n`` or costs less than
     ``n_min``.  So once a size that does not become the best has ``R*p(n) -
@@ -240,20 +240,14 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     of nonnegative utility (its cost is at most ``R``, and that of a size
     within three of it at most ``2R``), and only where ``ds < 4000*s_0``,
     which keeps the error below ``4e-13*R``.  It also needs both neighbours
-    strictly inside the piece, and ``c > 2e-10*R``: below that the utility
-    is flat near the root, and sizes can tie within an ulp of ``R``.  The
-    walk then goes on as if it had scored the size's window, with ``below``
-    and ``last`` the size under it, where the stop bound is tried.  Where
-    nothing is certified, a hint whose square root lies above the piece's
-    start and below both the frozen-log start and the top end is the Newton
-    start instead, under the same ``c`` guard; that start's window also
-    holds the piece's best size.  So a hint moves no answer, except where
-    the utility is flat at float resolution although ``c > 2e-10*R`` (in a
-    fuzz, ``n*`` of 8.5e7 and more): there a hinted Newton start can end a
-    few sizes away, within an ulp of ``R``.  On every 8th row of the
-    ``cardiovascular`` and ``fn-curves-062`` sweeps the check certifies 90%
-    and 97% of the effective calls, and Newton steps per call fall from 3.3
-    unhinted to 0.24 and 0.06.
+    strictly inside the piece.  The walk then goes on as if it had scored
+    the size's window, with ``below`` and ``last`` the size under it, where
+    the stop bound is tried.  Where the utility is flat at float resolution,
+    sizes tie within ulps of ``R`` and none clears the margin.  A hint that
+    is not certified plays no further part, so a hint moves no answer.  On every 8th row of the ``cardiovascular`` and
+    ``fn-curves-062`` sweeps the check certifies 90% and 97% of the
+    effective calls, and Newton steps per call fall from 3.3 unhinted to
+    0.45 and 0.07.
 
     ``mu0`` is not checked: :func:`best_response` checks it once, and the
     other callers (``thresholds._threshold`` and ``_bracket``, the loss
@@ -293,7 +287,7 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
                 break
             window = (b, a) if a <= b else ()
         else:
-            if hint and last > n_max and c > 2e-10 * R and ds < 4e3 * sigma0:
+            if hint and last > n_max and ds < 4e3 * sigma0:
                 # Nothing is scored yet.  Score hint, then hint + 1, then walk
                 # on towards the higher of the two while the utility rises.  A
                 # size of nonnegative utility that beats both neighbours by more
@@ -333,11 +327,7 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
                         k - 0.5 * (v_hi := (ds - dmu * t_hi) / sigma0) * v_hi - math.log(t_hi) >= 0.0):
                     root = b
                 else:
-                    # A hint above the piece's start and below both the
-                    # frozen-log start and the top end starts Newton instead.
-                    if hint and c > 2e-10 * R and t_lo < (t_hint := math.sqrt(hint)) < t and t_hint < t_hi:
-                        t = t_hint
-                    elif not t_lo < t < t_hi:
+                    if not t_lo < t < t_hi:
                         t = 0.5 * (t_lo + t_hi)
                     while True:
                         v = (ds - dmu * t) / sigma0
@@ -396,9 +386,10 @@ def best_response(alpha: float, mu0: float, inst: EconomicInstance) -> BestRespo
     splits ``[n_min, n_max]`` into concave and convex spans.  A convex span
     peaks at an end; a concave one peaks within a sample of the ``root``
     where the slope of expected profit vanishes (found in :func:`_respond`),
-    so the four sizes from ``floor(root) - 1`` to ``floor(root) + 2`` that
-    lie in the span are scored, and the winner's pass chance is kept, not
-    recomputed.
+    so the sizes from ``floor(root) - 1`` to ``floor(root) + 2`` that lie in
+    the span are scored (above a convex span only up to ``floor(root) + 1``,
+    unless a Newton step was bisected or ``c <= 1e-12*R``), and the winner's
+    pass chance is kept, not recomputed.
 
     Exact utility ties resolve to the smaller trial size, and a tie with
     zero resolves to participating.  Where the pass chance rounds to its

@@ -124,7 +124,7 @@ def loss_components(
     predicted size first (the ``hint`` of :func:`~trialgame.agent._respond`):
     ``2*n1 - n0`` from the ``n_star`` of the two nodes before it, or ``n1``
     where that is no admissible size.  A hint moves no answer: the kernel
-    ignores it where ``c <= 2e-10*R``, as sizes there can tie within an ulp.
+    only checks it, and solves as without one where the check fails.
     ``fn_abstain`` takes the prior mass between ``mu_b`` and ``mu_tau``.
     Both effective-side masses come from the prior's ``_sf``, which
     differences the normal tails on the belief's side of the mean, so it

@@ -808,7 +808,7 @@ def test_kernel_reaches_erfc_through_its_math_module(monkeypatch):
 
 
 def test_size_hint_moves_no_answer(monkeypatch):
-    """A size hint, checked first and otherwise a Newton start, moves no answer.
+    """A size hint is only checked, and it moves no answer.
 
     The loss's effective-side integrand passes a size predicted from the two
     nodes before each.  On the first concave piece walked, the kernel scores
@@ -818,21 +818,24 @@ def test_size_hint_moves_no_answer(monkeypatch):
     margin is above twice the rounding error of a computed utility.  That
     error is about ``2**-53 * (R*(0.8*ds/s_0 + 10) + 2*(c0 + c*n))``, so the
     check takes only a size of nonnegative utility (whose cost is at most
-    ``R``) and only where ``ds < 4000*s_0``.  Where ``c/R <= 2e-10`` the
-    kernel ignores a hint: the utility is flat at float resolution near the
-    root, and a hinted start could end on another size than the cold start,
-    within an ulp of ``R``, as on the instance at the end.  Otherwise a hint
-    between a concave piece's start and the cold Newton start is the start.
+    ``R``) and only where ``ds < 4000*s_0``.  Where the utility is flat at
+    float resolution, sizes tie within ulps of ``R``, so none clears the
+    margin.  A hint the check does not certify is dropped: Newton starts
+    where it would without one, since where the utility is flat a Newton
+    start at the hint can end a few sizes from the cold answer, even with
+    ``c/R`` well above the float resolution, as on the pinned instances
+    below.
 
     Hints are taken near the answer (``n* - 3`` to ``n* + 3``) and far from
     it, in every curvature piece and at the ends of each, at ``n_min`` and
     ``n_max``, with ``c = 0`` and ``c/R`` from 1e-14 to 0.1, on both sides of
     2e-10.  Copies of each instance put ``n*`` at ``n_max - 1``, at ``n_max``
     and at ``n_min``, the start of its piece, or raise ``c0`` so that ``c0 +
-    c*n`` exceeds ``R``.  Each hinted answer must equal the unhinted one by
-    ``repr``, and most near hints that the check can take must take no
-    Newton log (only the belief's constant), so the check cannot silently
-    stop firing.
+    c*n`` exceeds ``R``.  Seeded draws with beliefs just above ``mu_b`` and
+    ``n_max`` up to 1e12 reach ``n*`` of 1e8 and more, where the utility is
+    flat.  Each hinted answer must equal the unhinted one by ``repr``, and
+    most near hints that the check can take must take no Newton log (only
+    the belief's constant), so the check cannot silently stop firing.
     """
     logs = []
     monkeypatch.setattr(agent, "math", types.SimpleNamespace(
@@ -854,8 +857,9 @@ def test_size_hint_moves_no_answer(monkeypatch):
             label = None
         regions = curvature_regions(alpha, mu0, inst)
         top = regions[-1]
-        # Where the check can certify n*: it lies strictly inside the top
-        # concave piece, its utility is nonnegative and c/R > 2e-10.
+        # Where the check should certify n*: it lies strictly inside the top
+        # concave piece, its utility is nonnegative and c/R > 2e-10, so the
+        # utility is seldom flat near n*.
         takes = (n_star and top.shape == "concave" and inst.c > 2e-10 * inst.R
                  and max(inst.n_min, math.ceil(top.n_lo)) < n_star - 1 and n_star + 1 < inst.n_max)
         near = n_star or inst.n_min
@@ -931,18 +935,48 @@ def test_size_hint_moves_no_answer(monkeypatch):
     level, mu0 = agent._level(2.540338771752965e-05, inst), 0.919668482780297
     assert agent._respond(level, mu0, 5_512_679) == agent._respond(level, mu0) == (
         77.53939346466453, 27_345_155, 0.9999945515918766)
+    # Flat near n* although c/R is 1.7e-9 and 2.1e-10: a solve with Newton
+    # started at these hints ends on 266,352,294 and 847,021,978.
+    for alpha, mu0, inst, n_star, hints in (
+        (8.351628708547888e-05, 0.9614604955744647,
+         EconomicInstance(150.1867739971878, 0.0015610475376755394, 2.488832013629723e-07,
+                          0.9614009081985325, 8, 10**9), 266_352_297, (266_352_296,)),
+        (0.0021008408996704285, 0.34955807539398076,
+         EconomicInstance(7.1155738518410665, 0.0024093615083702977, 1.5196681375307726e-09,
+                          0.3494815082334084, 13, 1414831115), 847_021_993, (847_021_990, 847_021_991, 847_021_992)),
+    ):
+        level = agent._level(alpha, inst)
+        cold = agent._respond(level, mu0)
+        assert cold[1] == n_star
+        for hint in (*hints, *range(n_star - 3, n_star + 4)):
+            assert repr(agent._respond(level, mu0, hint)) == repr(cold), hint
+    rng, flat = random.Random(2929), 0
+    for i in range(3000):
+        R = 10.0 ** rng.uniform(-1.0, 3.0)
+        c = 0.0 if i % 10 == 0 else R * 10.0 ** rng.uniform(-15.0, -4.0)
+        mu_b = rng.uniform(0.01, 0.95)
+        mu0 = min(BELIEF_CEIL, mu_b + 10.0 ** rng.uniform(-6.0, -0.5))
+        n_min = rng.randrange(1, 40)
+        inst = EconomicInstance(R, R * 10.0 ** rng.uniform(-5.0, -0.5), c, mu_b, n_min,
+                                n_min + int(10.0 ** rng.uniform(1.0, 12.0)))
+        level = agent._level(10.0 ** rng.uniform(-6.0, math.log10(0.5)), inst)
+        cold = agent._respond(level, mu0)
+        flat += cold[1] >= 10**8
+        near = cold[1] or n_min
+        for hint in (*range(near - 3, near + 4), near - 40, near + 40, near // 2, 2 * near):
+            hint = min(inst.n_max, max(n_min, hint))
+            assert repr(agent._respond(level, mu0, hint)) == repr(cold), (level, mu0, hint)
+    assert flat > 150, flat
 
 
 def test_warm_start_cuts_the_newton_steps_of_a_sweep_row(monkeypatch):
     # Every Newton step takes one log, as do each belief's constant, each
     # concave piece's start and each check of a top end; a hint that the
     # kernel certifies takes only the constant's.  Over the effective-side
-    # nodes of one row (alpha = 0.05, 401 Simpson nodes), the size predicted
-    # from the two nodes before each takes a cardiovascular row from 2,337
-    # logs to 604, as its Newton steps fall from 1,523 to 136, and an
-    # fn-curves-062 row from 2,465 logs to 522 (1,513 steps to 67).  Handing
-    # on only the previous node's size as a Newton start read 1,708 logs
-    # (894 steps) on the cardiovascular row.
+    # nodes of one row (alpha = 0.05, 401 Simpson nodes), checking the size
+    # predicted from the two nodes before each takes a cardiovascular row
+    # from 2,337 logs to 781, as its Newton steps fall from 1,523 to 313, and
+    # an fn-curves-062 row from 2,465 logs to 565 (1,513 steps to 110).
     counted = []
     monkeypatch.setattr(agent, "math", types.SimpleNamespace(
         **{**vars(math), "log": lambda x: counted.append(x) or math.log(x)}))
@@ -955,7 +989,7 @@ def test_warm_start_cuts_the_newton_steps_of_a_sweep_row(monkeypatch):
         logs[warm] += len(counted) - before
         return answer
 
-    pins = {"cardiovascular": {True: 604, False: 2337}, "fn-curves-062": {True: 522, False: 2465}}
+    pins = {"cardiovascular": {True: 781, False: 2337}, "fn-curves-062": {True: 565, False: 2465}}
     for preset, pinned in pins.items():
         cfg = load_config(preset_path(preset))
         logs = {True: 0, False: 0}

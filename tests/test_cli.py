@@ -161,10 +161,8 @@ def test_loss_sweep_preset_bytes_are_pinned(tmp_path):
     # pay pieces: fp_particip moved by up to 1.4e-8 and total_loss by up to
     # 8.2e-9 relative (Simpson's error), and no other column moved.  The
     # other four were frozen before the effective-side integrand began to
-    # hand each node's size to the next as a Newton start; vaccine's entering
-    # applicant buys n_max at alpha <= 0.01, so its hints sit at the cap.
-    # The CI workflow's installed-CLI step checks fn-curves-062's and
-    # cardiovascular's digests too: re-freeze them together.
+    # pass each node a size hint; vaccine's entering applicant buys n_max at
+    # alpha <= 0.01, so its hints sit at the cap.
     pinned = {
         "fn-curves-062": "b3fed2b86f6b9a8e107bba1c7ddb5664fee368fb8e6fbd6c3ecaeb85074f0896",
         "cardiovascular": "b32bf837b745a8ef8d050b9d9dc018c9a19e87f171cbfade660e7edb54f66ed6",
@@ -182,8 +180,7 @@ def test_loss_sweep_preset_bytes_are_pinned(tmp_path):
 
 def test_heatmap_preset_bytes_are_pinned(tmp_path):
     # The category presets' full R x c0 grids, each through the closed-form
-    # critical level.  The CI workflow's installed-CLI step checks vaccine's
-    # digest too: re-freeze the two together.
+    # critical level.
     pinned = {
         "cardiovascular": "da88b515e2173a1c862beb5e884d54f6fe3b5a4feca019303fae685368fbe8f3",
         "oncology": "3b44dd6534a4d7af5aeca114d0493acd490a78af2b4f491119abaa95bd901aa1",
