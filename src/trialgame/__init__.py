@@ -31,7 +31,6 @@ from .loss import (
     LossWeights,
     QuadratureSpec,
     loss_components,
-    optimal_alpha,
     sweep_alpha,
 )
 from .stats import (
@@ -76,7 +75,6 @@ __all__ = [
     "default_alpha_grid",
     "load_config",
     "loss_components",
-    "optimal_alpha",
     "participation_threshold",
     "pass_probability",
     "preset_path",

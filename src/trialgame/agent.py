@@ -244,10 +244,10 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     the size's window, with ``below`` and ``last`` the size under it, where
     the stop bound is tried.  Where the utility is flat at float resolution,
     sizes tie within ulps of ``R`` and none clears the margin.  A hint that
-    is not certified plays no further part, so a hint moves no answer.  On every 8th row of the ``cardiovascular`` and
-    ``fn-curves-062`` sweeps the check certifies 90% and 97% of the
-    effective calls, and Newton steps per call fall from 3.3 unhinted to
-    0.45 and 0.07.
+    is not certified plays no further part, so a hint moves no answer.  On
+    every 8th row of the ``cardiovascular`` and ``fn-curves-062`` sweeps the
+    check certifies 90% and 97% of the effective calls, and Newton steps per
+    call fall from 3.3 unhinted to 0.45 and 0.07.
 
     ``mu0`` is not checked: :func:`best_response` checks it once, and the
     other callers (``thresholds._threshold`` and ``_bracket``, the loss

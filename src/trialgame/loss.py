@@ -1,4 +1,4 @@
-"""Regulator-side loss: error decomposition, sweeps, and optimal level.
+"""Regulator-side loss: error decomposition and sweeps.
 
 Conditioned on the applicant's true side of the baseline, four error
 channels exist: weak applicants that participate and pass (false
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .agent import EconomicInstance, _is_int, _level, _respond, _score
 from .errors import reject
 from .stats import TruncatedNormalPrior, finite
-from .thresholds import DEFAULT_EPS, _threshold, critical_alpha
+from .thresholds import _threshold
 
 #: Positive nodes and their weights of the symmetric 12-point Gauss-Legendre rule on [-1, 1].
 _GAUSS_12 = ((0.1252334085114689, 0.24914704581340277), (0.3678314989981802, 0.2334925365383548),
@@ -175,25 +175,6 @@ def loss_components(
 
 def _clip01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-
-
-def optimal_alpha(
-    inst: EconomicInstance,
-    prior: TruncatedNormalPrior,
-    weights: LossWeights,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Least-loss level among 100 evenly spaced in ``[alpha_hat, 1 - DEFAULT_EPS]``.
-
-    Below the critical level the false-positive channel is flat at zero
-    while missed approvals only grow, so nothing is lost by starting the
-    grid at ``alpha_hat``.  Ties resolve to the smaller level.
-    """
-    a0 = critical_alpha(inst).alpha_hat
-    step = (1.0 - DEFAULT_EPS - a0) / 99
-    grid = [a0 + i * step for i in range(100)]
-    losses = [b.total for b in sweep_alpha(grid, inst, prior, weights, quad)]
-    return grid[losses.index(min(losses))]
 
 
 def sweep_alpha(

@@ -1,17 +1,23 @@
-"""Test oracles for the applicant model: the slope of expected profit, the
-curvature partition of the trial-size range, and the critical level found by
-evaluating the weak-belief maximand at its peak.
+"""Test oracles for the applicant model and the regulator's loss.
 
-They are restated here from the model's formulas rather than imported from
-``trialgame``, so a test that checks the solver against them checks it
-against an independent derivation.  They are plain oracles: arguments are
-not validated, the first two apply only on the effective side ``mu0 >
-mu_b``, and the last only where ``(c0 + c * n_min) / R`` lies in ``(0, 1/2)``.
+The applicant-model oracles are the slope of expected profit, the curvature
+partition of the trial-size range, and the critical level found by
+evaluating the weak-belief maximand at its peak.  They are restated here
+from the model's formulas rather than imported from ``trialgame``, so a test
+that checks the solver against them checks it against an independent
+derivation.  They are plain oracles: arguments are not validated, the slope
+and the partition apply only on the effective side ``mu0 > mu_b``, and the
+critical level only where ``(c0 + c * n_min) / R`` lies in ``(0, 1/2)``.
+
+:func:`grid_optimal_alpha` is not restated: it searches the package's own
+loss (``sweep_alpha``) on a uniform grid of levels, so it pins where the
+least loss sits, not what the loss is.
 """
 
 import math
 from typing import NamedTuple
 
+from trialgame import DEFAULT_EPS, critical_alpha, sweep_alpha
 from trialgame.stats import std_normal_quantile, std_normal_sf
 
 
@@ -87,3 +93,17 @@ def peak_critical_alpha(inst):
         return (z * math.sqrt(mu * (1.0 - mu)) - (mu_b - mu) * root_n) / math.sqrt(mu_b * (1.0 - mu_b))
 
     return std_normal_sf(g(min(0.5 * (1.0 + root_n / math.sqrt(z * z + inst.n_min)), mu_b)))
+
+
+def grid_optimal_alpha(inst, prior, weights, quad):
+    """Least-loss level among 100 evenly spaced in ``[alpha_hat, 1 - DEFAULT_EPS]``.
+
+    Below the critical level the false-positive channel is flat at zero
+    while missed approvals only grow, so the grid starts at ``alpha_hat``.
+    Ties resolve to the smaller level.
+    """
+    a0 = critical_alpha(inst).alpha_hat
+    step = (1.0 - DEFAULT_EPS - a0) / 99
+    grid = [a0 + i * step for i in range(100)]
+    losses = [b.total for b in sweep_alpha(grid, inst, prior, weights, quad)]
+    return grid[losses.index(min(losses))]

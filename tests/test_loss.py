@@ -34,7 +34,6 @@ from trialgame import (
     critical_alpha,
     load_config,
     loss_components,
-    optimal_alpha,
     participation_threshold,
     pass_probability,
     preset_path,
@@ -43,6 +42,7 @@ from trialgame import (
 from trialgame.agent import _level
 from trialgame.loss import _gauss, _simpson
 from trialgame.thresholds import _pay_interval
+from reference import grid_optimal_alpha
 
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
 PRIOR = TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
@@ -494,17 +494,18 @@ def test_loss_components_rejects_bad_alpha():
         loss_components(1.0, INST, PRIOR)
 
 
-def test_optimal_alpha_is_grid_argmin():
-    weights = LossWeights()
-    quad = QuadratureSpec(panels=50)
-    best = optimal_alpha(INST, PRIOR, weights, quad)
-    # Rebuild the same 100-point grid and scan it directly.
-    a0 = critical_alpha(INST).alpha_hat
-    a1 = 1.0 - 1e-6
-    grid = [a0 + i * (a1 - a0) / 99 for i in range(100)]
-    losses = [loss_components(a, INST, PRIOR, quad, weights).total for a in grid]
-    assert best == grid[losses.index(min(losses))]
-    assert loss_components(best, INST, PRIOR, quad, weights).total <= losses[0]
+def test_grid_optimal_level_is_the_critical_level_on_five_presets():
+    # The paper characterises the optimal level by the critical one.  On the
+    # uniform grid from alpha_hat, the least loss sits at alpha_hat itself
+    # (the grid's corner) on five presets, and inside the range only on
+    # fn-curves-053, where the staircase floor decides it (ROADMAP item 11).
+    interior = {"fn-curves-053": 0.2147877070707071}
+    corner = ["cardiovascular", "fn-curves-062", "fn-curves-067", "oncology", "vaccine"]
+    assert sorted(available_presets()) == sorted(corner + list(interior))
+    for preset in available_presets():
+        cfg = load_config(preset_path(preset))
+        best = grid_optimal_alpha(cfg.instance, cfg.prior, cfg.weights, cfg.quadrature)
+        assert best == interior.get(preset, critical_alpha(cfg.instance).alpha_hat), preset
 
 
 def test_sweep_alpha_structure_and_identities():

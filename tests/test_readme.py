@@ -1,10 +1,14 @@
-"""The README's library example runs and gives the values its comments state."""
+"""The README's library example runs and gives the values its comments state,
+and the package's export list is its public surface."""
 
 import ast
 import re
+import types
 from pathlib import Path
 
 import pytest
+
+import trialgame
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -48,3 +52,14 @@ def test_readme_library_example_values():
     assert comment.startswith("0.052 ")
     assert alpha_hat == pytest.approx(0.052, rel=1e-12)
     assert len(results["sweep_alpha([0.01, 0.05, 0.1], inst, prior)"][0]) == 3
+
+
+def test_export_list_is_the_public_surface():
+    # A star import fails on a name that no longer resolves, so a removed
+    # function cannot leave a stale export behind; and no public name of the
+    # package goes unlisted.
+    namespace = {}
+    exec("from trialgame import *", namespace)
+    public = {name for name, value in vars(trialgame).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(trialgame.__all__)
