@@ -168,10 +168,11 @@ def _level(alpha: float, inst: EconomicInstance) -> tuple:
 def _score(level: tuple, mu0: float, n) -> tuple[float, float]:
     """``(utility, pass_prob)`` of ``n`` samples at belief ``mu0`` and a :func:`_level`.
 
-    Reads the first five entries of a level.  :func:`_respond`'s walk, hint
-    check and one-size branch, and :func:`best_response`'s one-size path,
-    inline it, bit for bit: a call per size made a ``cardiovascular`` sweep
-    slice and 20,000 best-response queries about 20% slower (Python 3.11).
+    Reads the first five entries of a level.  :func:`_respond`'s one-size
+    branch, its hint check (made before the pieces are set up) and its walk,
+    and :func:`best_response`'s one-size path, inline it, bit for bit: a
+    call per size made a ``cardiovascular`` sweep slice and 20,000
+    best-response queries about 20% slower (Python 3.11).
     """
     mu_b, ds, R, c0, c = level[:5]
     p = 0.5 * math.erfc((ds - (mu0 - mu_b) * math.sqrt(n)) / math.sqrt(mu0 * (1.0 - mu0)) / _SQRT2)
@@ -227,11 +228,11 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
 
     A ``hint`` is a guess at the answer: ``loss_components`` passes the size
     extrapolated from its two previous nodes, and every other caller passes
-    none (0).  On the first piece walked, if it is concave, the hint is
-    checked before Newton: ``hint`` and ``hint + 1`` are scored, then sizes
-    on towards the higher of the two while the utility rises, six sizes at
-    most.  The exact utility is concave in ``n`` there, so a size whose
-    computed utility beats both neighbours' by more than the margin
+    none (0).  If the first piece walked is concave, the hint is checked
+    before the pieces are set up: ``hint`` and ``hint + 1`` are scored, then
+    sizes on towards the higher of the two while the utility rises, six
+    sizes at most.  The exact utility is concave in ``n`` there, so a size
+    whose computed utility beats both neighbours' by more than the margin
     ``1e-12*R`` is the piece's best, and the walk would take it with the
     same bits, as long as the margin is above twice the rounding error of a
     computed utility.  That error is about
@@ -240,14 +241,24 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     of nonnegative utility (its cost is at most ``R``, and that of a size
     within three of it at most ``2R``), and only where ``ds < 4000*s_0``,
     which keeps the error below ``4e-13*R``.  It also needs both neighbours
-    strictly inside the piece.  The walk then goes on as if it had scored
-    the size's window, with ``below`` and ``last`` the size under it, where
-    the stop bound is tried.  Where the utility is flat at float resolution,
-    sizes tie within ulps of ``R`` and none clears the margin.  A hint that
-    is not certified plays no further part, so a hint moves no answer.  On
-    every 8th row of the ``cardiovascular`` and ``fn-curves-062`` sweeps the
-    check certifies 90% and 97% of the effective calls, and Newton steps per
-    call fall from 3.3 unhinted to 0.45 and 0.07.
+    strictly inside the piece.  The certified size ``m`` is the answer when
+    nothing below the piece can win: the piece starts at ``n_min``, or it
+    starts at ``n2`` and the one-half bound holds.  The stop bound at ``m -
+    1`` adds nothing: without the one-half bound it needs ``p(m - 1) <
+    1/2``, so ``m - 1`` in the band above ``n2`` where ``v > 0``, under
+    ``3*s_0^2/dmu^2`` wide (so ``dmu/s_0 < sqrt(3)``), and, as ``m - n_min
+    >= 3``, a threefold fall of the pass chance's slope from ``m - 1`` to
+    ``m + 1`` (so ``dmu/s_0 > 2.5``).  Otherwise the walk goes on from the
+    next piece as if it had scored the size's window, with ``below`` and
+    ``last`` the size under it.  Where the utility is flat at float
+    resolution, sizes tie within ulps of ``R`` and none clears the margin.
+    A hint that is not certified plays no further part, so a hint moves no
+    answer.  ``k`` is taken only on a piece that runs Newton, so a certified
+    hint takes no log.  On every 8th row of the ``cardiovascular`` and ``fn-curves-062``
+    sweeps (20,290 and 10,146 calls), 89% and 96% of the calls take no log,
+    logs per call are 0.71 and 0.18 (1.59 and 1.14 with ``k`` taken before
+    the check), and erfc per call is 3.95 and 3.86; 3,124 of the
+    ``fn-curves-062`` calls certify a size and go on walking.
 
     ``mu0`` is not checked: :func:`best_response` checks it once, and the
     other callers (``thresholds._threshold`` and ``_bracket``, the loss
@@ -261,7 +272,6 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
         p = 0.5 * math.erfc((ds - dmu * math.sqrt(n_min)) / sigma0 / _SQRT2)
         u = R * p - cost_min
         return (u, n_min, p) if u >= 0.0 else (0.0, 0, 0.0)
-    k = k_level + math.log(dmu / (2.0 * sigma0))  # inf without a per-sample cost
     disc = ds * ds - 4.0 * var0
     n1 = n2 = 0.0
     if disc > 0.0 and ds > 0.0:
@@ -269,6 +279,34 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
         t1 = (var0 / (dmu * dmu)) / t2
         n1, n2 = t1 * t1, t2 * t2
     best_n, best_u, best_p, last, below, hi = 0, -math.inf, 0.0, n_max + 1, 0, n_max
+    # The first piece walked is concave unless n2 reaches n_max and n1 does
+    # not; it starts at n2 or at n_min.
+    if hint and ds < 4e3 * sigma0 and (n2 < n_max or n1 >= n_max):
+        # Score hint, then hint + 1, then walk on towards the higher of the
+        # two while the utility rises.  A size of nonnegative utility that
+        # beats both neighbours by more than the margin is this piece's best.
+        # It is the answer if the piece starts at n_min or the one-half bound
+        # leaves the sizes up to n2 no chance; otherwise the walk goes on
+        # from the next piece as if it had scored the size's window.
+        a_real = n2 if n_min < n2 < n_max else n_min
+        a, n, step, u_m = math.ceil(a_real), hint, 1, -math.inf
+        for _ in range(6):
+            if not a < n < n_max:
+                break
+            p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
+            u = R * p - (c0 + c * n)
+            if u > u_m:
+                m, u_m, p_m, u_pre = n, u, p, u_m
+            elif n == hint + 1:
+                step, n, u_pre = -1, hint, u
+            else:
+                if u_m - margin > u and u_m - margin > u_pre and u_m >= 0.0:
+                    if a_real == n_min or R * 0.5 - cost_min < u_m - margin:
+                        return u_m, m, p_m
+                    best_n, best_u, best_p, below, last, hi = m, u_m, p_m, m - 1, m - 1, a_real
+                break
+            n += step
+    k = None
     # The pieces start at n2, n1 and n_min, clipped to the range.  One of
     # positive length is walked, and the next piece ends at its start.  A
     # piece's second entry is how far above the root its window reaches, and
@@ -287,32 +325,8 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
                 break
             window = (b, a) if a <= b else ()
         else:
-            if hint and last > n_max and ds < 4e3 * sigma0:
-                # Nothing is scored yet.  Score hint, then hint + 1, then walk
-                # on towards the higher of the two while the utility rises.  A
-                # size of nonnegative utility that beats both neighbours by more
-                # than the margin is this piece's best: take it as its window
-                # would, try the stop bound at the size under it, and go on.
-                n, step, u_m, p_m = hint, 1, -math.inf, 0.0
-                for _ in range(6):
-                    if not a < n < b:
-                        break
-                    p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
-                    u = R * p - (c0 + c * n)
-                    if u > u_m:
-                        m, u_m, p_m, u_pre, p_pre = n, u, p, u_m, p_m
-                    elif n == hint + 1:
-                        step, n, u_pre, p_pre = -1, hint, u, p
-                    else:
-                        if u_m - margin > u and u_m - margin > u_pre and u_m >= 0.0:
-                            best_n, best_u, best_p = m, u_m, p_m
-                            below = last = m - 1
-                            if R * (p_pre if step > 0 else p) - cost_min < best_u - margin:
-                                hi = n_min
-                        break
-                    n += step
-                if best_n:
-                    continue
+            if k is None:
+                k = k_level + math.log(dmu / (2.0 * sigma0))  # inf without a per-sample cost
             t_lo = math.sqrt(a)
             v = (ds - dmu * t_lo) / sigma0
             h_lo = k - 0.5 * v * v - math.log(t_lo)

@@ -9,16 +9,22 @@ derivation.  They are plain oracles: arguments are not validated, the slope
 and the partition apply only on the effective side ``mu0 > mu_b``, and the
 critical level only where ``(c0 + c * n_min) / R`` lies in ``(0, 1/2)``.
 
-:func:`grid_optimal_alpha` is not restated: it searches the package's own
-loss (``sweep_alpha``) on a uniform grid of levels, so it pins where the
-least loss sits, not what the loss is.
+Three helpers are not restated.  :func:`grid_optimal_alpha` searches the
+package's own loss (``sweep_alpha``) on a uniform grid of levels, so it pins
+where the least loss sits, not what the loss is.  :func:`participation_set`
+merges the package's closed-form pay sets, one per admissible size, and asks
+no best response, so it is independent of the kernel and the threshold
+search it checks.  :func:`record_sweep_calls` records the kernel's own calls
+for replay.
 """
 
 import math
 from typing import NamedTuple
 
-from trialgame import DEFAULT_EPS, critical_alpha, sweep_alpha
+from trialgame import DEFAULT_EPS, agent, critical_alpha, load_config, loss, preset_path, sweep_alpha, thresholds
+from trialgame.agent import _level
 from trialgame.stats import std_normal_quantile, std_normal_sf
+from trialgame.thresholds import _pay_interval
 
 
 class CurvatureRegion(NamedTuple):
@@ -107,3 +113,45 @@ def grid_optimal_alpha(inst, prior, weights, quad):
     grid = [a0 + i * step for i in range(100)]
     losses = [b.total for b in sweep_alpha(grid, inst, prior, weights, quad)]
     return grid[losses.index(min(losses))]
+
+
+def participation_set(alpha, inst):
+    """Beliefs that participate at ``alpha``, as sorted disjoint pieces ``(lo, hi)``.
+
+    Abstaining earns exactly 0 and a tie with 0 goes to participating, so a
+    belief participates exactly when some admissible size pays.  The set is
+    the union of ``_pay_interval`` over every size in ``[n_min, n_max]``,
+    with pieces that touch or overlap merged.  It asks no best response.
+    """
+    level = _level(alpha, inst)
+    merged = []
+    for lo, hi in sorted(p for n in range(inst.n_min, inst.n_max + 1) for p in _pay_interval(level, n)):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def record_sweep_calls(presets, stride):
+    """Every kernel call of every ``stride``-th row of each preset's sweep.
+
+    The calls are recorded where ``loss`` and ``thresholds`` make them, as
+    ``(level, mu, hint, answer)`` in the order made, so a test can replay
+    them with ``agent._respond``.
+    """
+    calls, real = [], agent._respond
+
+    def recorded(level, mu, hint=0):
+        answer = real(level, mu, hint)
+        calls.append((level, mu, hint, answer))
+        return answer
+
+    thresholds._respond = loss._respond = recorded
+    try:
+        for preset in presets:
+            cfg = load_config(preset_path(preset))
+            sweep_alpha(cfg.alpha_grid[::stride], cfg.instance, cfg.prior, cfg.weights, cfg.quadrature)
+    finally:
+        thresholds._respond = loss._respond = real
+    return calls

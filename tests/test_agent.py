@@ -37,7 +37,7 @@ from trialgame import (
     std_normal_quantile,
     utility,
 )
-from reference import convex_window, curvature_regions, utility_slope
+from reference import convex_window, curvature_regions, record_sweep_calls, utility_slope
 
 # One instance reused throughout: unit revenue, affordable trials.
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
@@ -834,8 +834,9 @@ def test_size_hint_moves_no_answer(monkeypatch):
     c*n`` exceeds ``R``.  Seeded draws with beliefs just above ``mu_b`` and
     ``n_max`` up to 1e12 reach ``n*`` of 1e8 and more, where the utility is
     flat.  Each hinted answer must equal the unhinted one by ``repr``, and
-    most near hints that the check can take must take no Newton log (only
-    the belief's constant), so the check cannot silently stop firing.
+    most near hints that the check can take must take no log at all (the
+    belief's constant is taken only where Newton runs), so the check cannot
+    silently stop firing.
     """
     logs = []
     monkeypatch.setattr(agent, "math", types.SimpleNamespace(
@@ -882,7 +883,7 @@ def test_size_hint_moves_no_answer(monkeypatch):
             assert repr(got) == repr(cold), (alpha, mu0, inst, hint)
             if takes and kind == "near" and abs(hint - n_star) <= 1:
                 checkable += 1
-                certified += len(logs) - before == 1
+                certified += len(logs) == before
         return n_star
 
     for i in range(3000):
@@ -914,7 +915,8 @@ def test_size_hint_moves_no_answer(monkeypatch):
     assert certified > 0.9 * checkable > 2000, (certified, checkable)
     # Here the top piece's best size, 470, earns 0.0072 and the check
     # certifies it, but 16, below the convex window, earns 0.018: after a
-    # certified size the walk must go on unless the stop bound ends it.
+    # certified size the walk must go on unless nothing below its piece can
+    # win.
     inst = EconomicInstance(R=1.0, c0=1.476746979323227e-05, c=0.0006801169213250879,
                             mu_b=0.133241297157076, n_min=9, n_max=7033)
     level, mu0 = agent._level(0.007841999458255748, inst), 0.1634667492176686
@@ -969,14 +971,97 @@ def test_size_hint_moves_no_answer(monkeypatch):
     assert flat > 150, flat
 
 
+def test_each_exit_of_the_hint_check_answers_as_the_cold_call(monkeypatch):
+    # A hint the kernel certifies, the size m, is the answer at once where
+    # the first piece starts at n_min, or where it starts at n2 > n_min and
+    # the one-half bound leaves no smaller size a chance: the kernel then
+    # scores m, m + 1 and m - 1 and takes no log.  Otherwise the walk goes on
+    # below the piece: here the top piece's best, 470, hands over to 16,
+    # below the convex window, with no log before it scores the window's
+    # top.  Each hinted answer equals the cold one by repr and, on a range
+    # under 400 sizes, the scan's.  Scored sizes are seen as the integers
+    # agent's math module takes square roots of, and logs as None.
+    events = []
+
+    def sqrt(x):
+        if isinstance(x, int):
+            events.append(x)
+        return math.sqrt(x)
+
+    monkeypatch.setattr(agent, "math", types.SimpleNamespace(
+        **{**vars(math), "sqrt": sqrt, "log": lambda x: events.append(None) or math.log(x)}))
+    for exit_, alpha, mu0, inst, m in (
+        ("n_min", 0.14189606498444077, 0.3055528776795813,
+         EconomicInstance(R=0.307, c0=0.00016285162891299407, c=0.00021870641532930308,
+                          mu_b=0.28836649681888804, n_min=14, n_max=79), 61),
+        ("one-half bound", 0.0007145661995037167, 0.9907213344563665,
+         EconomicInstance(R=32.916, c0=0.010340353542226326, c=0.00013239050923929933,
+                          mu_b=0.717054719431603, n_min=19, n_max=393), 46),
+        ("handoff", 0.007841999458255748, 0.1634667492176686,
+         EconomicInstance(R=1.0, c0=1.476746979323227e-05, c=0.0006801169213250879,
+                          mu_b=0.133241297157076, n_min=9, n_max=7033), 470),
+    ):
+        level = agent._level(alpha, inst)
+        cold, u = agent._respond(level, mu0), agent._score(level, mu0, m)[0]
+        events.clear()
+        got = agent._respond(level, mu0, m)
+        assert repr(got) == repr(cold), exit_
+        assert events[:3] == [m, m + 1, m - 1], exit_
+        n2 = convex_window(alpha, mu0, inst)[1]
+        half = inst.R / 2 - (inst.c0 + inst.c * inst.n_min) < u - 1e-12 * inst.R
+        if exit_ == "n_min":
+            assert not inst.n_min < n2 < inst.n_max and not half and events == [m, m + 1, m - 1] and got[1] == m
+        elif exit_ == "one-half bound":
+            assert inst.n_min < n2 < inst.n_max and half and events == [m, m + 1, m - 1] and got[1] == m
+        else:
+            assert inst.n_min < n2 < inst.n_max and not half and events[3] == math.floor(n2) and got[1] < n2
+        if inst.n_max - inst.n_min < 400:
+            scan = best_response_bruteforce(alpha, mu0, inst)
+            assert (scan.utility, scan.n_star, scan.pass_prob) == got, exit_
+
+
+def test_the_stop_bound_never_settles_a_hint_that_the_half_bound_leaves(monkeypatch):
+    # Where the hint's piece starts at n2 > n_min, the kernel returns a
+    # certified size m on the one-half bound alone.  The stop bound at m - 1,
+    # R*p(m - 1) - (c0 + c*n_min) short of u(m) by the margin, holds there
+    # only where the one-half bound does: without it, m - 1 passes less than
+    # half the time, and the pass chance's slope must fall threefold from
+    # m - 1 to m + 1 (see _respond).  Seeded draws check it on every size
+    # that beats both neighbours by the margin.
+    rng = random.Random(31)
+    settled = stop = 0
+    for i in range(10_000):
+        R = 10.0 ** rng.uniform(-1.0, 3.0)
+        n_min = rng.choice([1, 1, 2, 3, rng.randrange(1, 40)])
+        c = R * 10.0 ** rng.uniform(-14.0, -0.3)
+        inst = EconomicInstance(R, R * 10.0 ** rng.uniform(-6.0, -0.1), c, rng.uniform(0.01, 0.99),
+                                n_min, n_min + rng.choice([5, 30, 400, 100_000]))
+        alpha = 10.0 ** rng.uniform(-8.0, math.log10(0.9))
+        mu0 = rng.uniform(inst.mu_b, BELIEF_CEIL)
+        level = agent._level(alpha, inst)
+        m = agent._respond(level, mu0)[1]
+        n2 = convex_window(alpha, mu0, inst)[1]
+        if not (m and n_min < n2 and math.ceil(n2) < m - 1 and m + 1 < inst.n_max):
+            continue
+        (u_lo, p_lo), (u, _), (u_hi, _) = (agent._score(level, mu0, n) for n in (m - 1, m, m + 1))
+        margin, cost_min = 1e-12 * R, inst.c0 + c * n_min
+        if u >= 0.0 and u - margin > u_lo and u - margin > u_hi:
+            settled += 1
+            if R * p_lo - cost_min < u - margin:
+                stop += 1
+                assert R / 2 - cost_min < u - margin, (alpha, mu0, inst)
+    assert settled > 1000 and stop > 10, (settled, stop)
+
+
 def test_warm_start_cuts_the_newton_steps_of_a_sweep_row(monkeypatch):
-    # Every Newton step takes one log, as do each belief's constant, each
-    # concave piece's start and each check of a top end; a hint that the
-    # kernel certifies takes only the constant's.  Over the effective-side
-    # nodes of one row (alpha = 0.05, 401 Simpson nodes), checking the size
-    # predicted from the two nodes before each takes a cardiovascular row
-    # from 2,337 logs to 781, as its Newton steps fall from 1,523 to 313, and
-    # an fn-curves-062 row from 2,465 logs to 565 (1,513 steps to 110).
+    # Every Newton step takes one log, as do each concave piece's start, each
+    # check of a top end and the belief's constant, which is taken only where
+    # Newton runs: a hint that the kernel certifies takes no log.  Over the
+    # effective-side nodes of one row (alpha = 0.05, 401 Simpson nodes),
+    # checking the size predicted from the two nodes before each takes a
+    # cardiovascular row from 2,337 logs to 435, as its Newton steps fall
+    # from 1,523 to 313, and an fn-curves-062 row from 2,465 logs to 201
+    # (1,513 steps to 110).
     counted = []
     monkeypatch.setattr(agent, "math", types.SimpleNamespace(
         **{**vars(math), "log": lambda x: counted.append(x) or math.log(x)}))
@@ -989,7 +1074,7 @@ def test_warm_start_cuts_the_newton_steps_of_a_sweep_row(monkeypatch):
         logs[warm] += len(counted) - before
         return answer
 
-    pins = {"cardiovascular": {True: 781, False: 2337}, "fn-curves-062": {True: 565, False: 2465}}
+    pins = {"cardiovascular": {True: 435, False: 2337}, "fn-curves-062": {True: 201, False: 2465}}
     for preset, pinned in pins.items():
         cfg = load_config(preset_path(preset))
         logs = {True: 0, False: 0}
@@ -999,6 +1084,54 @@ def test_warm_start_cuts_the_newton_steps_of_a_sweep_row(monkeypatch):
             loss_components(0.05, cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
             assert len(nodes) == cfg.quadrature.panels + 1
         assert logs == pinned, preset
+
+
+def test_recorded_sweep_calls_pin_the_kernels_counts(monkeypatch):
+    # Every kernel call of every 8th row of two sweeps, replayed with the
+    # hint it was given, counting erfc and log through agent's math module.
+    # Pinned per preset: calls, erfc, log, calls that take no log, and the
+    # sha256 of the answers' reprs, which is the same as before the hint
+    # check moved ahead of the pieces' set-up.  A hinted call that takes no
+    # log and scores a size at or below the convex window's top had its hint
+    # certified and went on walking: on fn-curves-062 that handoff fires.
+    counted, sizes = {"erfc": 0, "log": 0}, []
+
+    def count(name):
+        def counting(x):
+            counted[name] += 1
+            return getattr(math, name)(x)
+        return counting
+
+    def sqrt(x):
+        if isinstance(x, int):
+            sizes.append(x)
+        return math.sqrt(x)
+
+    monkeypatch.setattr(agent, "math", types.SimpleNamespace(
+        **{**vars(math), "erfc": count("erfc"), "log": count("log"), "sqrt": sqrt}))
+    pins = {
+        "cardiovascular": (20_290, 80_060, 14_329, 18_096, 39,
+                           "4033a7de9bfa0e2fa3e8ea21345623b944a711c9734caa1503149addcaa3889e"),
+        "fn-curves-062": (10_146, 39_147, 1_792, 9_780, 3_124,
+                          "d55ea18eaa5d9121a3220da0dc1465454a10c77bf5ae9a2744e93b6bc6b643d4"),
+    }
+    for preset, pinned in pins.items():
+        calls = record_sweep_calls((preset,), 8)
+        counted.update(erfc=0, log=0)
+        no_log = handoffs = 0
+        digest = hashlib.sha256()
+        for level, mu, hint, _ in calls:
+            before = counted["log"]
+            sizes.clear()
+            digest.update(repr(agent._respond(level, mu, hint)).encode())
+            no_log += counted["log"] == before
+            if hint and counted["log"] == before:
+                # The convex window's top, as reference.convex_window finds it.
+                mu_b, ds, n_min, n_max = level[0], level[1], level[5], level[6]
+                b, var0 = ds / (mu - mu_b), mu * (1.0 - mu) / (mu - mu_b) ** 2
+                n2 = ((b + math.sqrt(b * b - 4.0 * var0)) / 2.0) ** 2 if b > 0.0 and b * b > 4.0 * var0 else 0.0
+                handoffs += n_min < n2 < n_max and min(sizes) <= n2
+        assert (len(calls), counted["erfc"], counted["log"], no_log, handoffs, digest.hexdigest()) == pinned, preset
 
 
 def test_money_values_at_the_float_limits_get_an_answer():

@@ -19,7 +19,7 @@ import pytest
 from scipy import integrate, optimize
 from scipy import stats as sps
 
-from trialgame import agent, loss, thresholds
+from trialgame import agent
 from trialgame import (
     BELIEF_CEIL,
     BELIEF_FLOOR,
@@ -42,7 +42,7 @@ from trialgame import (
 from trialgame.agent import _level
 from trialgame.loss import _gauss, _simpson
 from trialgame.thresholds import _pay_interval
-from reference import grid_optimal_alpha
+from reference import grid_optimal_alpha, record_sweep_calls
 
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
 PRIOR = TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
@@ -393,7 +393,7 @@ def test_loss_components_solves_the_weak_pay_set_once_per_row():
     assert statuses == {"interior", "all_participate", "none_participate"}
 
 
-def test_recorded_sweep_calls_answer_alike_with_any_hint(monkeypatch):
+def test_recorded_sweep_calls_answer_alike_with_any_hint():
     # Every kernel call of every 8th row of the cardiovascular and
     # fn-curves-062 sweeps, recorded where loss and thresholds make it.  The
     # effective-side nodes pass a size predicted from the two nodes before
@@ -401,25 +401,12 @@ def test_recorded_sweep_calls_answer_alike_with_any_hint(monkeypatch):
     # give the same answer, by repr, with the hint it was given, with the
     # previous node's n_star (the hint of the loss's parent design) and with
     # none.
-    calls = []
-    real = agent._respond
-
-    def recorded(level, mu, hint=0):
-        answer = real(level, mu, hint)
-        calls.append((level, mu, hint, answer))
-        return answer
-
-    monkeypatch.setattr(thresholds, "_respond", recorded)
-    monkeypatch.setattr(loss, "_respond", recorded)
-    for preset in ("cardiovascular", "fn-curves-062"):
-        cfg = load_config(preset_path(preset))
-        sweep_alpha(cfg.alpha_grid[::8], cfg.instance, cfg.prior, cfg.weights, cfg.quadrature)
     hinted, previous = 0, (None, 0)
-    for level, mu, hint, answer in calls:
+    for level, mu, hint, answer in record_sweep_calls(("cardiovascular", "fn-curves-062"), 8):
         hinted += hint > 0
         prev = previous[1] if previous[0] is level else 0
         for other in (hint, prev, 0):
-            assert repr(real(level, mu, other)) == repr(answer), (level, mu, hint, other)
+            assert repr(agent._respond(level, mu, other)) == repr(answer), (level, mu, hint, other)
         previous = (level, answer[1])
     assert hinted > 29_000, hinted
 

@@ -36,7 +36,7 @@ from trialgame import (
     std_normal_sf,
     sweep_alpha,
 )
-from reference import peak_critical_alpha
+from reference import participation_set, peak_critical_alpha
 
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
 
@@ -678,3 +678,74 @@ def test_critical_alpha_matches_weak_belief_scan_and_search():
     # Every branch of the formula and every status is exercised.
     assert statuses == {"interior", "at_floor", "no_feasible_alpha"}
     assert concave_interior >= 10 and convex_floor >= 3 and searched >= 150
+
+
+# Participation sets of two pieces, by the union of every size's pay set.
+# participation_threshold reports one entry for each, a lower crossing with
+# status interior for the first and all_participate for the second, and
+# nothing says that a gap follows (ROADMAP item 3).
+TWO_PIECE = [
+    pytest.param(1.36e-3, EconomicInstance(R=271.7, c0=3.56e-3, c=0.432, mu_b=0.838, n_min=1, n_max=100_000),
+                 [0.4713189895725074, 0.8265288581564921, 0.8981865088318198, BELIEF_CEIL], id="mu_b=0.838"),
+    pytest.param(0.81, EconomicInstance(R=1.0, c0=0.95, c=0.0, mu_b=0.3, n_min=1, n_max=1),
+                 [BELIEF_FLOOR, 0.004211034168137338, 0.6707070285124219, BELIEF_CEIL], id="one size"),
+]
+
+
+def threshold_set(th):
+    """The participating pieces a threshold implies: from its entry to the ceiling."""
+    return {"interior": [th.mu_tau, BELIEF_CEIL], "all_participate": [BELIEF_FLOOR, BELIEF_CEIL],
+            "none_participate": []}[th.status]
+
+
+@pytest.mark.parametrize("alpha, inst, ends", TWO_PIECE)
+def test_participation_set_of_the_known_two_piece_examples(alpha, inst, ends):
+    assert [x for piece in participation_set(alpha, inst) for x in piece] == pytest.approx(ends, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="one entry is reported for two pieces; ROADMAP item 3 reports the gap")
+@pytest.mark.parametrize("alpha, inst, ends", TWO_PIECE)
+def test_participation_threshold_reports_the_gap_of_a_two_piece_set(alpha, inst, ends):
+    assert threshold_set(participation_threshold(alpha, inst)) == pytest.approx(ends, abs=thresholds._BRACKET)
+
+
+def test_participation_set_agrees_with_the_kernel_and_the_threshold():
+    # Seeded instances with k = (c0 + c*n_min)/R on both sides of 1/2, mu_b
+    # up to 0.95 and n_max up to about 4,000.  Just inside each end of the
+    # union the kernel participates, and just outside it abstains, at
+    # 2**-34 from the end's grid belief; ends closer than four of those to
+    # another are skipped.  Where the union is one piece or none, the
+    # threshold's entry lies within 2**-34 of its start, and its status
+    # agrees.
+    rng = random.Random(6)
+    statuses, sides, ends, several, high_mu_b = set(), set(), 0, 0, 0
+    for _ in range(400):
+        R, mu_b, n_min = 10.0 ** rng.uniform(0.0, 3.0), rng.uniform(0.05, 0.95), rng.randint(1, 20)
+        k = rng.choice([10.0 ** rng.uniform(-4.0, math.log10(0.5)), rng.uniform(0.5, 0.95)])
+        c = R * 10.0 ** rng.uniform(-7.0, -2.0)
+        inst = EconomicInstance(R, max(0.0, R * k - c * n_min), c, mu_b, n_min, n_min + rng.randrange(0, 4000))
+        alpha = rng.choice([10.0 ** rng.uniform(-4.0, math.log10(0.5)), rng.uniform(0.5, 0.89)])
+        sides.add((inst.c0 + c * n_min) / R > 0.5)
+        high_mu_b += mu_b > 0.8
+        level = thresholds._level(alpha, inst)
+        union = [x for piece in participation_set(alpha, inst) for x in piece]
+        for i, end in enumerate(union):
+            if end in (BELIEF_FLOOR, BELIEF_CEIL) or any(
+                    abs(x - end) < 4.0 * thresholds._BRACKET for x in union[:i] + union[i + 1:]):
+                continue
+            ends += 1
+            grid = thresholds._on_grid(end)
+            below, above = (bool(thresholds._respond(level, grid + side * thresholds._BRACKET)[1])
+                            for side in (-1.0, 1.0))
+            assert (below, above) == ((True, False) if i % 2 else (False, True)), (alpha, inst, end)
+        th = participation_threshold(alpha, inst)
+        statuses.add(th.status)
+        if len(union) > 2:
+            several += 1
+        elif union:
+            assert th.status == ("all_participate" if union[0] == BELIEF_FLOOR else "interior"), (alpha, inst)
+            assert abs(th.mu_tau - union[0]) <= thresholds._BRACKET, (alpha, inst)
+        else:
+            assert th.status == "none_participate", (alpha, inst)
+    assert statuses == {"interior", "all_participate", "none_participate"} and sides == {True, False}
+    assert ends > 350 and high_mu_b > 50 and several >= 1
