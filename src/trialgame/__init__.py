@@ -15,7 +15,6 @@ from .agent import (
     EconomicInstance,
     best_response,
     best_response_bruteforce,
-    pass_probability,
     utility,
 )
 from .config import (
@@ -76,7 +75,6 @@ __all__ = [
     "load_config",
     "loss_components",
     "participation_threshold",
-    "pass_probability",
     "preset_path",
     "std_normal_cdf",
     "std_normal_quantile",

@@ -112,24 +112,12 @@ def _check_belief(mu0: float) -> None:
         )
 
 
-def pass_probability(alpha: float, mu0: float, n: int, mu_b: float) -> float:
-    """Chance that a trial of size ``n`` clears the test, believed rate ``mu0``.
-
-    Scored at the level of ``EconomicInstance(1.0, 0.0, 0.0, mu_b)``, which
-    reports a bad ``mu_b``.  Running no trial never passes, so ``n = 0`` maps
-    to exactly zero.
-    """
-    level = _level(alpha, EconomicInstance(1.0, 0.0, 0.0, mu_b))
-    _check_belief(mu0)
-    if not (n >= 0 and finite(n)):
-        raise DomainError(f"sample count must be a nonnegative finite number, got {n!r}")
-    return _score(level, mu0, n)[1] if n else 0.0
-
-
 def utility(alpha: float, mu0: float, n: int, inst: EconomicInstance) -> float:
-    """Expected profit of ``n`` samples at a checked level and belief; ``n = 0`` earns 0."""
+    """Expected profit of an integer ``n`` samples at a checked level and belief; ``n = 0`` earns 0."""
     level = _level(alpha, inst)
     _check_belief(mu0)
+    if not _is_int(n):
+        raise DomainError(f"sample count must be an integer, got {n!r}")
     if n == 0:
         return 0.0
     if not (inst.n_min <= n <= inst.n_max):

@@ -7,10 +7,14 @@ quadratic.  A weak belief (``mu <= mu_b``) buys ``n_min`` alone, so a root of
 break-even beliefs and the best size just below each locates it.  A bracket
 of half-width ``2**-34`` is closed around it with no search over beliefs:
 the best response answers its abstaining end, and one size that pays
-witnesses its participating end.  An effective entry assumes participation
-is monotone in belief, true for baselines up to about 0.6; above that a lower
-crossing may be returned.  The critical level ``alpha_hat``, where a weak
-belief first enters, is one formula with no search and no best response.
+witnesses its participating end.  The entry assumes participation is one
+interval in belief, and it can be two: for ``k >= 1/2`` a size's pay set can
+be two end pieces at any baseline, and an effective-side gap can follow the
+weak piece (seen at baselines 0.78-0.89).  One entry is then reported for
+both pieces; a strict xfail in ``tests/test_thresholds.py`` pins one case of
+each, and ROADMAP item 3 is the fix.  The critical level ``alpha_hat``,
+where a weak belief first enters, is one formula with no search and no best
+response.
 """
 
 from __future__ import annotations

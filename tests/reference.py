@@ -9,22 +9,63 @@ derivation.  They are plain oracles: arguments are not validated, the slope
 and the partition apply only on the effective side ``mu0 > mu_b``, and the
 critical level only where ``(c0 + c * n_min) / R`` lies in ``(0, 1/2)``.
 
-Three helpers are not restated.  :func:`grid_optimal_alpha` searches the
+Four helpers are not restated.  :func:`normal_pass` is the kernel's own
+scorer, ``agent._score``, at a unit instance: the model's normal-approximation
+pass chance, with the kernel's bits.  :func:`grid_optimal_alpha` searches the
 package's own loss (``sweep_alpha``) on a uniform grid of levels, so it pins
 where the least loss sits, not what the loss is.  :func:`participation_set`
 merges the package's closed-form pay sets, one per admissible size, and asks
 no best response, so it is independent of the kernel and the threshold
 search it checks.  :func:`record_sweep_calls` records the kernel's own calls
 for replay.
+
+The exact binomial test that the model approximates is restated too, from
+the standard library alone: :func:`exact_critical_count` and
+:func:`exact_binomial_pass` let a test measure where the approximation is
+thin.
 """
 
 import math
 from typing import NamedTuple
 
 from trialgame import DEFAULT_EPS, agent, critical_alpha, load_config, loss, preset_path, sweep_alpha, thresholds
-from trialgame.agent import _level
+from trialgame.agent import EconomicInstance, _level, _score
 from trialgame.stats import std_normal_quantile, std_normal_sf
 from trialgame.thresholds import _pay_interval
+
+
+def normal_pass(alpha, mu0, n, mu_b):
+    """The kernel's pass chance of ``n`` samples at belief ``mu0``, scored at a unit instance."""
+    return _score(_level(alpha, EconomicInstance(1.0, 0.0, 0.0, mu_b)), mu0, n)[1]
+
+
+def _binomial_tail(n, p, k):
+    """``P(X >= k)`` for ``X ~ Binomial(n, p)``, summed term by term."""
+    ln_p, ln_q, ln_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    return math.fsum(math.exp(ln_n - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * ln_p + (n - j) * ln_q)
+                     for j in range(k, n + 1))
+
+
+def exact_critical_count(alpha, n, mu_b):
+    """Least success count ``k`` with ``P(X >= k | mu_b) <= alpha``: the exact size-``alpha`` test's.
+
+    ``n + 1``, which no trial reaches, where no count of ``n`` samples is
+    rare enough.  At a tie, ``P(X >= k | mu_b) == alpha``, the count turns
+    on the rounding of the tail's sum.
+    """
+    lo, hi = 0, n + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _binomial_tail(n, mu_b, mid) <= alpha:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def exact_binomial_pass(alpha, mu0, n, mu_b):
+    """Chance that ``n`` samples at rate ``mu0`` reach the exact size-``alpha`` test's critical count."""
+    return _binomial_tail(n, mu0, exact_critical_count(alpha, n, mu_b))
 
 
 class CurvatureRegion(NamedTuple):

@@ -30,7 +30,6 @@ from trialgame import (
     load_config,
     loss_components,
     participation_threshold,
-    pass_probability,
     preset_path,
     std_normal_cdf,
     std_normal_quantile,
@@ -39,6 +38,7 @@ from trialgame import (
 from trialgame.agent import _level
 from trialgame.loss import _simpson
 from trialgame.thresholds import _pay_interval
+from reference import normal_pass
 
 
 def report(name: str, ok: bool, detail: str) -> str:
@@ -220,7 +220,7 @@ def test_criterion_6_normal_approximation_close_to_binomial():
                 k = math.ceil(n * mu_b + norm.isf(alpha) * math.sqrt(n * mu_b * (1.0 - mu_b)))
                 for mu0 in rates:
                     exact = binom.sf(k - 1, n, mu0)
-                    approx = pass_probability(alpha, mu0, n, mu_b)
+                    approx = normal_pass(alpha, mu0, n, mu_b)
                     gap = abs(approx - exact)
                     if gap > worst:
                         worst, worst_at = gap, (n, alpha, mu_b, mu0)

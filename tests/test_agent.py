@@ -5,6 +5,9 @@ exhaustive scan, and the forward-difference binary search it replaced
 (kept below).  Curvature region boundaries are cross-checked against finite
 second differences of the utility itself.  Point values are frozen from
 independent closed-form evaluation (scipy.stats.norm) or from the scan.
+A size's pass chance is scored by the kernel's own scorer
+(``reference.normal_pass``), and measured against the exact binomial test
+where the normal approximation is thin.
 """
 
 import functools
@@ -15,6 +18,7 @@ import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import binom, norm
 
 from trialgame import agent, loss
 from trialgame import (
@@ -26,18 +30,26 @@ from trialgame import (
     LossWeights,
     SearchRangeError,
     TruncatedNormalPrior,
+    available_presets,
     best_response,
     best_response_bruteforce,
     critical_alpha,
     load_config,
     loss_components,
     participation_threshold,
-    pass_probability,
     preset_path,
     std_normal_quantile,
     utility,
 )
-from reference import convex_window, curvature_regions, record_sweep_calls, utility_slope
+from reference import (
+    convex_window,
+    curvature_regions,
+    exact_binomial_pass,
+    exact_critical_count,
+    normal_pass,
+    record_sweep_calls,
+    utility_slope,
+)
 
 # One instance reused throughout: unit revenue, affordable trials.
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
@@ -178,11 +190,7 @@ def test_instance_rejects_inverted_size_range():
 
 
 def test_pass_probability_frozen_value():
-    assert abs(pass_probability(0.05, 0.6, 100, 0.5) - PASS_0_05_06_100) < 1e-12
-
-
-def test_pass_probability_without_a_trial_is_zero():
-    assert pass_probability(0.05, 0.6, 0, 0.5) == 0.0
+    assert abs(normal_pass(0.05, 0.6, 100, 0.5) - PASS_0_05_06_100) < 1e-12
 
 
 def test_pass_probability_at_baseline_equals_alpha():
@@ -190,7 +198,7 @@ def test_pass_probability_at_baseline_equals_alpha():
     # chance of alpha at every trial size.
     for alpha in (0.01, 0.05, 0.2):
         for n in (1, 10, 100, 10_000):
-            assert abs(pass_probability(alpha, 0.5, n, 0.5) - alpha) < 1e-9
+            assert abs(normal_pass(alpha, 0.5, n, 0.5) - alpha) < 1e-9
 
 
 def test_pass_probability_at_baseline_keeps_small_alpha_to_roundoff():
@@ -203,33 +211,7 @@ def test_pass_probability_at_baseline_keeps_small_alpha_to_roundoff():
     for alpha in alphas:
         mu_b = rng.uniform(0.01, 0.99)
         n = rng.choice((1, 100, 12_345))
-        assert pass_probability(alpha, mu_b, n, mu_b) == pytest.approx(alpha, rel=1e-13, abs=0.0)
-
-
-def test_pass_probability_domain_checks():
-    with pytest.raises(DomainError):
-        pass_probability(1.0, 0.6, 10, 0.5)
-    with pytest.raises(DomainError):
-        pass_probability(0.05, 0.0, 10, 0.5)
-    with pytest.raises(DomainError):
-        pass_probability(0.05, 0.6, -1, 0.5)
-
-
-def test_pass_probability_reports_a_bad_baseline_as_the_instance_does():
-    # The level is built from an instance, so the baseline rule and its
-    # wording are the instance's.
-    for mu_b in (0.0, 1.0, -0.5, math.nan):
-        with pytest.raises(DomainError, match="mu_b must lie strictly between 0 and 1") as info:
-            pass_probability(0.05, 0.6, 10, mu_b)
-        assert info.value.problems == [f"mu_b must lie strictly between 0 and 1, got {mu_b!r}"]
-
-
-def test_pass_probability_rejects_a_sample_count_no_float_holds():
-    # An infinite or NaN count, or an int too large for a float, names the
-    # sample count instead of failing inside the normal tail.
-    for n in (10**400, math.inf, math.nan):
-        with pytest.raises(DomainError, match="sample count"):
-            pass_probability(0.05, 0.6, n, 0.5)
+        assert normal_pass(alpha, mu_b, n, mu_b) == pytest.approx(alpha, rel=1e-13, abs=0.0)
 
 
 @given(
@@ -240,7 +222,7 @@ def test_pass_probability_rejects_a_sample_count_no_float_holds():
 )
 @settings(max_examples=300)
 def test_pass_probability_within_unit_interval(alpha, mu0, n, mu_b):
-    assert 0.0 <= pass_probability(alpha, mu0, n, mu_b) <= 1.0
+    assert 0.0 <= normal_pass(alpha, mu0, n, mu_b) <= 1.0
 
 
 @given(
@@ -252,8 +234,8 @@ def test_pass_probability_within_unit_interval(alpha, mu0, n, mu_b):
 )
 @settings(max_examples=300)
 def test_pass_probability_monotone_in_alpha(alpha, bump, mu0, n, mu_b):
-    wider = pass_probability(alpha + bump, mu0, n, mu_b)
-    narrower = pass_probability(alpha, mu0, n, mu_b)
+    wider = normal_pass(alpha + bump, mu0, n, mu_b)
+    narrower = normal_pass(alpha, mu0, n, mu_b)
     assert wider + 1e-12 >= narrower
 
 
@@ -272,8 +254,8 @@ def test_pass_probability_monotone_in_belief_below_065(alpha, mu_lo, mu_hi, n, m
     # is deliberately capped.
     if mu_hi <= mu_lo:
         mu_lo, mu_hi = mu_hi, mu_lo
-    higher = pass_probability(alpha, mu_hi, n, mu_b)
-    lower = pass_probability(alpha, mu_lo, n, mu_b)
+    higher = normal_pass(alpha, mu_hi, n, mu_b)
+    lower = normal_pass(alpha, mu_lo, n, mu_b)
     assert higher + 1e-12 >= lower
 
 
@@ -285,8 +267,8 @@ def test_pass_probability_monotone_in_belief_below_065(alpha, mu_lo, mu_hi, n, m
 )
 @settings(max_examples=300)
 def test_pass_probability_monotone_in_size_on_effective_side(alpha, mu0, n, extra):
-    more = pass_probability(alpha, mu0, n + extra, 0.5)
-    fewer = pass_probability(alpha, mu0, n, 0.5)
+    more = normal_pass(alpha, mu0, n + extra, 0.5)
+    fewer = normal_pass(alpha, mu0, n, 0.5)
     assert more + 1e-12 >= fewer
 
 
@@ -298,9 +280,69 @@ def test_pass_probability_monotone_in_size_on_effective_side(alpha, mu0, n, extr
 )
 @settings(max_examples=300)
 def test_pass_probability_monotone_in_size_on_weak_side(alpha, mu0, n, extra):
-    more = pass_probability(alpha, mu0, n + extra, 0.5)
-    fewer = pass_probability(alpha, mu0, n, 0.5)
+    more = normal_pass(alpha, mu0, n + extra, 0.5)
+    fewer = normal_pass(alpha, mu0, n, 0.5)
     assert more <= fewer + 1e-12
+
+
+def test_exact_binomial_pass_matches_scipy():
+    # Critical counts agree exactly and pass chances to lgamma's roundoff,
+    # on a grid clear of ties such as P(X >= 3 | 0.5) = 0.5 at n = 5, where
+    # the count turns on the last bit.
+    for n in (1, 2, 5, 50, 100, 500, 2000):
+        for alpha in (1e-4, 0.01, 0.05, 0.2, 0.45, 0.9):
+            for mu_b in (0.07, 0.3, 0.55, 0.838):
+                k = exact_critical_count(alpha, n, mu_b)
+                assert k == next(j for j, tail in enumerate(binom.sf(range(-1, n + 1), n, mu_b)) if tail <= alpha)
+                for mu0 in (0.01, 0.3, 0.5, 0.7, 0.99):
+                    want = binom.sf(k - 1, n, mu0)
+                    assert exact_binomial_pass(alpha, mu0, n, mu_b) == pytest.approx(want, rel=1e-10, abs=1e-300)
+
+
+def test_normal_pass_against_the_exact_binomial_test():
+    # Where the normal approximation is thin, as measured against the exact
+    # size-alpha test.  Weak side: every preset has n_min = 1 and mu_b = 0.5,
+    # and one sample below the baseline never clears the exact test, so its
+    # pass chance is 0, while the normal one is positive at every grid level
+    # below mu_b and every weak belief of the prior's support.
+    for preset in available_presets():
+        cfg = load_config(preset_path(preset))
+        inst, lo = cfg.instance, cfg.prior.lo
+        assert (inst.n_min, inst.mu_b) == (1, 0.5), preset
+        for alpha in (a for a in cfg.alpha_grid if a < inst.mu_b):
+            for mu0 in (lo, 0.5 * (lo + inst.mu_b), inst.mu_b):
+                assert exact_binomial_pass(alpha, mu0, 1, inst.mu_b) == 0.0
+                assert normal_pass(alpha, mu0, 1, inst.mu_b) > 0.0
+    assert round(normal_pass(0.05, 0.45, 1, 0.5), 4) == 0.0397
+    # Effective side, at the best size: the normal pass chance is the higher
+    # one, by at most 1.1e-3 on cardiovascular but by up to 0.042 on
+    # fn-curves-062, where n* = 29 gives 0.133 against 0.091.
+    for preset, bound in (("cardiovascular", 1.1e-3), ("fn-curves-062", 0.042)):
+        inst, gaps = load_config(preset_path(preset)).instance, []
+        for alpha in (0.01, 0.05):
+            for mu0 in (0.55, 0.58, 0.6, 0.62, 0.65, 0.68):
+                br = best_response(alpha, mu0, inst)
+                if br.participates:
+                    gaps.append(br.pass_prob - exact_binomial_pass(alpha, mu0, br.n_star, inst.mu_b))
+        assert len(gaps) >= 11 and 0.0 < min(gaps) and max(gaps) <= bound, (preset, gaps)
+    inst = load_config(preset_path("fn-curves-062")).instance
+    br = best_response(0.05, 0.55, inst)
+    assert (br.n_star, round(br.pass_prob, 3), round(exact_binomial_pass(0.05, 0.55, 29, 0.5), 3)) == (29, 0.133, 0.091)
+    # Criterion 6 takes its critical count from the normal quantile.  Against
+    # the exact test's own count, the worst gap on its grid is 0.093, where
+    # the normal count is 23 and the exact one 24.
+    rates = [0.3, 0.4, 0.5, 0.6, 0.7]
+    worst, worst_at = 0.0, None
+    for n in (50, 100, 200, 500):
+        for alpha in (0.01, 0.05, 0.2):
+            for mu_b in rates:
+                for mu0 in rates:
+                    gap = abs(normal_pass(alpha, mu0, n, mu_b) - exact_binomial_pass(alpha, mu0, n, mu_b))
+                    if gap > worst:
+                        worst, worst_at = gap, (n, alpha, mu_b, mu0)
+    assert round(worst, 3) == 0.093 and worst_at == (50, 0.01, 0.3, 0.5)
+    normal_count = math.ceil(50 * 0.3 + norm.isf(0.01) * math.sqrt(50 * 0.3 * 0.7))
+    assert (normal_count, exact_critical_count(0.01, 50, 0.3)) == (23, 24)
 
 
 def test_utility_frozen_value_and_abstention():
@@ -309,8 +351,8 @@ def test_utility_frozen_value_and_abstention():
 
 
 def test_utility_checks_level_and_belief_before_abstaining():
-    # n = 0 earns 0 only for a valid level and belief, as pass_probability
-    # and best_response require of the same inputs.
+    # n = 0 earns 0 only for a valid level and belief, as best_response
+    # requires of the same inputs.
     bad = ((5.0, 0.6), (math.nan, 0.6), (0.05, 0.0), (0.05, math.nan), (math.nan, math.nan))
     for alpha, mu0 in bad:
         with pytest.raises(DomainError):
@@ -324,6 +366,11 @@ def test_utility_rejects_sizes_outside_admissible_range():
         utility(0.05, 0.6, 501, INST)
     with pytest.raises(DomainError):
         utility(0.05, 0.6, 1, EconomicInstance(1.0, 0.0, 0.0, 0.5, n_min=5, n_max=10))
+    # A size is an integer by the instance's rule: a fraction once scored,
+    # and True scored as one sample.
+    for n in (100.5, True, math.inf, 10**400):
+        with pytest.raises(DomainError, match="sample count must be an integer"):
+            utility(0.05, 0.6, n, INST)
 
 
 def test_utility_slope_matches_forward_differences():
@@ -395,7 +442,7 @@ def test_best_response_frozen_worked_instance():
 
 def test_best_response_zero_utility_still_participates():
     # Fixed cost tuned so the best utility is exactly 0.0 in floats.
-    p1 = pass_probability(0.3, 0.5, 1, 0.5)
+    p1 = normal_pass(0.3, 0.5, 1, 0.5)
     boundary = EconomicInstance(R=1.0, c0=p1, c=0.0, mu_b=0.5, n_min=1, n_max=10)
     br = best_response(0.3, 0.5, boundary)
     assert br.participates
@@ -652,7 +699,7 @@ def test_best_response_reports_consistent_numbers(alpha, mu0):
     if br.participates:
         assert INST.n_min <= br.n_star <= INST.n_max
         assert br.utility == utility(alpha, mu0, br.n_star, INST)
-        assert br.pass_prob == pass_probability(alpha, mu0, br.n_star, INST.mu_b)
+        assert br.pass_prob == normal_pass(alpha, mu0, br.n_star, INST.mu_b)
         assert br.utility >= 0.0
     else:
         assert br == BestResponse(False, 0, 0.0, 0.0)
@@ -717,7 +764,7 @@ def test_sizes_up_to_the_convex_window_pass_at_most_half_the_time():
         n2 = convex_window(alpha, mu0, EconomicInstance(1.0, 0.0, 0.0, mu_b))[1]
         if n2 >= 1.0:
             windows += 1
-            most = max(most, pass_probability(alpha, mu0, math.floor(n2), mu_b))
+            most = max(most, normal_pass(alpha, mu0, math.floor(n2), mu_b))
     assert windows > 15000
     assert 0.49 < most <= 0.5
 
@@ -1149,7 +1196,7 @@ def test_money_values_at_the_float_limits_get_an_answer():
     # With R = c = 5e-324 a size can earn exactly 0: a kernel that treated the
     # cost as zero (an infinite slope constant) would abstain there.
     inst = EconomicInstance(R=5e-324, c0=0.0, c=5e-324, mu_b=0.5, n_max=500)
-    assert best_response(0.5, 0.95, inst) == BestResponse(True, 1, pass_probability(0.5, 0.95, 1, 0.5), 0.0)
+    assert best_response(0.5, 0.95, inst) == BestResponse(True, 1, normal_pass(0.5, 0.95, 1, 0.5), 0.0)
     # A ratio above the largest float once made the constant infinite, and
     # the walk then took the top of a range of 10**305 sizes.
     small = EconomicInstance(R=1e10, c0=0.0, c=1e-300, mu_b=0.5, n_max=10**5)

@@ -35,14 +35,13 @@ from trialgame import (
     load_config,
     loss_components,
     participation_threshold,
-    pass_probability,
     preset_path,
     sweep_alpha,
 )
 from trialgame.agent import _level
 from trialgame.loss import _gauss, _simpson
 from trialgame.thresholds import _pay_interval
-from reference import grid_optimal_alpha, record_sweep_calls
+from reference import grid_optimal_alpha, normal_pass, record_sweep_calls
 
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
 PRIOR = TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
@@ -249,7 +248,7 @@ def test_fp_particip_sees_a_prior_narrower_than_the_pay_piece():
     # a one- and a two-panel rule over [0.1, 0.5] lies over 40 sd from the
     # mean, where the density is 0.0, and two zero sums agreed on 0.
     inst = EconomicInstance(R=1.0, c0=0.0, c=0.0, mu_b=0.5, n_min=1, n_max=1)
-    at_mean = pass_probability(0.5, 0.4, 1, 0.5)
+    at_mean = normal_pass(0.5, 0.4, 1, 0.5)
     fp = assert_fp_particip_matches_reference(0.5, inst, TruncatedNormalPrior(0.4, 3e-4, 0.1, 0.9))
     assert fp == pytest.approx(at_mean, rel=1e-6)
     for sd in (1e-6, 1e-9, 1e-12):
@@ -267,7 +266,7 @@ def test_fp_particip_sees_the_sliver_where_a_free_huge_trial_passes():
         inst = EconomicInstance(R=1.0, c0=0.0, c=0.0, mu_b=0.5, n_min=n, n_max=n)
         fp = loss_components(0.5, inst, prior, QuadratureSpec(panels=10)).fp_particip
         (a, b), = _pay_interval(_level(0.5, inst), n)
-        assert pass_probability(0.5, a, n, 0.5) == pytest.approx(1e-300, rel=1e-6) and b == BELIEF_CEIL
+        assert normal_pass(0.5, a, n, 0.5) == pytest.approx(1e-300, rel=1e-6) and b == BELIEF_CEIL
         pass_chance = weak_pass_chance(0.5, inst)
         ref = integrate.quad(lambda mu: pass_chance(mu) * prior.pdf(mu), a, inst.mu_b,
                              epsabs=0.0, epsrel=1e-13, limit=200)[0] / prior.cdf(inst.mu_b)

@@ -30,13 +30,12 @@ from trialgame import (
     critical_alpha_closed_form,
     load_config,
     participation_threshold,
-    pass_probability,
     preset_path,
     std_normal_quantile,
     std_normal_sf,
     sweep_alpha,
 )
-from reference import participation_set, peak_critical_alpha
+from reference import normal_pass, participation_set, peak_critical_alpha
 
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
 
@@ -311,7 +310,7 @@ def test_bracket_clamps_an_end_that_would_leave_the_belief_range(monkeypatch, en
         alpha, mu_b, mu = 0.05, 5e-7, BELIEF_FLOOR + 2.0**-36
     else:
         alpha, mu_b, mu = std_normal_sf(0.998), 0.5, BELIEF_CEIL - 2.0**-36
-    c0 = pass_probability(alpha, mu, 1, mu_b)
+    c0 = normal_pass(alpha, mu, 1, mu_b)
     inst = EconomicInstance(R=1.0, c0=c0, c=0.0, mu_b=mu_b, n_min=1, n_max=1)
     assert abs(thresholds._pay_interval(thresholds._level(alpha, inst), 1)[0][0] - mu) < 2.0**-40
     asked = []
