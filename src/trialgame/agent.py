@@ -215,7 +215,7 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     float resolution), the window there reaches only ``floor(root) + 1``.
 
     A ``hint`` is a guess at the answer: ``loss_components`` passes the size
-    extrapolated from its two previous nodes, and every other caller passes
+    ``n1*n1 // n0`` from its two previous nodes; every other caller passes
     none (0).  If the first piece walked is concave, the hint is checked
     before the pieces are set up: ``hint`` and ``hint + 1`` are scored, then
     sizes on towards the higher of the two while the utility rises, six
@@ -242,11 +242,11 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     resolution, sizes tie within ulps of ``R`` and none clears the margin.
     A hint that is not certified plays no further part, so a hint moves no
     answer.  ``k`` is taken only on a piece that runs Newton, so a certified
-    hint takes no log.  On every 8th row of the ``cardiovascular`` and ``fn-curves-062``
-    sweeps (20,290 and 10,146 calls), 89% and 96% of the calls take no log,
-    logs per call are 0.71 and 0.18 (1.59 and 1.14 with ``k`` taken before
-    the check), and erfc per call is 3.95 and 3.86; 3,124 of the
-    ``fn-curves-062`` calls certify a size and go on walking.
+    hint takes no log.  On every 8th row of the ``cardiovascular`` and
+    ``fn-curves-062`` sweeps (20,290 and 10,146 calls), 95% and 96% of the
+    calls take no log, logs per call are 0.37 and 0.17, and erfc per call is
+    3.62 and 3.85; 3,130 of the ``fn-curves-062`` calls certify a size and go
+    on walking.
 
     ``mu0`` is not checked: :func:`best_response` checks it once, and the
     other callers (``thresholds._threshold`` and ``_bracket``, the loss

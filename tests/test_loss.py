@@ -19,7 +19,7 @@ import pytest
 from scipy import integrate, optimize
 from scipy import stats as sps
 
-from trialgame import agent
+from trialgame import agent, loss
 from trialgame import (
     BELIEF_CEIL,
     BELIEF_FLOOR,
@@ -394,20 +394,73 @@ def test_loss_components_solves_the_weak_pay_set_once_per_row():
 
 def test_recorded_sweep_calls_answer_alike_with_any_hint():
     # Every kernel call of every 8th row of the cardiovascular and
-    # fn-curves-062 sweeps, recorded where loss and thresholds make it.  The
-    # effective-side nodes pass a size predicted from the two nodes before
-    # them, which the kernel checks before any Newton step.  Each call must
-    # give the same answer, by repr, with the hint it was given, with the
-    # previous node's n_star (the hint of the loss's parent design) and with
-    # none.
-    hinted, previous = 0, (None, 0)
-    for level, mu, hint, answer in record_sweep_calls(("cardiovascular", "fn-curves-062"), 8):
+    # fn-curves-062 sweeps and every 16th of vaccine's, recorded where loss
+    # and thresholds make it.  The effective-side nodes pass n1*n1 // n0 from
+    # the sizes of the two nodes before them, which the kernel checks before
+    # any Newton step.  Each call must give the same answer, by repr, with
+    # the hint it was given, with the retired 2*n1 - n0 under the same range
+    # fallback, with the previous call's n_star (the hint of the loss's
+    # parent design) and with none.  A call without a hint starts the loss's
+    # two sizes afresh: the threshold's calls and the loss's first node pass
+    # none, and a later node only when n1 is 0, where both rules give 0.  On
+    # vaccine, nodes reach n_max and the prediction overflows the range, so
+    # the fallback runs.
+    hinted, overflows, row = 0, 0, None
+    calls = record_sweep_calls(("cardiovascular", "fn-curves-062"), 8) + record_sweep_calls(("vaccine",), 16)
+    for level, mu, hint, answer in calls:
+        n_min, n_max = level[5], level[6]
+        if level is not row:
+            row, last = level, 0
+        if not hint:
+            n0 = n1 = 0
+        retired = 2 * n1 - n0
+        overflows += bool(n0) and n1 * n1 // n0 > n_max
         hinted += hint > 0
-        prev = previous[1] if previous[0] is level else 0
-        for other in (hint, prev, 0):
+        for other in (hint, retired if n_min <= retired <= n_max else n1, last, 0):
             assert repr(agent._respond(level, mu, other)) == repr(answer), (level, mu, hint, other)
-        previous = (level, answer[1])
-    assert hinted > 29_000, hinted
+        n0, n1 = n1, answer[1]
+        last = n1
+    assert hinted == 40_000 and overflows > 50, (hinted, overflows)
+
+
+def test_loss_hints_follow_the_geometric_rule(monkeypatch):
+    # Each effective node's hint is 0 or an admissible size: n1*n1 // n0 from
+    # the sizes n0 and n1 of the two nodes before it, or n1 where n0 is 0 or
+    # the prediction leaves [n_min, n_max].  On cardiovascular at 0.05, n*
+    # grows by a near-constant factor from the participating end (1, 2, 8,
+    # 19, 36, ...), and the prediction from the top end's 135 and the next
+    # node's 2 falls below n_min; on vaccine n* reaches n_max, where the
+    # prediction overflows the range.
+    real, hints = loss._respond, []
+
+    def recorded(level, mu, hint=0):
+        answer = real(level, mu, hint)
+        hints.append((hint, answer[1]))
+        return answer
+
+    monkeypatch.setattr(loss, "_respond", recorded)
+    for preset, pinned in (("cardiovascular", {"start": 2, "ratio": 398, "below": 1}),
+                           ("vaccine", {"start": 2, "ratio": 397, "above": 2})):
+        cfg = load_config(preset_path(preset))
+        n_min, n_max = cfg.instance.n_min, cfg.instance.n_max
+        hints.clear()
+        loss_components(0.05, cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
+        assert len(hints) == cfg.quadrature.panels + 1
+        rules, n0, n1 = {}, 0, 0
+        for hint, n in hints:
+            assert hint == 0 or n_min <= hint <= n_max, (preset, hint)
+            if not n0:
+                rule, expected = "start", n1
+            elif n1 * n1 // n0 < n_min:
+                rule, expected = "below", n1
+            elif n1 * n1 // n0 > n_max:
+                rule, expected = "above", n1
+            else:
+                rule, expected = "ratio", n1 * n1 // n0
+            assert hint == expected, (preset, n0, n1, hint)
+            rules[rule] = rules.get(rule, 0) + 1
+            n0, n1 = n1, n
+        assert rules == pinned, preset
 
 
 def test_loss_components_weighted_total_identity():
