@@ -160,7 +160,8 @@ def _score(level: tuple, mu0: float, n) -> tuple[float, float]:
     branch, its hint check (made before the pieces are set up) and its walk,
     and :func:`best_response`'s one-size path, inline it, bit for bit: a
     call per size made a ``cardiovascular`` sweep slice and 20,000
-    best-response queries about 20% slower (Python 3.11).
+    best-response queries about 20% slower (Python 3.11).  The hint check's
+    rare jump calls it.
     """
     mu_b, ds, R, c0, c = level[:5]
     p = 0.5 * math.erfc((ds - (mu0 - mu_b) * math.sqrt(n)) / math.sqrt(mu0 * (1.0 - mu0)) / _SQRT2)
@@ -185,7 +186,8 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     end, then its bottom end.  A size whose utility ties the best replaces
     it, so the smallest of equal utilities wins.  Sizes are scored as
     :func:`_score` scores them: the walk, the hint check and the one-size
-    branch inline it for speed, and the flat-top probe calls it.
+    branch inline it for speed, and the flat-top probe and the hint check's
+    jump call it.
 
     No size below ``n`` passes more often than ``n`` or costs less than
     ``n_min``.  So once a size that does not become the best has ``R*p(n) -
@@ -219,11 +221,15 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     none (0).  If the first piece walked is concave, the hint is checked
     before the pieces are set up: ``hint`` and ``hint + 1`` are scored, then
     sizes on towards the higher of the two while the utility rises, six
-    sizes at most.  The exact utility is concave in ``n`` there, so a size
-    whose computed utility beats both neighbours' by more than the margin
-    ``1e-12*R`` is the piece's best, and the walk would take it with the
-    same bits, as long as the margin is above twice the rounding error of a
-    computed utility.  That error is about
+    sizes at most.  Should the utility still rise at the sixth, the check
+    jumps once, to the size nearest the vertex of the parabola through the
+    last three scores, and walks from there as from a hint, six sizes more
+    at most: near the peak of ``n*`` over beliefs the loss's hints miss by
+    up to a few hundred sizes.  The exact utility is concave in ``n`` there,
+    so a size whose computed utility beats both neighbours' by more than the
+    margin ``1e-12*R`` is the piece's best, and the walk would take it with
+    the same bits, as long as the margin is above twice the rounding error
+    of a computed utility.  That error is about
     ``2**-53 * (R*(0.8*ds/s_0 + 10) + 2*(c0 + c*n))``, the ``ds/s_0`` term
     from the rounding of the erfc argument; so the check takes only a size
     of nonnegative utility (its cost is at most ``R``, and that of a size
@@ -241,12 +247,13 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     ``last`` the size under it.  Where the utility is flat at float
     resolution, sizes tie within ulps of ``R`` and none clears the margin.
     A hint that is not certified plays no further part, so a hint moves no
-    answer.  ``k`` is taken only on a piece that runs Newton, so a certified
-    hint takes no log.  On every 8th row of the ``cardiovascular`` and
-    ``fn-curves-062`` sweeps (20,290 and 10,146 calls), 95% and 96% of the
-    calls take no log, logs per call are 0.37 and 0.17, and erfc per call is
-    3.62 and 3.85; 3,130 of the ``fn-curves-062`` calls certify a size and go
-    on walking.
+    answer, and a jump that certifies nothing ends the check as a failed
+    walk does.  ``k`` is taken only on a piece that runs Newton, so a
+    certified hint takes no log.  On every 8th row of the ``cardiovascular``
+    and ``fn-curves-062`` sweeps (20,290 and 10,146 calls), 98% and 97% of
+    the calls take no log, logs per call are 0.14 and 0.16, and erfc per call
+    is 3.68 and 3.84; 444 and 3,144 of the calls certify a size and go on
+    walking.
 
     ``mu0`` is not checked: :func:`best_response` checks it once, and the
     other callers (``thresholds._threshold`` and ``_bracket``, the loss
@@ -271,29 +278,45 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     # not; it starts at n2 or at n_min.
     if hint and ds < 4e3 * sigma0 and (n2 < n_max or n1 >= n_max):
         # Score hint, then hint + 1, then walk on towards the higher of the
-        # two while the utility rises.  A size of nonnegative utility that
-        # beats both neighbours by more than the margin is this piece's best.
-        # It is the answer if the piece starts at n_min or the one-half bound
-        # leaves the sizes up to n2 no chance; otherwise the walk goes on
-        # from the next piece as if it had scored the size's window.
+        # two while the utility rises, then at most once more from a jump.
+        # A size of nonnegative utility that beats both neighbours by more
+        # than the margin is this piece's best.  It is the answer if the
+        # piece starts at n_min or the one-half bound leaves the sizes up to
+        # n2 no chance; otherwise the walk goes on from the next piece as if
+        # it had scored the size's window.
         a_real = n2 if n_min < n2 < n_max else n_min
-        a, n, step, u_m = math.ceil(a_real), hint, 1, -math.inf
-        for _ in range(6):
-            if not a < n < n_max:
-                break
-            p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
-            u = R * p - (c0 + c * n)
-            if u > u_m:
-                m, u_m, p_m, u_pre = n, u, p, u_m
-            elif n == hint + 1:
-                step, n, u_pre = -1, hint, u
+        a, n, step, u_m, jump = math.ceil(a_real), hint, 1, -math.inf, True
+        while True:
+            for _ in range(6):
+                if not a < n < n_max:
+                    break
+                p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
+                u = R * p - (c0 + c * n)
+                if u > u_m:
+                    m, u_m, p_m, u_pre = n, u, p, u_m
+                elif n == hint + 1:
+                    step, n, u_pre = -1, hint, u
+                else:
+                    if u_m - margin > u and u_m - margin > u_pre and u_m >= 0.0:
+                        if a_real == n_min or R * 0.5 - cost_min < u_m - margin:
+                            return u_m, m, p_m
+                        best_n, best_u, best_p, below, last, hi = m, u_m, p_m, m - 1, m - 1, a_real
+                    break
+                n += step
             else:
-                if u_m - margin > u and u_m - margin > u_pre and u_m >= 0.0:
-                    if a_real == n_min or R * 0.5 - cost_min < u_m - margin:
-                        return u_m, m, p_m
-                    best_n, best_u, best_p, below, last, hi = m, u_m, p_m, m - 1, m - 1, a_real
-                break
-            n += step
+                # Still rising after six sizes: jump once to the size nearest
+                # the vertex of the parabola through the last three scores
+                # (the first scored again, off the hot path), x steps past the
+                # middle one where the scores bend down (d2 > 0), and walk
+                # again.
+                if jump:
+                    u_0 = _score(level, mu0, m - 2 * step)[0]
+                    d2 = 2.0 * u_pre - u_0 - u_m
+                    if d2 > 0.0 and (x := (u_m - u_0) / (2.0 * d2)) < n_max:
+                        n = hint = m + step * round(x - 1.0)
+                        step, u_m, jump = 1, -math.inf, False
+                        continue
+            break
     k = None
     # The pieces start at n2, n1 and n_min, clipped to the range.  One of
     # positive length is walked, and the next piece ends at its start.  A

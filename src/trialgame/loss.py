@@ -95,16 +95,6 @@ def _gauss(f, a: float, b: float, panels: int) -> float:
     return new
 
 
-def _simpson(f, a: float, b: float, panels: int) -> float:
-    if b <= a:
-        return 0.0
-    h = (b - a) / panels
-    total = f(a) + f(b)
-    for i in range(1, panels):
-        total += f(a + i * h) * (4.0 if i % 2 else 2.0)
-    return total * h / 3.0
-
-
 def loss_components(
     alpha: float,
     inst: EconomicInstance,
@@ -118,17 +108,23 @@ def loss_components(
     threshold hands over (:func:`~trialgame.thresholds._threshold`), each cut
     to the prior's support.  A weak belief participates exactly where
     ``n_min`` pays, so ``fp_particip`` integrates ``n_min``'s pass chance by
-    :func:`_gauss` over the weak pieces.  Simpson integrates the effective
-    piece, which starts at the participating end of the threshold's bracket,
-    so no node scores an abstainer.  Each node asks the kernel to check a
-    predicted size first (the ``hint`` of :func:`~trialgame.agent._respond`):
-    ``n1*n1 // n0`` from the ``n_star`` of the two nodes before it, since
-    near the participating end ``n_star`` grows by a near-constant factor
-    per node, or ``n1`` where ``n0`` is 0 or the prediction is no admissible
-    size.  On every 8th row of the ``cardiovascular`` sweep that settles 95%
-    of the kernel's calls without a Newton step, where ``2*n1 - n0`` settled
-    89%.  A hint moves no answer: the kernel only checks it, and solves as
-    without one where the check fails.
+    :func:`_gauss` over the weak pieces.  Composite Simpson integrates the
+    effective piece, which starts at the participating end of the
+    threshold's bracket, so no node scores an abstainer.  A node at ``mu``
+    weighs ``(1 - p) * pdf(mu)``, the chance that its best size fails.  The
+    two ends ``a`` and ``b`` are solved and summed first, with no hint; the
+    interior nodes follow in belief order, each asking the kernel to check
+    a predicted size first (the ``hint`` of
+    :func:`~trialgame.agent._respond`): ``n1*n1 // n0`` from the ``n_star``
+    of the two nodes before it, since near the participating end ``n_star``
+    grows by a near-constant factor per node, or ``n1`` where ``n0`` is 0
+    or the prediction is no admissible size.  The chain starts from ``a``'s
+    size, so ``b``'s, often far from its neighbours', predicts nothing.  On
+    every 8th row of the ``cardiovascular`` sweep that settles 98% of the
+    kernel's calls without a Newton step.  A hint moves no answer: the
+    kernel only checks it, and solves as without one where the check fails.
+    The kernel is called by its name in this module, where the tests swap
+    it.
     ``fn_abstain`` takes the prior mass between ``mu_b`` and ``mu_tau``.
     Both effective-side masses come from the prior's ``_sf``, which
     differences the normal tails on the belief's side of the mean, so it
@@ -142,16 +138,6 @@ def loss_components(
 
     def pass_density(mu: float) -> float:
         return _score(level, mu, inst.n_min)[1] * prior.pdf(mu)
-
-    n_min, n_max = inst.n_min, inst.n_max
-    n0 = n1 = 0
-
-    def fail_density(mu: float) -> float:
-        nonlocal n0, n1
-        hint = n1 * n1 // n0 if n0 else n1
-        _, n, p = _respond(level, mu, hint if n_min <= hint <= n_max else n1)
-        n0, n1 = n1, n
-        return (1.0 - p) * prior.pdf(mu)
 
     no_weak = mass_weak <= 0.0
     no_eff = mass_eff <= 0.0
@@ -168,8 +154,22 @@ def loss_components(
 
     fn_particip = fn_abstain = 0.0
     if not no_eff:
+        n_min, n_max, panels = inst.n_min, inst.n_max, quad.panels
         for a, b in effective:
-            fn_particip += _simpson(fail_density, max(a, prior.lo), min(b, prior.hi), quad.panels)
+            a, b = max(a, prior.lo), min(b, prior.hi)
+            if a < b:
+                # Composite Simpson; the ends pass no hint.
+                h = (b - a) / panels
+                _, n1, p = _respond(level, a)
+                total = (1.0 - p) * prior.pdf(a) + (1.0 - _respond(level, b)[2]) * prior.pdf(b)
+                n0 = 0
+                for i in range(1, panels):
+                    mu = a + i * h
+                    hint = n1 * n1 // n0 if n0 else n1
+                    _, n, p = _respond(level, mu, hint if n_min <= hint <= n_max else n1)
+                    n0, n1 = n1, n
+                    total += (1.0 - p) * prior.pdf(mu) * (4.0 if i % 2 else 2.0)
+                fn_particip += total * h / 3.0
         fn_particip = _clip01(fn_particip / mass_eff)
         fn_abstain = _clip01((mass_eff - prior._sf(max(th.mu_tau, inst.mu_b))) / mass_eff)
 

@@ -19,6 +19,9 @@ no best response, so it is independent of the kernel and the threshold
 search it checks.  :func:`record_sweep_calls` records the kernel's own calls
 for replay.
 
+:func:`simpson` is the composite rule the loss applies to its effective
+side, in the loss's summation order.
+
 The exact binomial test that the model approximates is restated too, from
 the standard library alone: :func:`exact_critical_count` and
 :func:`exact_binomial_pass` let a test measure where the approximation is
@@ -156,6 +159,22 @@ def grid_optimal_alpha(inst, prior, weights, quad):
     return grid[losses.index(min(losses))]
 
 
+def simpson(f, a, b, panels):
+    """Composite Simpson integral of ``f`` on ``[a, b]`` over ``panels`` panels; 0 on an empty interval.
+
+    ``loss_components`` sums its effective-side nodes in this order, ``f(a) +
+    f(b)`` and then the interior upwards, so a test can rebuild its sum bit
+    for bit.
+    """
+    if b <= a:
+        return 0.0
+    h = (b - a) / panels
+    total = f(a) + f(b)
+    for i in range(1, panels):
+        total += f(a + i * h) * (4.0 if i % 2 else 2.0)
+    return total * h / 3.0
+
+
 def participation_set(alpha, inst):
     """Beliefs that participate at ``alpha``, as sorted disjoint pieces ``(lo, hi)``.
 
@@ -179,20 +198,32 @@ def record_sweep_calls(presets, stride):
 
     The calls are recorded where ``loss`` and ``thresholds`` make them, as
     ``(level, mu, hint, answer)`` in the order made, so a test can replay
-    them with ``agent._respond``.
+    them with ``agent._respond``.  A row with an effective piece, one whose
+    ``fn_particip`` is not 0, must make all ``panels + 1`` of its Simpson
+    nodes' calls through the name ``loss._respond``: a kernel the loss
+    reached by another name would escape this recorder and every test that
+    swaps that name.
     """
-    calls, real = [], agent._respond
+    calls, nodes, real = [], [], agent._respond
 
     def recorded(level, mu, hint=0):
         answer = real(level, mu, hint)
         calls.append((level, mu, hint, answer))
         return answer
 
-    thresholds._respond = loss._respond = recorded
+    def recorded_node(level, mu, hint=0):
+        nodes.append(mu)
+        return recorded(level, mu, hint)
+
+    thresholds._respond, loss._respond = recorded, recorded_node
     try:
         for preset in presets:
             cfg = load_config(preset_path(preset))
-            sweep_alpha(cfg.alpha_grid[::stride], cfg.instance, cfg.prior, cfg.weights, cfg.quadrature)
+            for alpha in cfg.alpha_grid[::stride]:
+                nodes.clear()
+                row = loss.loss_components(alpha, cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
+                assert len(nodes) in (0, cfg.quadrature.panels + 1) and (nodes or not row.fn_particip), (
+                    preset, alpha, len(nodes))
     finally:
         thresholds._respond = loss._respond = real
     return calls

@@ -45,9 +45,8 @@ from trialgame import (
     sweep_alpha,
 )
 from trialgame.agent import _level
-from trialgame.loss import _simpson
 from trialgame.thresholds import _pay_interval
-from reference import normal_pass
+from reference import normal_pass, simpson
 
 
 def report(name: str, ok: bool, detail: str) -> str:
@@ -251,7 +250,7 @@ def test_criterion_7_special_function_accuracy():
     )
     cdf_gap = abs(std_normal_cdf(1.6448536) - 0.95)
     prior = TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
-    mass_gap = abs(_simpson(prior.pdf, 0.4, 0.7, 2000) - 1.0)
+    mass_gap = abs(simpson(prior.pdf, 0.4, 0.7, 2000) - 1.0)
     ok = roundtrip <= 1e-9 and cdf_gap <= 1e-7 and mass_gap <= 1e-8
     line = report(
         "criterion 7 (special-function accuracy)",

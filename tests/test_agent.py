@@ -1067,6 +1067,44 @@ def test_each_exit_of_the_hint_check_answers_as_the_cold_call(monkeypatch):
             assert (scan.utility, scan.n_star, scan.pass_prob) == got, exit_
 
 
+def test_the_hint_check_jumps_once_to_a_peak_six_sizes_cannot_reach(monkeypatch):
+    # Near n*'s peak the loss's hints lag: on the cardiovascular row at
+    # alpha_grid[200] (0.0096), the nodes after the two ends and the first
+    # two interior nodes miss their sizes by 247 down to 4.  Each first walk
+    # scores six sizes and the utility still rises, so the kernel jumps once
+    # to the vertex of the parabola through the last three scores and walks
+    # again.  Each node must then settle, with no log and more than six sizes
+    # scored, and answer as the cold call by repr.  Scored sizes are seen as
+    # the integers agent's math module takes square roots of, and logs as
+    # None.
+    cfg = load_config(preset_path("cardiovascular"))
+    real, calls = loss._respond, []
+
+    def recorded(level, mu, hint=0):
+        calls.append((level, mu, hint))
+        return real(level, mu, hint)
+
+    monkeypatch.setattr(loss, "_respond", recorded)
+    loss_components(cfg.alpha_grid[200], cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
+    events = []
+
+    def sqrt(x):
+        if isinstance(x, int):
+            events.append(x)
+        return math.sqrt(x)
+
+    monkeypatch.setattr(agent, "math", types.SimpleNamespace(
+        **{**vars(math), "sqrt": sqrt, "log": lambda x: events.append(None) or math.log(x)}))
+    misses = []
+    for level, mu, hint in calls[4:14]:
+        cold = agent._respond(level, mu)
+        events.clear()
+        assert repr(agent._respond(level, mu, hint)) == repr(cold), (mu, hint)
+        assert None not in events and len(events) > 6, (mu, hint, events)
+        misses.append(hint - cold[1])
+    assert misses == [247, 143, 90, 59, 38, 26, 16, 12, 7, 4]
+
+
 def test_the_stop_bound_never_settles_a_hint_that_the_half_bound_leaves(monkeypatch):
     # Where the hint's piece starts at n2 > n_min, the kernel returns a
     # certified size m on the one-half bound alone.  The stop bound at m - 1,
@@ -1107,9 +1145,10 @@ def test_warm_start_cuts_the_newton_steps_of_a_sweep_row(monkeypatch):
     # effective-side nodes of one row (alpha = 0.05, 401 Simpson nodes),
     # checking the size predicted from the two nodes before each, n1*n1 // n0
     # (n* grows by a near-constant factor per node near the participating
-    # end), takes a cardiovascular row from 2,337 logs to 243, as its Newton
-    # steps fall from 1,523 to 176, and an fn-curves-062 row from 2,465 logs
-    # to 201 (1,513 steps to 110).  The pins count cost, not answers.
+    # end), takes a cardiovascular row from 2,337 logs to 79, as its Newton
+    # steps fall from 1,523 to 58, and an fn-curves-062 row from 2,465 logs
+    # to 201 (1,513 steps to 110).  The two ends pass no hint.  The pins
+    # count cost, not answers.
     counted = []
     monkeypatch.setattr(agent, "math", types.SimpleNamespace(
         **{**vars(math), "log": lambda x: counted.append(x) or math.log(x)}))
@@ -1122,7 +1161,7 @@ def test_warm_start_cuts_the_newton_steps_of_a_sweep_row(monkeypatch):
         logs[warm] += len(counted) - before
         return answer
 
-    pins = {"cardiovascular": {True: 243, False: 2337}, "fn-curves-062": {True: 201, False: 2465}}
+    pins = {"cardiovascular": {True: 79, False: 2337}, "fn-curves-062": {True: 201, False: 2465}}
     for preset, pinned in pins.items():
         cfg = load_config(preset_path(preset))
         logs = {True: 0, False: 0}
@@ -1141,9 +1180,10 @@ def test_recorded_sweep_calls_pin_the_kernels_counts(monkeypatch):
     # sha256 of the answers' reprs, which is the same as before the hint
     # check moved ahead of the pieces' set-up.  A hinted call that takes no
     # log and scores a size at or below the convex window's top had its hint
-    # certified and went on walking: on fn-curves-062 that handoff fires.
-    # The counts pin cost, and move with the loss's hint rule; the digest
-    # pins answers, which no hint rule moves.
+    # certified and went on walking: that handoff fires on both presets.
+    # The counts pin cost, and move with the loss's hint rule and the
+    # kernel's check (its jump to the parabola's vertex cut cardiovascular's
+    # logs from 7,489 to 2,792); the digest pins answers, which neither moves.
     counted, sizes = {"erfc": 0, "log": 0}, []
 
     def count(name):
@@ -1160,9 +1200,9 @@ def test_recorded_sweep_calls_pin_the_kernels_counts(monkeypatch):
     monkeypatch.setattr(agent, "math", types.SimpleNamespace(
         **{**vars(math), "erfc": count("erfc"), "log": count("log"), "sqrt": sqrt}))
     pins = {
-        "cardiovascular": (20_290, 73_472, 7_525, 19_216, 176,
+        "cardiovascular": (20_290, 74_601, 2_792, 19_897, 444,
                            "4033a7de9bfa0e2fa3e8ea21345623b944a711c9734caa1503149addcaa3889e"),
-        "fn-curves-062": (10_146, 39_080, 1_764, 9_785, 3_130,
+        "fn-curves-062": (10_146, 38_912, 1_646, 9_803, 3_144,
                           "d55ea18eaa5d9121a3220da0dc1465454a10c77bf5ae9a2744e93b6bc6b643d4"),
     }
     for preset, pinned in pins.items():

@@ -39,9 +39,9 @@ from trialgame import (
     sweep_alpha,
 )
 from trialgame.agent import _level
-from trialgame.loss import _gauss, _simpson
+from trialgame.loss import _gauss
 from trialgame.thresholds import _pay_interval
-from reference import grid_optimal_alpha, normal_pass, record_sweep_calls
+from reference import grid_optimal_alpha, normal_pass, record_sweep_calls, simpson
 
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
 PRIOR = TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
@@ -67,17 +67,17 @@ FROZEN = {
 
 
 def test_simpson_is_exact_for_cubics():
-    assert abs(_simpson(lambda x: x * x * x, 0.0, 1.0, 10) - 0.25) < 1e-15
-    assert abs(_simpson(lambda x: x * x, -1.0, 2.0, 10) - 3.0) < 1e-14
+    assert abs(simpson(lambda x: x * x * x, 0.0, 1.0, 10) - 0.25) < 1e-15
+    assert abs(simpson(lambda x: x * x, -1.0, 2.0, 10) - 3.0) < 1e-14
 
 
 def test_simpson_matches_analytic_sine_integral():
-    assert abs(_simpson(math.sin, 0.0, math.pi, 200) - 2.0) < 1e-9
+    assert abs(simpson(math.sin, 0.0, math.pi, 200) - 2.0) < 1e-9
 
 
 def test_simpson_empty_interval_is_zero():
-    assert _simpson(math.sin, 1.0, 1.0, 100) == 0.0
-    assert _simpson(math.sin, 2.0, 1.0, 100) == 0.0
+    assert simpson(math.sin, 1.0, 1.0, 100) == 0.0
+    assert simpson(math.sin, 2.0, 1.0, 100) == 0.0
 
 
 def test_weights_validation():
@@ -306,7 +306,7 @@ def loss_components_per_node(alpha, inst, prior, quad, weights):
             fp += _gauss(pass_density, a, b, math.ceil((b - a) / (4.0 * sd)))
     fp = clip(fp / mass_weak)
     a, b = max(th.mu_tau + th.epsilon, mu_b, lo), hi
-    fn = clip(_simpson(fail_density, a, b, quad.panels) / mass_eff)
+    fn = clip(simpson(fail_density, a, b, quad.panels) / mass_eff)
     abstain = clip((mass_eff - prior._sf(max(th.mu_tau, mu_b))) / mass_eff)
     total = weights.lambda_fp * fp + weights.lambda_fn * (fn + abstain)
     return LossBreakdown(fp, fn, abstain, total, th.mu_tau, th.status)
@@ -395,42 +395,45 @@ def test_loss_components_solves_the_weak_pay_set_once_per_row():
 def test_recorded_sweep_calls_answer_alike_with_any_hint():
     # Every kernel call of every 8th row of the cardiovascular and
     # fn-curves-062 sweeps and every 16th of vaccine's, recorded where loss
-    # and thresholds make it.  The effective-side nodes pass n1*n1 // n0 from
-    # the sizes of the two nodes before them, which the kernel checks before
-    # any Newton step.  Each call must give the same answer, by repr, with
-    # the hint it was given, with the retired 2*n1 - n0 under the same range
-    # fallback, with the previous call's n_star (the hint of the loss's
-    # parent design) and with none.  A call without a hint starts the loss's
-    # two sizes afresh: the threshold's calls and the loss's first node pass
-    # none, and a later node only when n1 is 0, where both rules give 0.  On
-    # vaccine, nodes reach n_max and the prediction overflows the range, so
-    # the fallback runs.
-    hinted, overflows, row = 0, 0, None
+    # and thresholds make it.  The threshold's calls and the loss's two ends
+    # pass no hint; the interior nodes pass n1*n1 // n0 from the sizes of the
+    # two nodes before them, the first the lower end's size, which the kernel
+    # checks before any Newton step.  Each call must give the same answer, by
+    # repr, with the hint it was given, with the retired 2*n1 - n0 under the
+    # same range fallback, with the previous call's n_star (the hint of the
+    # loss's parent design), with none, and with a size 7, 60 or 500 (in
+    # turn) either side of its answer, which the kernel reaches by its jump
+    # or not at all.  On vaccine, nodes reach n_max and the prediction
+    # overflows the range 20 times, so the fallback runs.
+    hinted, overflows, row, n0, n1, n_end = 0, 0, None, 0, 0, 0
     calls = record_sweep_calls(("cardiovascular", "fn-curves-062"), 8) + record_sweep_calls(("vaccine",), 16)
-    for level, mu, hint, answer in calls:
+    for i, (level, mu, hint, answer) in enumerate(calls):
         n_min, n_max = level[5], level[6]
         if level is not row:
             row, last = level, 0
-        if not hint:
-            n0 = n1 = 0
         retired = 2 * n1 - n0
-        overflows += bool(n0) and n1 * n1 // n0 > n_max
+        overflows += bool(hint and n0) and n1 * n1 // n0 > n_max
         hinted += hint > 0
-        for other in (hint, retired if n_min <= retired <= n_max else n1, last, 0):
+        offset = min(n_max, max(n_min, answer[1] + (-500, -60, -7, 7, 60, 500)[i % 6]))
+        for other in (hint, retired if n_min <= retired <= n_max else n1, last, 0, offset):
             assert repr(agent._respond(level, mu, other)) == repr(answer), (level, mu, hint, other)
-        n0, n1 = n1, answer[1]
-        last = n1
-    assert hinted == 40_000 and overflows > 50, (hinted, overflows)
+        if hint:
+            n0, n1 = n1, answer[1]
+        else:  # after the two ends, the chain holds the lower end's size
+            n0, n1, n_end = 0, n_end, answer[1]
+        last = answer[1]
+    assert (hinted, overflows) == (39_900, 20)
 
 
 def test_loss_hints_follow_the_geometric_rule(monkeypatch):
-    # Each effective node's hint is 0 or an admissible size: n1*n1 // n0 from
-    # the sizes n0 and n1 of the two nodes before it, or n1 where n0 is 0 or
-    # the prediction leaves [n_min, n_max].  On cardiovascular at 0.05, n*
-    # grows by a near-constant factor from the participating end (1, 2, 8,
-    # 19, 36, ...), and the prediction from the top end's 135 and the next
-    # node's 2 falls below n_min; on vaccine n* reaches n_max, where the
-    # prediction overflows the range.
+    # The two ends of the effective piece are solved first, with no hint.
+    # Each interior node's hint, in belief order, is an admissible size:
+    # n1*n1 // n0 from the sizes n0 and n1 of the two nodes before it, or n1
+    # where n0 is 0 or the prediction leaves [n_min, n_max].  The chain
+    # starts from the lower end's size, so the first interior node's hint is
+    # that size.  On cardiovascular at 0.05, n* grows by a near-constant
+    # factor from the participating end (1, 2, 8, 19, 36, ...); on vaccine n*
+    # reaches n_max, where the prediction overflows the range.
     real, hints = loss._respond, []
 
     def recorded(level, mu, hint=0):
@@ -439,17 +442,19 @@ def test_loss_hints_follow_the_geometric_rule(monkeypatch):
         return answer
 
     monkeypatch.setattr(loss, "_respond", recorded)
-    for preset, pinned in (("cardiovascular", {"start": 2, "ratio": 398, "below": 1}),
-                           ("vaccine", {"start": 2, "ratio": 397, "above": 2})):
+    for preset, pinned in (("cardiovascular", {"end": 2, "start": 1, "ratio": 398}),
+                           ("vaccine", {"end": 2, "start": 1, "ratio": 395, "above": 3})):
         cfg = load_config(preset_path(preset))
         n_min, n_max = cfg.instance.n_min, cfg.instance.n_max
         hints.clear()
         loss_components(0.05, cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
         assert len(hints) == cfg.quadrature.panels + 1
         rules, n0, n1 = {}, 0, 0
-        for hint, n in hints:
+        for i, (hint, n) in enumerate(hints):
             assert hint == 0 or n_min <= hint <= n_max, (preset, hint)
-            if not n0:
+            if i < 2:
+                rule, expected = "end", 0
+            elif not n0:
                 rule, expected = "start", n1
             elif n1 * n1 // n0 < n_min:
                 rule, expected = "below", n1
@@ -459,7 +464,8 @@ def test_loss_hints_follow_the_geometric_rule(monkeypatch):
                 rule, expected = "ratio", n1 * n1 // n0
             assert hint == expected, (preset, n0, n1, hint)
             rules[rule] = rules.get(rule, 0) + 1
-            n0, n1 = n1, n
+            if i != 1:
+                n0, n1 = n1, n
         assert rules == pinned, preset
 
 
@@ -520,7 +526,7 @@ def test_effective_side_mass_keeps_its_digits(prior, mu_b, alpha):
     want = (mass - float(ref.sf(max(th.mu_tau, mu_b)))) / mass
     assert bd.fn_abstain == pytest.approx(want, rel=1e-11, abs=1e-15)
     # fn_particip divides the effective side's Simpson sum by that mass.
-    node_sum = _simpson(lambda mu: (1.0 - best_response(alpha, mu, inst).pass_prob) * prior.pdf(mu),
+    node_sum = simpson(lambda mu: (1.0 - best_response(alpha, mu, inst).pass_prob) * prior.pdf(mu),
                         max(th.mu_tau + th.epsilon, mu_b), prior.hi, quad.panels)
     assert node_sum > 0.0 or want == 1.0
     assert bd.fn_particip == pytest.approx(node_sum / mass, rel=1e-11)
