@@ -216,16 +216,18 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     step was bisected and ``c > 1e-12*R`` (below that the utility is flat at
     float resolution), the window there reaches only ``floor(root) + 1``.
 
-    A ``hint`` is a guess at the answer: ``loss_components`` passes the size
-    ``n1*n1 // n0`` from its two previous nodes; every other caller passes
-    none (0).  If the first piece walked is concave, the hint is checked
-    before the pieces are set up: ``hint`` and ``hint + 1`` are scored, then
-    sizes on towards the higher of the two while the utility rises, six
-    sizes at most.  Should the utility still rise at the sixth, the check
-    jumps once, to the size nearest the vertex of the parabola through the
-    last three scores, and walks from there as from a hint, six sizes more
-    at most: near the peak of ``n*`` over beliefs the loss's hints miss by
-    up to a few hundred sizes.  The exact utility is concave in ``n`` there,
+    A ``hint`` is a guess at the answer: ``loss_components`` passes its
+    prediction ``n1*n1 // n0`` unfiltered; every other caller passes none
+    (0).  If the first piece walked is concave, the hint is checked before
+    the pieces are set up, and this check alone judges it: a hint at or
+    beyond the piece's ends is not scored, and the call solves cold.
+    Otherwise ``hint`` and ``hint + 1`` are scored, then sizes on towards
+    the higher of the two while the utility rises, six sizes at most.
+    Should the utility still rise at the sixth, the check jumps once, to
+    the size nearest the vertex of the parabola through the last three
+    scores, and walks from there as from a hint, six sizes more at most:
+    near the peak of ``n*`` over beliefs the loss's hints miss by up to a
+    few hundred sizes.  The exact utility is concave in ``n`` there,
     so a size whose computed utility beats both neighbours' by more than the
     margin ``1e-12*R`` is the piece's best, and the walk would take it with
     the same bits, as long as the margin is above twice the rounding error

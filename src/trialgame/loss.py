@@ -113,18 +113,16 @@ def loss_components(
     threshold's bracket, so no node scores an abstainer.  A node at ``mu``
     weighs ``(1 - p) * pdf(mu)``, the chance that its best size fails.  The
     two ends ``a`` and ``b`` are solved and summed first, with no hint; the
-    interior nodes follow in belief order, each asking the kernel to check
-    a predicted size first (the ``hint`` of
-    :func:`~trialgame.agent._respond`): ``n1*n1 // n0`` from the ``n_star``
-    of the two nodes before it, since near the participating end ``n_star``
-    grows by a near-constant factor per node, or ``n1`` where ``n0`` is 0
-    or the prediction is no admissible size.  The chain starts from ``a``'s
-    size, so ``b``'s, often far from its neighbours', predicts nothing.  On
-    every 8th row of the ``cardiovascular`` sweep that settles 98% of the
-    kernel's calls without a Newton step.  A hint moves no answer: the
-    kernel only checks it, and solves as without one where the check fails.
-    The kernel is called by its name in this module, where the tests swap
-    it.
+    interior nodes follow in belief order, each passing the kernel
+    (:func:`~trialgame.agent._respond`, by its name in this module, where
+    the tests swap it) a ``hint`` to check first: ``n1*n1 // n0`` from the
+    ``n_star`` of the two nodes before it, as near the participating end
+    ``n_star`` grows by a near-constant factor per node, or ``n1`` where
+    ``n0`` is 0.  The kernel's check alone judges it, so a prediction past
+    ``n_max`` solves cold.  The chain starts from ``a``'s size, so ``b``'s,
+    often far from its neighbours', predicts nothing.  On every 8th
+    ``cardiovascular`` row that settles 98% of the kernel's calls without a
+    Newton step.  A hint moves no answer: the kernel only checks it.
     ``fn_abstain`` takes the prior mass between ``mu_b`` and ``mu_tau``.
     Both effective-side masses come from the prior's ``_sf``, which
     differences the normal tails on the belief's side of the mean, so it
@@ -154,19 +152,17 @@ def loss_components(
 
     fn_particip = fn_abstain = 0.0
     if not no_eff:
-        n_min, n_max, panels = inst.n_min, inst.n_max, quad.panels
         for a, b in effective:
             a, b = max(a, prior.lo), min(b, prior.hi)
             if a < b:
                 # Composite Simpson; the ends pass no hint.
-                h = (b - a) / panels
+                h = (b - a) / quad.panels
                 _, n1, p = _respond(level, a)
                 total = (1.0 - p) * prior.pdf(a) + (1.0 - _respond(level, b)[2]) * prior.pdf(b)
                 n0 = 0
-                for i in range(1, panels):
+                for i in range(1, quad.panels):
                     mu = a + i * h
-                    hint = n1 * n1 // n0 if n0 else n1
-                    _, n, p = _respond(level, mu, hint if n_min <= hint <= n_max else n1)
+                    _, n, p = _respond(level, mu, n1 * n1 // n0 if n0 else n1)
                     n0, n1 = n1, n
                     total += (1.0 - p) * prior.pdf(mu) * (4.0 if i % 2 else 2.0)
                 fn_particip += total * h / 3.0

@@ -17,7 +17,7 @@ where the least loss sits, not what the loss is.  :func:`participation_set`
 merges the package's closed-form pay sets, one per admissible size, and asks
 no best response, so it is independent of the kernel and the threshold
 search it checks.  :func:`record_sweep_calls` records the kernel's own calls
-for replay.
+for replay, and :func:`count_kernel_math` counts what they ask of ``math``.
 
 :func:`simpson` is the composite rule the loss applies to its effective
 side, in the loss's summation order.
@@ -29,6 +29,7 @@ thin.
 """
 
 import math
+import types
 from typing import NamedTuple
 
 from trialgame import DEFAULT_EPS, agent, critical_alpha, load_config, loss, preset_path, sweep_alpha, thresholds
@@ -227,3 +228,51 @@ def record_sweep_calls(presets, stride):
     finally:
         thresholds._respond = loss._respond = real
     return calls
+
+
+class KernelMath:
+    """What ``agent``'s math module was asked since the last :meth:`clear`.
+
+    ``erfc`` and ``log`` count calls.  ``events`` lists, in order, each
+    integer that ``sqrt`` is taken of, a size the kernel scores or a piece
+    end it starts Newton from, and ``None`` for each ``log``.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.erfc = self.log = 0
+        self.events = []
+
+    @property
+    def sizes(self):
+        return [x for x in self.events if x is not None]
+
+
+def count_kernel_math(monkeypatch):
+    """Swap ``agent.math`` for a counting copy; return its :class:`KernelMath`.
+
+    The kernel reaches ``erfc``, ``log`` and ``sqrt`` through its module's
+    ``math``, so the counts see every call, whatever name the kernel was
+    called by.
+    """
+    counts = KernelMath()
+
+    def erfc(x):
+        counts.erfc += 1
+        return math.erfc(x)
+
+    def log(x):
+        counts.log += 1
+        counts.events.append(None)
+        return math.log(x)
+
+    def sqrt(x):
+        if isinstance(x, int):
+            counts.events.append(x)
+        return math.sqrt(x)
+
+    monkeypatch.setattr(agent, "math", types.SimpleNamespace(
+        **{**vars(math), "erfc": erfc, "log": log, "sqrt": sqrt}))
+    return counts

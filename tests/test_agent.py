@@ -14,7 +14,6 @@ import functools
 import hashlib
 import math
 import random
-import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +42,7 @@ from trialgame import (
 )
 from reference import (
     convex_window,
+    count_kernel_math,
     curvature_regions,
     exact_binomial_pass,
     exact_critical_count,
@@ -844,14 +844,12 @@ def test_kernel_reaches_erfc_through_its_math_module(monkeypatch):
     # sizes 485 down to 482.  At mu = 0.9 it scores 25, 24 and 23: the top
     # piece's three sizes, and the one-half bound then ends the walk before
     # the convex window's top, 2.
-    counted = []
-    monkeypatch.setattr(agent, "math", types.SimpleNamespace(
-        **{**vars(math), "erfc": lambda x: counted.append(x) or math.erfc(x)}))
+    counted = count_kernel_math(monkeypatch)
     level = agent._level(0.05, load_config(preset_path("cardiovascular")).instance)
     for mu0, n_star, scored in ((0.6, 483, 4), (0.9, 24, 3)):
         counted.clear()
         assert agent._respond(level, mu0)[1] == n_star
-        assert len(counted) == scored
+        assert counted.erfc == scored
 
 
 def test_size_hint_moves_no_answer(monkeypatch):
@@ -884,22 +882,41 @@ def test_size_hint_moves_no_answer(monkeypatch):
     most near hints that the check can take must take no log at all (the
     belief's constant is taken only where Newton runs), so the check cannot
     silently stop firing.
+
+    The hints above are clamped into ``[n_min, n_max]``; the loss sends its
+    prediction unclamped, past ``n_max`` where ``n*`` reaches it.  So each
+    draw also passes ``n_max + 1``, ``2*n_max``, ``10**18`` and, where
+    ``n_min > 1``, ``n_min - 1``.  The check scores none of them, so each
+    must give the cold answer with exactly the cold call's ``erfc`` and
+    ``log`` counts.
     """
-    logs = []
-    monkeypatch.setattr(agent, "math", types.SimpleNamespace(
-        **{**vars(math), "log": lambda x: logs.append(x) or math.log(x)}))
+    counted = count_kernel_math(monkeypatch)
     rng = random.Random(2525)
     where = dict.fromkeys(("top concave", "convex", "lower concave", "no window", "window reaches n_max",
                            "piece end", "n_max", "far", "near", "c = 0", "c/R < 1e-12", "c/R <= 2e-10",
                            "c/R > 2e-10", "n* at n_max - 1", "n* at n_max", "n* at piece start",
-                           "c0 + c*n above R"), 0)
+                           "c0 + c*n above R", "outside the range"), 0)
     checkable = certified = 0
+
+    def cold_answer(level, mu0):
+        # The unhinted answer, which each hint outside the range must give
+        # with the same erfc and log counts.
+        counted.clear()
+        cold = agent._respond(level, mu0)
+        spent = counted.erfc, counted.log
+        n_min, n_max = level[5:7]
+        for hint in (n_max + 1, 2 * n_max, 10**18) + ((n_min - 1,) if n_min > 1 else ()):
+            where["outside the range"] += 1
+            counted.clear()
+            assert repr(agent._respond(level, mu0, hint)) == repr(cold), (level, mu0, hint)
+            assert (counted.erfc, counted.log) == spent, (level, mu0, hint)
+        return cold
 
     def assert_hints_move_nothing(alpha, mu0, inst, hints, far, label=None, at=None):
         # label names the copies whose n* lands where they put it, at.
         nonlocal checkable, certified
         level = agent._level(alpha, inst)
-        cold = agent._respond(level, mu0)
+        cold = cold_answer(level, mu0)
         n_star = cold[1]
         if n_star != at:
             label = None
@@ -925,12 +942,12 @@ def test_size_hint_moves_no_answer(monkeypatch):
             where["c = 0"] += inst.c == 0.0
             where["c/R < 1e-12"] += 0.0 < inst.c < 1e-12 * inst.R
             where["c/R <= 2e-10" if inst.c <= 2e-10 * inst.R else "c/R > 2e-10"] += 1
-            before = len(logs)
+            before = counted.log
             got = agent._respond(level, mu0, hint)
             assert repr(got) == repr(cold), (alpha, mu0, inst, hint)
             if takes and kind == "near" and abs(hint - n_star) <= 1:
                 checkable += 1
-                certified += len(logs) == before
+                certified += counted.log == before
         return n_star
 
     for i in range(3000):
@@ -1009,7 +1026,7 @@ def test_size_hint_moves_no_answer(monkeypatch):
         inst = EconomicInstance(R, R * 10.0 ** rng.uniform(-5.0, -0.5), c, mu_b, n_min,
                                 n_min + int(10.0 ** rng.uniform(1.0, 12.0)))
         level = agent._level(10.0 ** rng.uniform(-6.0, math.log10(0.5)), inst)
-        cold = agent._respond(level, mu0)
+        cold = cold_answer(level, mu0)
         flat += cold[1] >= 10**8
         near = cold[1] or n_min
         for hint in (*range(near - 3, near + 4), near - 40, near + 40, near // 2, 2 * near):
@@ -1028,15 +1045,7 @@ def test_each_exit_of_the_hint_check_answers_as_the_cold_call(monkeypatch):
     # top.  Each hinted answer equals the cold one by repr and, on a range
     # under 400 sizes, the scan's.  Scored sizes are seen as the integers
     # agent's math module takes square roots of, and logs as None.
-    events = []
-
-    def sqrt(x):
-        if isinstance(x, int):
-            events.append(x)
-        return math.sqrt(x)
-
-    monkeypatch.setattr(agent, "math", types.SimpleNamespace(
-        **{**vars(math), "sqrt": sqrt, "log": lambda x: events.append(None) or math.log(x)}))
+    counted = count_kernel_math(monkeypatch)
     for exit_, alpha, mu0, inst, m in (
         ("n_min", 0.14189606498444077, 0.3055528776795813,
          EconomicInstance(R=0.307, c0=0.00016285162891299407, c=0.00021870641532930308,
@@ -1050,8 +1059,9 @@ def test_each_exit_of_the_hint_check_answers_as_the_cold_call(monkeypatch):
     ):
         level = agent._level(alpha, inst)
         cold, u = agent._respond(level, mu0), agent._score(level, mu0, m)[0]
-        events.clear()
+        counted.clear()
         got = agent._respond(level, mu0, m)
+        events = counted.events
         assert repr(got) == repr(cold), exit_
         assert events[:3] == [m, m + 1, m - 1], exit_
         n2 = convex_window(alpha, mu0, inst)[1]
@@ -1086,21 +1096,13 @@ def test_the_hint_check_jumps_once_to_a_peak_six_sizes_cannot_reach(monkeypatch)
 
     monkeypatch.setattr(loss, "_respond", recorded)
     loss_components(cfg.alpha_grid[200], cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
-    events = []
-
-    def sqrt(x):
-        if isinstance(x, int):
-            events.append(x)
-        return math.sqrt(x)
-
-    monkeypatch.setattr(agent, "math", types.SimpleNamespace(
-        **{**vars(math), "sqrt": sqrt, "log": lambda x: events.append(None) or math.log(x)}))
+    counted = count_kernel_math(monkeypatch)
     misses = []
     for level, mu, hint in calls[4:14]:
         cold = agent._respond(level, mu)
-        events.clear()
+        counted.clear()
         assert repr(agent._respond(level, mu, hint)) == repr(cold), (mu, hint)
-        assert None not in events and len(events) > 6, (mu, hint, events)
+        assert counted.log == 0 and len(counted.sizes) > 6, (mu, hint, counted.events)
         misses.append(hint - cold[1])
     assert misses == [247, 143, 90, 59, 38, 26, 16, 12, 7, 4]
 
@@ -1149,16 +1151,14 @@ def test_warm_start_cuts_the_newton_steps_of_a_sweep_row(monkeypatch):
     # steps fall from 1,523 to 58, and an fn-curves-062 row from 2,465 logs
     # to 201 (1,513 steps to 110).  The two ends pass no hint.  The pins
     # count cost, not answers.
-    counted = []
-    monkeypatch.setattr(agent, "math", types.SimpleNamespace(
-        **{**vars(math), "log": lambda x: counted.append(x) or math.log(x)}))
+    counted = count_kernel_math(monkeypatch)
     real, nodes = loss._respond, []
 
     def node(level, mu, hint=0, *, warm):
         nodes.append(mu)
-        before = len(counted)
+        before = counted.log
         answer = real(level, mu, hint if warm else 0)
-        logs[warm] += len(counted) - before
+        logs[warm] += counted.log - before
         return answer
 
     pins = {"cardiovascular": {True: 79, False: 2337}, "fn-curves-062": {True: 201, False: 2465}}
@@ -1184,21 +1184,7 @@ def test_recorded_sweep_calls_pin_the_kernels_counts(monkeypatch):
     # The counts pin cost, and move with the loss's hint rule and the
     # kernel's check (its jump to the parabola's vertex cut cardiovascular's
     # logs from 7,489 to 2,792); the digest pins answers, which neither moves.
-    counted, sizes = {"erfc": 0, "log": 0}, []
-
-    def count(name):
-        def counting(x):
-            counted[name] += 1
-            return getattr(math, name)(x)
-        return counting
-
-    def sqrt(x):
-        if isinstance(x, int):
-            sizes.append(x)
-        return math.sqrt(x)
-
-    monkeypatch.setattr(agent, "math", types.SimpleNamespace(
-        **{**vars(math), "erfc": count("erfc"), "log": count("log"), "sqrt": sqrt}))
+    counted = count_kernel_math(monkeypatch)
     pins = {
         "cardiovascular": (20_290, 74_601, 2_792, 19_897, 444,
                            "4033a7de9bfa0e2fa3e8ea21345623b944a711c9734caa1503149addcaa3889e"),
@@ -1207,21 +1193,21 @@ def test_recorded_sweep_calls_pin_the_kernels_counts(monkeypatch):
     }
     for preset, pinned in pins.items():
         calls = record_sweep_calls((preset,), 8)
-        counted.update(erfc=0, log=0)
+        counted.clear()
         no_log = handoffs = 0
         digest = hashlib.sha256()
         for level, mu, hint, _ in calls:
-            before = counted["log"]
-            sizes.clear()
+            before = counted.log
+            counted.events.clear()
             digest.update(repr(agent._respond(level, mu, hint)).encode())
-            no_log += counted["log"] == before
-            if hint and counted["log"] == before:
+            no_log += counted.log == before
+            if hint and counted.log == before:
                 # The convex window's top, as reference.convex_window finds it.
                 mu_b, ds, n_min, n_max = level[0], level[1], level[5], level[6]
                 b, var0 = ds / (mu - mu_b), mu * (1.0 - mu) / (mu - mu_b) ** 2
                 n2 = ((b + math.sqrt(b * b - 4.0 * var0)) / 2.0) ** 2 if b > 0.0 and b * b > 4.0 * var0 else 0.0
-                handoffs += n_min < n2 < n_max and min(sizes) <= n2
-        assert (len(calls), counted["erfc"], counted["log"], no_log, handoffs, digest.hexdigest()) == pinned, preset
+                handoffs += n_min < n2 < n_max and min(counted.sizes) <= n2
+        assert (len(calls), counted.erfc, counted.log, no_log, handoffs, digest.hexdigest()) == pinned, preset
 
 
 def test_money_values_at_the_float_limits_get_an_answer():

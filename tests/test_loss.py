@@ -41,7 +41,7 @@ from trialgame import (
 from trialgame.agent import _level
 from trialgame.loss import _gauss
 from trialgame.thresholds import _pay_interval
-from reference import grid_optimal_alpha, normal_pass, record_sweep_calls, simpson
+from reference import count_kernel_math, grid_optimal_alpha, normal_pass, record_sweep_calls, simpson
 
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
 PRIOR = TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
@@ -399,12 +399,12 @@ def test_recorded_sweep_calls_answer_alike_with_any_hint():
     # pass no hint; the interior nodes pass n1*n1 // n0 from the sizes of the
     # two nodes before them, the first the lower end's size, which the kernel
     # checks before any Newton step.  Each call must give the same answer, by
-    # repr, with the hint it was given, with the retired 2*n1 - n0 under the
-    # same range fallback, with the previous call's n_star (the hint of the
-    # loss's parent design), with none, and with a size 7, 60 or 500 (in
-    # turn) either side of its answer, which the kernel reaches by its jump
-    # or not at all.  On vaccine, nodes reach n_max and the prediction
-    # overflows the range 20 times, so the fallback runs.
+    # repr, with the hint it was given, with the retired 2*n1 - n0 (raw, as
+    # the loss now passes its own prediction), with the previous call's
+    # n_star (the hint of the loss's parent design), with none, and with a
+    # size 7, 60 or 500 (in turn) either side of its answer, which the kernel
+    # reaches by its jump or not at all.  On vaccine, nodes reach n_max and
+    # 20 recorded hints exceed it, which the kernel's check refuses unscored.
     hinted, overflows, row, n0, n1, n_end = 0, 0, None, 0, 0, 0
     calls = record_sweep_calls(("cardiovascular", "fn-curves-062"), 8) + record_sweep_calls(("vaccine",), 16)
     for i, (level, mu, hint, answer) in enumerate(calls):
@@ -412,10 +412,10 @@ def test_recorded_sweep_calls_answer_alike_with_any_hint():
         if level is not row:
             row, last = level, 0
         retired = 2 * n1 - n0
-        overflows += bool(hint and n0) and n1 * n1 // n0 > n_max
+        overflows += hint > n_max
         hinted += hint > 0
         offset = min(n_max, max(n_min, answer[1] + (-500, -60, -7, 7, 60, 500)[i % 6]))
-        for other in (hint, retired if n_min <= retired <= n_max else n1, last, 0, offset):
+        for other in (hint, retired, last, 0, offset):
             assert repr(agent._respond(level, mu, other)) == repr(answer), (level, mu, hint, other)
         if hint:
             n0, n1 = n1, answer[1]
@@ -427,46 +427,56 @@ def test_recorded_sweep_calls_answer_alike_with_any_hint():
 
 def test_loss_hints_follow_the_geometric_rule(monkeypatch):
     # The two ends of the effective piece are solved first, with no hint.
-    # Each interior node's hint, in belief order, is an admissible size:
-    # n1*n1 // n0 from the sizes n0 and n1 of the two nodes before it, or n1
-    # where n0 is 0 or the prediction leaves [n_min, n_max].  The chain
-    # starts from the lower end's size, so the first interior node's hint is
-    # that size.  On cardiovascular at 0.05, n* grows by a near-constant
-    # factor from the participating end (1, 2, 8, 19, 36, ...); on vaccine n*
-    # reaches n_max, where the prediction overflows the range.
-    real, hints = loss._respond, []
+    # Each interior node's hint, in belief order, is n1*n1 // n0 from the
+    # sizes n0 and n1 of the two nodes before it, or n1 where n0 is 0, passed
+    # unfiltered: the kernel's check alone refuses a size outside the piece.
+    # The chain starts from the lower end's size, so the first interior
+    # node's hint is that size.  On cardiovascular at 0.05, n* grows by a
+    # near-constant factor from the participating end (1, 2, 8, 19, 36, ...);
+    # on vaccine n* reaches n_max, and 3 predictions exceed it.  Each node is
+    # replayed with its hint and with the retired linear rule 2*n1 - n0 on
+    # the same chain; both give its answer.  Over the row's 401 nodes, ends
+    # included, the geometric rule takes fewer erfc than the linear one on
+    # both presets, and more logs on cardiovascular only.
+    real, calls = loss._respond, []
 
     def recorded(level, mu, hint=0):
         answer = real(level, mu, hint)
-        hints.append((hint, answer[1]))
+        calls.append((level, mu, hint, answer))
         return answer
 
     monkeypatch.setattr(loss, "_respond", recorded)
-    for preset, pinned in (("cardiovascular", {"end": 2, "start": 1, "ratio": 398}),
-                           ("vaccine", {"end": 2, "start": 1, "ratio": 395, "above": 3})):
+    counted = count_kernel_math(monkeypatch)
+    for preset, pinned, costs in (
+            ("cardiovascular", {"end": 2, "start": 1, "ratio": 398, "above n_max": 0},
+             {"geometric": [1545, 79], "linear": [1718, 70]}),
+            ("vaccine", {"end": 2, "start": 1, "ratio": 398, "above n_max": 3},
+             {"geometric": [1646, 74], "linear": [1858, 158]})):
         cfg = load_config(preset_path(preset))
-        n_min, n_max = cfg.instance.n_min, cfg.instance.n_max
-        hints.clear()
+        calls.clear()
         loss_components(0.05, cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
-        assert len(hints) == cfg.quadrature.panels + 1
-        rules, n0, n1 = {}, 0, 0
-        for i, (hint, n) in enumerate(hints):
-            assert hint == 0 or n_min <= hint <= n_max, (preset, hint)
+        assert len(calls) == cfg.quadrature.panels + 1
+        rules = dict.fromkeys(pinned, 0)
+        spent, n0, n1 = {"geometric": [0, 0], "linear": [0, 0]}, 0, 0
+        for i, (level, mu, hint, answer) in enumerate(calls):
             if i < 2:
-                rule, expected = "end", 0
+                rule, expected, linear = "end", 0, 0
             elif not n0:
-                rule, expected = "start", n1
-            elif n1 * n1 // n0 < n_min:
-                rule, expected = "below", n1
-            elif n1 * n1 // n0 > n_max:
-                rule, expected = "above", n1
+                rule, expected, linear = "start", n1, n1
             else:
-                rule, expected = "ratio", n1 * n1 // n0
+                rule, expected, linear = "ratio", n1 * n1 // n0, 2 * n1 - n0
             assert hint == expected, (preset, n0, n1, hint)
-            rules[rule] = rules.get(rule, 0) + 1
+            rules[rule] += 1
+            rules["above n_max"] += hint > cfg.instance.n_max
+            for name, other in (("geometric", hint), ("linear", linear)):
+                counted.clear()
+                assert repr(agent._respond(level, mu, other)) == repr(answer), (preset, mu, name, other)
+                spent[name][0] += counted.erfc
+                spent[name][1] += counted.log
             if i != 1:
-                n0, n1 = n1, n
+                n0, n1 = n1, answer[1]
         assert rules == pinned, preset
+        assert spent == costs, preset
 
 
 def test_loss_components_weighted_total_identity():
