@@ -168,6 +168,21 @@ def _score(level: tuple, mu0: float, n) -> tuple[float, float]:
     return R * p - (c0 + c * n), p
 
 
+def _window(ds: float, var0: float, dmu: float) -> tuple[float, float]:
+    """The real sizes ``(n1, n2)`` where :func:`_respond`'s utility is convex, or ``(0.0, 0.0)``.
+
+    The roots of ``t^2 - (ds/dmu)*t + var0/dmu^2`` in ``t = sqrt(n)``,
+    squared.  The larger root is at most ``ds/dmu``.  :func:`_respond`'s
+    unhinted path inlines it, bit for bit.
+    """
+    disc = ds * ds - 4.0 * var0
+    if disc > 0.0 and ds > 0.0:
+        t2 = (ds + math.sqrt(disc)) / (2.0 * dmu)
+        t1 = (var0 / (dmu * dmu)) / t2
+        return t1 * t1, t2 * t2
+    return 0.0, 0.0
+
+
 def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float]:
     """:func:`best_response` at a :func:`_level` as ``(utility, n_star, pass_prob)``.
 
@@ -219,10 +234,11 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     A ``hint`` is a guess at the answer: ``loss_components`` passes its
     prediction ``n1*n1 // n0`` unfiltered; every other caller passes none
     (0).  If the first piece walked is concave, the hint is checked before
-    the pieces are set up, and this check alone judges it: a hint at or
-    beyond the piece's ends is not scored, and the call solves cold.
-    Otherwise ``hint`` and ``hint + 1`` are scored, then sizes on towards
-    the higher of the two while the utility rises, six sizes at most.
+    the pieces and the walk's state are set up, and this check alone judges
+    it: a hint at or beyond the piece's ends is not scored, and the call
+    solves cold.  Otherwise ``hint`` and ``hint + 1`` are scored, then
+    sizes on towards the higher of the two while the utility rises, six
+    sizes at most.
     Should the utility still rise at the sixth, the check jumps once, to
     the size nearest the vertex of the parabola through the last three
     scores, and walks from there as from a hint, six sizes more at most:
@@ -250,12 +266,23 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     resolution, sizes tie within ulps of ``R`` and none clears the margin.
     A hint that is not certified plays no further part, so a hint moves no
     answer, and a jump that certifies nothing ends the check as a failed
-    walk does.  ``k`` is taken only on a piece that runs Newton, so a
-    certified hint takes no log.  On every 8th row of the ``cardiovascular``
-    and ``fn-curves-062`` sweeps (20,290 and 10,146 calls), 98% and 97% of
-    the calls take no log, logs per call are 0.14 and 0.16, and erfc per call
-    is 3.68 and 3.84; 444 and 3,144 of the calls certify a size and go on
-    walking.
+    walk does.  The check computes the convex window (:func:`_window`) only
+    where it reads it.  Its piece starts at ``n2`` or ``n_min``, and ``n2
+    <= (ds/dmu)**2``, as every size up to ``n2`` has ``sqrt(n) <= ds/dmu``
+    (in floats too: ``sqrt(ds*ds)`` rounds to ``ds``, and each step rounds
+    monotonically), so a size above that bound's ceiling is inside the
+    piece.  A size the bound does not clear is judged by the exact window
+    before it is declined, which also tells whether the first piece walked
+    is concave; and a certified size that the one-half bound does not
+    settle reads it, to ask whether its piece starts at ``n_min`` and where
+    to hand over.  A call without a hint computes the window first, with
+    :func:`_window`'s statements inlined.  ``k`` is taken only on a piece
+    that runs Newton, so a certified hint takes no log.  On every 8th row
+    of the ``cardiovascular`` and ``fn-curves-062`` sweeps (20,290 and
+    10,146 calls), 98% and 97% of the calls take no log, logs per call are
+    0.14 and 0.16, and erfc per call is 3.68 and 3.84; 444 and 3,144 of the
+    calls certify a size and go on walking, and 812 and 4,387 of the 19,950
+    and 9,975 hinted calls compute the window.
 
     ``mu0`` is not checked: :func:`best_response` checks it once, and the
     other callers (``thresholds._threshold`` and ``_bracket``, the loss
@@ -269,29 +296,30 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
         p = 0.5 * math.erfc((ds - dmu * math.sqrt(n_min)) / sigma0 / _SQRT2)
         u = R * p - cost_min
         return (u, n_min, p) if u >= 0.0 else (0.0, 0, 0.0)
-    disc = ds * ds - 4.0 * var0
-    n1 = n2 = 0.0
-    if disc > 0.0 and ds > 0.0:
-        t2 = (ds + math.sqrt(disc)) / (2.0 * dmu)
-        t1 = (var0 / (dmu * dmu)) / t2
-        n1, n2 = t1 * t1, t2 * t2
-    best_n, best_u, best_p, last, below, hi = 0, -math.inf, 0.0, n_max + 1, 0, n_max
-    # The first piece walked is concave unless n2 reaches n_max and n1 does
-    # not; it starts at n2 or at n_min.
-    if hint and ds < 4e3 * sigma0 and (n2 < n_max or n1 >= n_max):
+    if hint and ds < 4e3 * sigma0:
         # Score hint, then hint + 1, then walk on towards the higher of the
         # two while the utility rises, then at most once more from a jump.
         # A size of nonnegative utility that beats both neighbours by more
         # than the margin is this piece's best.  It is the answer if the
-        # piece starts at n_min or the one-half bound leaves the sizes up to
-        # n2 no chance; otherwise the walk goes on from the next piece as if
-        # it had scored the size's window.
-        a_real = n2 if n_min < n2 < n_max else n_min
-        a, n, step, u_m, jump = math.ceil(a_real), hint, 1, -math.inf, True
+        # one-half bound leaves the sizes up to n2 no chance or the piece
+        # starts at n_min; otherwise the walk goes on from the next piece as
+        # if it had scored the size's window.  Until the check reads the
+        # convex window, a, the ceiling of the piece's start, is bounded by
+        # that of (ds/dmu)**2 >= n2; a size this bound declines is judged
+        # again by the exact window, which also tells whether the first
+        # piece walked is concave.
+        t = ds / dmu
+        a = math.ceil(t * t) if t * t > n_min else n_min
+        n, step, u_m, jump, n2, hi = hint, 1, -math.inf, True, -1.0, 0
         while True:
             for _ in range(6):
                 if not a < n < n_max:
-                    break
+                    if n2 >= 0.0 or n >= n_max:
+                        break
+                    n1, n2 = _window(ds, var0, dmu)
+                    a = math.ceil(n2) if n_min < n2 < n_max else n_min
+                    if not (a < n and (n2 < n_max or n1 >= n_max)):
+                        break
                 p = 0.5 * math.erfc((ds - dmu * math.sqrt(n)) / sigma0 / _SQRT2)
                 u = R * p - (c0 + c * n)
                 if u > u_m:
@@ -300,9 +328,13 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
                     step, n, u_pre = -1, hint, u
                 else:
                     if u_m - margin > u and u_m - margin > u_pre and u_m >= 0.0:
-                        if a_real == n_min or R * 0.5 - cost_min < u_m - margin:
+                        if R * 0.5 - cost_min < u_m - margin:
                             return u_m, m, p_m
-                        best_n, best_u, best_p, below, last, hi = m, u_m, p_m, m - 1, m - 1, a_real
+                        if n2 < 0.0:
+                            n1, n2 = _window(ds, var0, dmu)
+                        if not n_min < n2 < n_max:
+                            return u_m, m, p_m
+                        best_n, best_u, best_p, below, last, hi = m, u_m, p_m, m - 1, m - 1, n2
                     break
                 n += step
             else:
@@ -319,6 +351,20 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
                         step, u_m, jump = 1, -math.inf, False
                         continue
             break
+        if n2 < 0.0:
+            n1, n2 = _window(ds, var0, dmu)
+        if not hi:
+            best_n, best_u, best_p, last, below, hi = 0, -math.inf, 0.0, n_max + 1, 0, n_max
+    else:
+        # _window, inlined: a call the check skips, as every call without a
+        # hint, runs no extra statement.
+        disc = ds * ds - 4.0 * var0
+        n1 = n2 = 0.0
+        if disc > 0.0 and ds > 0.0:
+            t2 = (ds + math.sqrt(disc)) / (2.0 * dmu)
+            t1 = (var0 / (dmu * dmu)) / t2
+            n1, n2 = t1 * t1, t2 * t2
+        best_n, best_u, best_p, last, below, hi = 0, -math.inf, 0.0, n_max + 1, 0, n_max
     k = None
     # The pieces start at n2, n1 and n_min, clipped to the range.  One of
     # positive length is walked, and the next piece ends at its start.  A

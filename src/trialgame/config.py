@@ -144,7 +144,7 @@ def _parse_grid(obj, path: str, problems: list[str], *, unit: bool) -> tuple[flo
         if not _is_int(points) or points < 2:
             problems.append(f"{path}.points: expected an integer >= 2, got {points!r}")
             return None
-        if spacing not in _SPACINGS:
+        if not (isinstance(spacing, str) and spacing in _SPACINGS):  # a list or object is unhashable
             problems.append(f"{path}.spacing: expected 'linear' or 'log', got {spacing!r}")
             return None
         if spacing == "log" and not start > 0.0:
@@ -165,9 +165,10 @@ def _parse_grid(obj, path: str, problems: list[str], *, unit: bool) -> tuple[flo
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a configuration file, reporting all problems."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"not UTF-8 text: {exc}"]) from exc
     except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):

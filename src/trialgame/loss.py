@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .agent import EconomicInstance, _is_int, _level, _respond, _score
 from .errors import reject
-from .stats import TruncatedNormalPrior, finite
+from .stats import _INV_SQRT_2PI, TruncatedNormalPrior, finite
 from .thresholds import _threshold
 
 #: Positive nodes and their weights of the symmetric 12-point Gauss-Legendre rule on [-1, 1].
@@ -122,7 +122,9 @@ def loss_components(
     ``n_max`` solves cold.  The chain starts from ``a``'s size, so ``b``'s,
     often far from its neighbours', predicts nothing.  On every 8th
     ``cardiovascular`` row that settles 98% of the kernel's calls without a
-    Newton step.  A hint moves no answer: the kernel only checks it.
+    Newton step.  A hint moves no answer: the kernel only checks it.  The
+    interior nodes lie inside the prior's support, and the loop weighs them
+    with ``pdf``'s expression inlined, bit for bit; the ends call ``pdf``.
     ``fn_abstain`` takes the prior mass between ``mu_b`` and ``mu_tau``.
     Both effective-side masses come from the prior's ``_sf``, which
     differences the normal tails on the belief's side of the mean, so it
@@ -159,12 +161,14 @@ def loss_components(
                 h = (b - a) / quad.panels
                 _, n1, p = _respond(level, a)
                 total = (1.0 - p) * prior.pdf(a) + (1.0 - _respond(level, b)[2]) * prior.pdf(b)
-                n0 = 0
+                # Interior nodes lie inside the support: prior.pdf, inlined.
+                n0, mean, sd, scale = 0, prior.mean, prior.sd, prior._scale
                 for i in range(1, quad.panels):
                     mu = a + i * h
                     _, n, p = _respond(level, mu, n1 * n1 // n0 if n0 else n1)
                     n0, n1 = n1, n
-                    total += (1.0 - p) * prior.pdf(mu) * (4.0 if i % 2 else 2.0)
+                    z = (mu - mean) / sd
+                    total += (1.0 - p) * (_INV_SQRT_2PI * math.exp(-0.5 * z * z) / scale) * (4.0 if i % 2 else 2.0)
                 fn_particip += total * h / 3.0
         fn_particip = _clip01(fn_particip / mass_eff)
         fn_abstain = _clip01((mass_eff - prior._sf(max(th.mu_tau, inst.mu_b))) / mass_eff)

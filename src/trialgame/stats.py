@@ -106,6 +106,12 @@ class TruncatedNormalPrior:
         object.__setattr__(self, "_scale", self.sd * mass)
 
     def pdf(self, mu: float) -> float:
+        """Density at ``mu``, 0.0 outside ``[lo, hi]``: the prior's one density formula.
+
+        ``loss_components``' interior Simpson loop, whose nodes lie inside
+        the support, inlines the expression, bit for bit: a method call per
+        node cost 3 to 5% of a sweep row (Python 3.11).
+        """
         if not self.lo <= mu <= self.hi:
             if mu != mu:  # NaN, the one number outside every comparison
                 raise DomainError(f"prior density requires a number, got {mu!r}")

@@ -233,7 +233,10 @@ def record_sweep_calls(presets, stride):
 class KernelMath:
     """What ``agent``'s math module was asked since the last :meth:`clear`.
 
-    ``erfc`` and ``log`` count calls.  ``events`` lists, in order, each
+    ``erfc`` and ``log`` count calls.  ``roots`` lists each number not an
+    integer that ``sqrt`` is taken of: a belief's ``var0``, which every
+    call takes and each ``_score`` call again, the convex window's
+    discriminant, and a Newton start's.  ``events`` lists, in order, each
     integer that ``sqrt`` is taken of, a size the kernel scores or a piece
     end it starts Newton from, and ``None`` for each ``log``.
     """
@@ -243,7 +246,7 @@ class KernelMath:
 
     def clear(self):
         self.erfc = self.log = 0
-        self.events = []
+        self.events, self.roots = [], []
 
     @property
     def sizes(self):
@@ -255,7 +258,7 @@ def count_kernel_math(monkeypatch):
 
     The kernel reaches ``erfc``, ``log`` and ``sqrt`` through its module's
     ``math``, so the counts see every call, whatever name the kernel was
-    called by.
+    called by, and :func:`~trialgame.agent._window` too.
     """
     counts = KernelMath()
 
@@ -271,6 +274,8 @@ def count_kernel_math(monkeypatch):
     def sqrt(x):
         if isinstance(x, int):
             counts.events.append(x)
+        else:
+            counts.roots.append(x)
         return math.sqrt(x)
 
     monkeypatch.setattr(agent, "math", types.SimpleNamespace(

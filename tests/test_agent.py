@@ -769,6 +769,33 @@ def test_sizes_up_to_the_convex_window_pass_at_most_half_the_time():
     assert 0.49 < most <= 0.5
 
 
+def test_the_hint_checks_bound_on_the_window_top_holds_in_floats():
+    # Until the hint check reads the convex window it bounds the window's
+    # top n2 by t*t, t = ds/dmu.  In reals the top root (ds + sqrt(ds^2 -
+    # 4*var0))/(2*dmu) is below ds/dmu; in floats sqrt(ds*ds) rounds to ds
+    # and each step rounds monotonically, so agent._window's n2 never
+    # exceeds t*t either.  Seeded draws check it, with beliefs down to one
+    # ulp above mu_b and levels down to 1e-300, and against the reference
+    # window.
+    rng = random.Random(2424)
+    windows = 0
+    for i in range(20000):
+        mu_b = rng.uniform(0.01, 0.99)
+        alpha = 10.0 ** rng.uniform(-300.0 if i % 5 == 0 else -12.0, math.log10(0.5))
+        mu0 = math.nextafter(mu_b, 1.0) if i % 7 == 0 else rng.uniform(mu_b, BELIEF_CEIL)
+        if mu0 == mu_b:
+            continue
+        inst = EconomicInstance(1.0, 0.0, 0.0, mu_b)
+        ds, dmu = agent._level(alpha, inst)[1], mu0 - mu_b
+        n1, n2 = agent._window(ds, mu0 * (1.0 - mu0), dmu)
+        t = ds / dmu
+        assert n2 <= t * t, (alpha, mu0, mu_b)
+        ref = convex_window(alpha, mu0, inst)
+        assert n1 == pytest.approx(ref[0], rel=1e-9) and n2 == pytest.approx(ref[1], rel=1e-9)
+        windows += n2 > 0.0
+    assert windows > 15000, windows
+
+
 def test_frozen_log_start_lies_at_or_above_the_slope_root():
     # Where the slope changes sign on a concave piece [a, b], the kernel's
     # Newton start (ds + s0*sqrt(2*h(sqrt(a)) + v(a)^2))/dmu has h = ln
@@ -1042,36 +1069,57 @@ def test_each_exit_of_the_hint_check_answers_as_the_cold_call(monkeypatch):
     # scores m, m + 1 and m - 1 and takes no log.  Otherwise the walk goes on
     # below the piece: here the top piece's best, 470, hands over to 16,
     # below the convex window, with no log before it scores the window's
-    # top.  Each hinted answer equals the cold one by repr and, on a range
-    # under 400 sizes, the scan's.  Scored sizes are seen as the integers
-    # agent's math module takes square roots of, and logs as None.
+    # top.  Until the check reads the window it bounds n2 by (ds/dmu)**2, so
+    # a hint between n2 and that bound, or at its ceiling, is judged by the
+    # exact window before it is declined, and scored; fn-curves-062's first
+    # row hands over at its third node.  Each hinted answer equals the cold
+    # one by repr, with the erfc and log counts the kernel took when it
+    # computed the window first, and, on a range under 400 sizes, the
+    # scan's.  Scored sizes are seen as the integers agent's math module
+    # takes square roots of, and logs as None.
     counted = count_kernel_math(monkeypatch)
-    for exit_, alpha, mu0, inst, m in (
+    fn_curves = load_config(preset_path("fn-curves-062")).instance
+    for exit_, alpha, mu0, inst, hint, spent in (
         ("n_min", 0.14189606498444077, 0.3055528776795813,
          EconomicInstance(R=0.307, c0=0.00016285162891299407, c=0.00021870641532930308,
-                          mu_b=0.28836649681888804, n_min=14, n_max=79), 61),
+                          mu_b=0.28836649681888804, n_min=14, n_max=79), 61, (3, 0)),
         ("one-half bound", 0.0007145661995037167, 0.9907213344563665,
          EconomicInstance(R=32.916, c0=0.010340353542226326, c=0.00013239050923929933,
-                          mu_b=0.717054719431603, n_min=19, n_max=393), 46),
+                          mu_b=0.717054719431603, n_min=19, n_max=393), 46, (3, 0)),
         ("handoff", 0.007841999458255748, 0.1634667492176686,
          EconomicInstance(R=1.0, c0=1.476746979323227e-05, c=0.0006801169213250879,
-                          mu_b=0.133241297157076, n_min=9, n_max=7033), 470),
+                          mu_b=0.133241297157076, n_min=9, n_max=7033), 470, (9, 7)),
+        ("between n2 and the bound", 0.022023604976142527, 0.8594179438493876,
+         EconomicInstance(R=1.0, c0=2.2e-05, c=0.0035997088782005215, mu_b=0.788, n_min=1, n_max=301),
+         130, (6, 6)),
+        ("at the bound", 0.04239947629629871, 0.9158783369980272,
+         EconomicInstance(R=1.0, c0=0.000134, c=0.006852260721715447, mu_b=0.838, n_min=8, n_max=308),
+         67, (5, 0)),
+        ("fn-curves-062 handoff", 0.0001, 0.6171230374088894, fn_curves, 354, (6, 0)),
     ):
         level = agent._level(alpha, inst)
-        cold, u = agent._respond(level, mu0), agent._score(level, mu0, m)[0]
+        cold = agent._respond(level, mu0)
+        m, u = cold[1], agent._score(level, mu0, cold[1])[0]
         counted.clear()
-        got = agent._respond(level, mu0, m)
+        got = agent._respond(level, mu0, hint)
         events = counted.events
         assert repr(got) == repr(cold), exit_
-        assert events[:3] == [m, m + 1, m - 1], exit_
+        assert (counted.erfc, counted.log) == spent, exit_
         n2 = convex_window(alpha, mu0, inst)[1]
         half = inst.R / 2 - (inst.c0 + inst.c * inst.n_min) < u - 1e-12 * inst.R
+        t = level[1] / (mu0 - inst.mu_b)
+        bound = math.ceil(t * t)  # the kernel's bound on n2, until it reads the window
         if exit_ == "n_min":
-            assert not inst.n_min < n2 < inst.n_max and not half and events == [m, m + 1, m - 1] and got[1] == m
+            assert not inst.n_min < n2 < inst.n_max and not half and events == [m, m + 1, m - 1] and m == hint
         elif exit_ == "one-half bound":
-            assert inst.n_min < n2 < inst.n_max and half and events == [m, m + 1, m - 1] and got[1] == m
+            assert inst.n_min < n2 < inst.n_max and half and events == [m, m + 1, m - 1] and m == hint
+        elif exit_ == "between n2 and the bound":
+            assert math.ceil(n2) < hint < bound and events[:3] == [hint, hint + 1, hint - 1]
+        elif exit_ == "at the bound":
+            assert hint == bound and events[:3] == [hint, hint + 1, hint - 1]
         else:
-            assert inst.n_min < n2 < inst.n_max and not half and events[3] == math.floor(n2) and got[1] < n2
+            assert inst.n_min < n2 < inst.n_max and not half and None not in events[:events.index(math.floor(n2))]
+            assert m < n2 if exit_ == "handoff" else m == hint - 1
         if inst.n_max - inst.n_min < 400:
             scan = best_response_bruteforce(alpha, mu0, inst)
             assert (scan.utility, scan.n_star, scan.pass_prob) == got, exit_
@@ -1208,6 +1256,51 @@ def test_recorded_sweep_calls_pin_the_kernels_counts(monkeypatch):
                 n2 = ((b + math.sqrt(b * b - 4.0 * var0)) / 2.0) ** 2 if b > 0.0 and b * b > 4.0 * var0 else 0.0
                 handoffs += n_min < n2 < n_max and min(counted.sizes) <= n2
         assert (len(calls), counted.erfc, counted.log, no_log, handoffs, digest.hexdigest()) == pinned, preset
+
+
+def test_a_hinted_call_computes_the_convex_window_only_where_it_reads_it(monkeypatch):
+    # The kernel's hint check reads the convex window only to decline a
+    # size that the bound (ds/dmu)**2 >= n2 does not clear, to ask whether
+    # a certified size's piece starts at n_min, or to hand over; a failed
+    # check's walk reads it too.  The square root of the window's
+    # discriminant, ds*ds - 4*var0, shows where it is computed.  On the
+    # cardiovascular row at alpha = 0.01, where every node has a window (at
+    # alpha = 0.05 none has, as d*s_b < 2*s_0 there, so no root shows it),
+    # 14 of the 399 hinted nodes compute it, where all 399 did when the
+    # window was computed first.  A call without a hint runs the statements
+    # it ran then: the row's nodes replayed without hints, and a seeded
+    # stream of best responses drawn as perfbench's point-queries draws
+    # them, take exactly the erfc and log counts and the square roots that
+    # are not of a size that they took before.
+    cfg = load_config(preset_path("cardiovascular"))
+    real, calls = loss._respond, []
+
+    def recorded(level, mu, hint=0):
+        calls.append((level, mu, hint))
+        return real(level, mu, hint)
+
+    monkeypatch.setattr(loss, "_respond", recorded)
+    loss_components(0.01, cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
+    counted = count_kernel_math(monkeypatch)
+    hinted = [(level, mu, hint) for level, mu, hint in calls if hint]
+    windowed = 0
+    for level, mu, hint in hinted:
+        counted.clear()
+        agent._respond(level, mu, hint)
+        windowed += level[1] * level[1] - 4.0 * (mu * (1.0 - mu)) in counted.roots
+    assert (len(calls), len(hinted), windowed) == (401, 399, 14)
+    counted.clear()
+    for level, mu, _ in calls:
+        agent._respond(level, mu)
+    assert (counted.erfc, counted.log, len(counted.roots)) == (1_225, 2_071, 1_203)
+    rng = random.Random(4242)
+    counted.clear()
+    for _ in range(3000):
+        R = 10.0 ** rng.uniform(0.0, 4.0)
+        inst = EconomicInstance(R, R * 10.0 ** rng.uniform(-4.0, -1.0), R * 10.0 ** rng.uniform(-7.0, -3.0),
+                                rng.uniform(0.3, 0.9), 1, rng.choice((500, 100_000)))
+        best_response(math.exp(rng.uniform(math.log(1e-4), math.log(0.9))), rng.uniform(0.01, 0.99), inst)
+    assert (counted.erfc, counted.log, len(counted.roots)) == (5_731, 7_637, 7_985)
 
 
 def test_money_values_at_the_float_limits_get_an_answer():

@@ -344,6 +344,24 @@ def test_prior_with_a_subnormal_mass_exits_two(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_malformed_config_bytes_exit_two(tmp_path, capsys):
+    # An unhashable grid spacing and a file that is not UTF-8 once escaped
+    # as a TypeError and a UnicodeDecodeError: exit 1 with a traceback.
+    out_path = tmp_path / "sweep.csv"
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{}")
+    for spacing, problem in (
+        (["log"], "grids.alpha.spacing: expected 'linear' or 'log', got ['log']"),
+        ({}, "grids.alpha.spacing: expected 'linear' or 'log', got {}"),
+        (None, "not UTF-8 text: "),
+    ):
+        cfg = utf16 if spacing is None else sweep_config(
+            tmp_path, grids={"alpha": {"start": 0.01, "stop": 0.1, "points": 3, "spacing": spacing}})
+        assert main(["loss-sweep", "--config", str(cfg), "--output", str(out_path)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not out_path.exists()
+
+
 def test_unknown_preset_exits_four(capsys):
     code = main(["critical-alpha", "--config", "no-such-preset"])
     assert code == 4

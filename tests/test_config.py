@@ -166,6 +166,10 @@ REJECTIONS = [
     (_r_grid(values=[0.0, 1.0]), "grids.R: grid values must be positive"),
     ({"output": 3}, "output: expected a string path, got 3"),
     ({"description": ["note"]}, "description: expected a string, got ['note']"),
+    # Unhashable spacings once raised TypeError from the lookup of the name.
+    (_r_grid(start=1.0, stop=5.0, points=3, spacing=["log"]),
+     "grids.R.spacing: expected 'linear' or 'log', got ['log']"),
+    (_r_grid(start=1.0, stop=5.0, points=3, spacing={}), "grids.R.spacing: expected 'linear' or 'log', got {}"),
 ]
 
 
@@ -213,6 +217,16 @@ def test_alpha_grid_must_stay_inside_unit_interval(tmp_path):
 def test_invalid_json_reported(tmp_path):
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(write(tmp_path, "{ nope"))
+
+
+def test_text_that_is_not_utf8_is_one_config_problem(tmp_path):
+    # The file was once decoded outside the JSON error handling, so such
+    # bytes raised UnicodeDecodeError.
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert len(excinfo.value.problems) == 1 and excinfo.value.problems[0].startswith("not UTF-8 text: ")
 
 
 def test_non_object_top_level_rejected(tmp_path):
