@@ -172,8 +172,7 @@ def _window(ds: float, var0: float, dmu: float) -> tuple[float, float]:
     """The real sizes ``(n1, n2)`` where :func:`_respond`'s utility is convex, or ``(0.0, 0.0)``.
 
     The roots of ``t^2 - (ds/dmu)*t + var0/dmu^2`` in ``t = sqrt(n)``,
-    squared.  The larger root is at most ``ds/dmu``.  :func:`_respond`'s
-    unhinted path inlines it, bit for bit.
+    squared.  The larger root is at most ``ds/dmu``.
     """
     disc = ds * ds - 4.0 * var0
     if disc > 0.0 and ds > 0.0:
@@ -275,14 +274,13 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     before it is declined, which also tells whether the first piece walked
     is concave; and a certified size that the one-half bound does not
     settle reads it, to ask whether its piece starts at ``n_min`` and where
-    to hand over.  A call without a hint computes the window first, with
-    :func:`_window`'s statements inlined.  ``k`` is taken only on a piece
-    that runs Newton, so a certified hint takes no log.  On every 8th row
-    of the ``cardiovascular`` and ``fn-curves-062`` sweeps (20,290 and
-    10,146 calls), 98% and 97% of the calls take no log, logs per call are
-    0.14 and 0.16, and erfc per call is 3.68 and 3.84; 444 and 3,144 of the
-    calls certify a size and go on walking, and 812 and 4,387 of the 19,950
-    and 9,975 hinted calls compute the window.
+    to hand over.  A call without a hint computes the window first.  ``k``
+    is taken only on a piece that runs Newton, so a certified hint takes no
+    log.  On every 8th row of the ``cardiovascular`` and ``fn-curves-062``
+    sweeps (20,290 and 10,146 calls), 98% and 97% of the calls take no log,
+    logs per call are 0.14 and 0.16, and erfc per call is 3.68 and 3.84;
+    444 and 3,144 of the calls certify a size and go on walking, and 812 and
+    4,387 of the 19,950 and 9,975 hinted calls compute the window.
 
     ``mu0`` is not checked: :func:`best_response` checks it once, and the
     other callers (``thresholds._threshold`` and ``_bracket``, the loss
@@ -356,14 +354,7 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
         if not hi:
             best_n, best_u, best_p, last, below, hi = 0, -math.inf, 0.0, n_max + 1, 0, n_max
     else:
-        # _window, inlined: a call the check skips, as every call without a
-        # hint, runs no extra statement.
-        disc = ds * ds - 4.0 * var0
-        n1 = n2 = 0.0
-        if disc > 0.0 and ds > 0.0:
-            t2 = (ds + math.sqrt(disc)) / (2.0 * dmu)
-            t1 = (var0 / (dmu * dmu)) / t2
-            n1, n2 = t1 * t1, t2 * t2
+        n1, n2 = _window(ds, var0, dmu)
         best_n, best_u, best_p, last, below, hi = 0, -math.inf, 0.0, n_max + 1, 0, n_max
     k = None
     # The pieces start at n2, n1 and n_min, clipped to the range.  One of

@@ -1067,59 +1067,64 @@ def test_each_exit_of_the_hint_check_answers_as_the_cold_call(monkeypatch):
     # the first piece starts at n_min, or where it starts at n2 > n_min and
     # the one-half bound leaves no smaller size a chance: the kernel then
     # scores m, m + 1 and m - 1 and takes no log.  Otherwise the walk goes on
-    # below the piece: here the top piece's best, 470, hands over to 16,
-    # below the convex window, with no log before it scores the window's
-    # top.  Until the check reads the window it bounds n2 by (ds/dmu)**2, so
-    # a hint between n2 and that bound, or at its ceiling, is judged by the
-    # exact window before it is declined, and scored; fn-curves-062's first
-    # row hands over at its third node.  Each hinted answer equals the cold
-    # one by repr, with the erfc and log counts the kernel took when it
-    # computed the window first, and, on a range under 400 sizes, the
-    # scan's.  Scored sizes are seen as the integers agent's math module
-    # takes square roots of, and logs as None.
+    # below the piece and scores the window's top, floor(n2), next, with no
+    # log before it: here the top piece's best, 470, hands over to 16, below
+    # the convex window.  Until the check reads the window it bounds n2 by
+    # (ds/dmu)**2, so a hint between n2 and that bound, or at its ceiling,
+    # is judged by the exact window before it is declined, and scored; both
+    # hand over.  So does fn-curves-062's first row at its third node, whose
+    # certified size, one under the hint, is the answer.  Each hinted answer
+    # equals the cold one by repr, with the sizes scored, the erfc and the
+    # log counts the kernel took when it computed the window first, and, on
+    # a range under 400 sizes, the scan's.  Scored sizes are seen as the
+    # integers agent's math module takes square roots of, and logs as None;
+    # the hint is the first size scored.
     counted = count_kernel_math(monkeypatch)
     fn_curves = load_config(preset_path("fn-curves-062")).instance
-    for exit_, alpha, mu0, inst, hint, spent in (
+    for exit_, alpha, mu0, inst, m, scored, spent in (
         ("n_min", 0.14189606498444077, 0.3055528776795813,
          EconomicInstance(R=0.307, c0=0.00016285162891299407, c=0.00021870641532930308,
-                          mu_b=0.28836649681888804, n_min=14, n_max=79), 61, (3, 0)),
+                          mu_b=0.28836649681888804, n_min=14, n_max=79), 61, [61, 62, 60], (3, 0)),
         ("one-half bound", 0.0007145661995037167, 0.9907213344563665,
          EconomicInstance(R=32.916, c0=0.010340353542226326, c=0.00013239050923929933,
-                          mu_b=0.717054719431603, n_min=19, n_max=393), 46, (3, 0)),
+                          mu_b=0.717054719431603, n_min=19, n_max=393), 46, [46, 47, 45], (3, 0)),
         ("handoff", 0.007841999458255748, 0.1634667492176686,
          EconomicInstance(R=1.0, c0=1.476746979323227e-05, c=0.0006801169213250879,
-                          mu_b=0.133241297157076, n_min=9, n_max=7033), 470, (9, 7)),
+                          mu_b=0.133241297157076, n_min=9, n_max=7033), 470, [470, 471, 469, 379], (9, 7)),
         ("between n2 and the bound", 0.022023604976142527, 0.8594179438493876,
          EconomicInstance(R=1.0, c0=2.2e-05, c=0.0035997088782005215, mu_b=0.788, n_min=1, n_max=301),
-         130, (6, 6)),
+         130, [130, 131, 129, 78], (6, 6)),
         ("at the bound", 0.04239947629629871, 0.9158783369980272,
          EconomicInstance(R=1.0, c0=0.000134, c=0.006852260721715447, mu_b=0.838, n_min=8, n_max=308),
-         67, (5, 0)),
-        ("fn-curves-062 handoff", 0.0001, 0.6171230374088894, fn_curves, 354, (6, 0)),
+         67, [67, 68, 66, 36], (5, 0)),
+        ("fn-curves-062 handoff", 0.0001, 0.6171230374088894, fn_curves, 353, [354, 355, 353, 352, 216], (6, 0)),
     ):
         level = agent._level(alpha, inst)
-        cold = agent._respond(level, mu0)
-        m, u = cold[1], agent._score(level, mu0, cold[1])[0]
+        cold, u = agent._respond(level, mu0), agent._score(level, mu0, m)[0]
         counted.clear()
-        got = agent._respond(level, mu0, hint)
+        got = agent._respond(level, mu0, scored[0])
         events = counted.events
         assert repr(got) == repr(cold), exit_
+        assert events[:len(scored)] == scored, exit_
         assert (counted.erfc, counted.log) == spent, exit_
         n2 = convex_window(alpha, mu0, inst)[1]
         half = inst.R / 2 - (inst.c0 + inst.c * inst.n_min) < u - 1e-12 * inst.R
         t = level[1] / (mu0 - inst.mu_b)
         bound = math.ceil(t * t)  # the kernel's bound on n2, until it reads the window
         if exit_ == "n_min":
-            assert not inst.n_min < n2 < inst.n_max and not half and events == [m, m + 1, m - 1] and m == hint
+            assert not inst.n_min < n2 < inst.n_max and not half and events == scored and got[1] == m
         elif exit_ == "one-half bound":
-            assert inst.n_min < n2 < inst.n_max and half and events == [m, m + 1, m - 1] and m == hint
-        elif exit_ == "between n2 and the bound":
-            assert math.ceil(n2) < hint < bound and events[:3] == [hint, hint + 1, hint - 1]
-        elif exit_ == "at the bound":
-            assert hint == bound and events[:3] == [hint, hint + 1, hint - 1]
+            assert inst.n_min < n2 < inst.n_max and half and events == scored and got[1] == m
         else:
-            assert inst.n_min < n2 < inst.n_max and not half and None not in events[:events.index(math.floor(n2))]
-            assert m < n2 if exit_ == "handoff" else m == hint - 1
+            assert inst.n_min < n2 < inst.n_max and not half and scored[-1] == math.floor(n2), exit_
+            if exit_ == "handoff":
+                assert got[1] < n2
+            elif exit_ == "between n2 and the bound":
+                assert math.ceil(n2) < m < bound
+            elif exit_ == "at the bound":
+                assert m == bound
+            else:
+                assert got[1] == m == scored[0] - 1
         if inst.n_max - inst.n_min < 400:
             scan = best_response_bruteforce(alpha, mu0, inst)
             assert (scan.utility, scan.n_star, scan.pass_prob) == got, exit_
