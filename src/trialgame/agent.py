@@ -274,13 +274,11 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     before it is declined, which also tells whether the first piece walked
     is concave; and a certified size that the one-half bound does not
     settle reads it, to ask whether its piece starts at ``n_min`` and where
-    to hand over.  A call without a hint computes the window first.  ``k``
-    is taken only on a piece that runs Newton, so a certified hint takes no
-    log.  On every 8th row of the ``cardiovascular`` and ``fn-curves-062``
-    sweeps (20,290 and 10,146 calls), 98% and 97% of the calls take no log,
-    logs per call are 0.14 and 0.16, and erfc per call is 3.68 and 3.84;
-    444 and 3,144 of the calls certify a size and go on walking, and 812 and
-    4,387 of the 19,950 and 9,975 hinted calls compute the window.
+    to hand over.  ``k`` is taken only on a piece that runs Newton, so a
+    certified hint takes no log.  The kernel's counts on recorded sweep
+    calls are pinned once, in ``tests/test_agent.py``: ``erfc`` and ``log``
+    by ``test_recorded_sweep_calls_pin_the_kernels_counts``, and the window's
+    computations by the test after it.
 
     ``mu0`` is not checked: :func:`best_response` checks it once, and the
     other callers (``thresholds._threshold`` and ``_bracket``, the loss
@@ -294,6 +292,7 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
         p = 0.5 * math.erfc((ds - dmu * math.sqrt(n_min)) / sigma0 / _SQRT2)
         u = R * p - cost_min
         return (u, n_min, p) if u >= 0.0 else (0.0, 0, 0.0)
+    n2, hi = -1.0, 0
     if hint and ds < 4e3 * sigma0:
         # Score hint, then hint + 1, then walk on towards the higher of the
         # two while the utility rises, then at most once more from a jump.
@@ -308,7 +307,7 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
         # piece walked is concave.
         t = ds / dmu
         a = math.ceil(t * t) if t * t > n_min else n_min
-        n, step, u_m, jump, n2, hi = hint, 1, -math.inf, True, -1.0, 0
+        n, step, u_m, jump = hint, 1, -math.inf, True
         while True:
             for _ in range(6):
                 if not a < n < n_max:
@@ -349,12 +348,9 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
                         step, u_m, jump = 1, -math.inf, False
                         continue
             break
-        if n2 < 0.0:
-            n1, n2 = _window(ds, var0, dmu)
-        if not hi:
-            best_n, best_u, best_p, last, below, hi = 0, -math.inf, 0.0, n_max + 1, 0, n_max
-    else:
+    if n2 < 0.0:
         n1, n2 = _window(ds, var0, dmu)
+    if not hi:
         best_n, best_u, best_p, last, below, hi = 0, -math.inf, 0.0, n_max + 1, 0, n_max
     k = None
     # The pieces start at n2, n1 and n_min, clipped to the range.  One of

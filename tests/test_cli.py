@@ -19,6 +19,7 @@ from trialgame import (
 )
 from trialgame.agent import EconomicInstance
 from trialgame.cli import HEATMAP_COLUMNS, SWEEP_COLUMNS, main
+from trialgame.config import load_config, preset_path
 
 INSTANCE_FLAGS = [
     "--R", "1", "--c0", "0.05", "--c", "0.002", "--mu-b", "0.5", "--n-max", "500",
@@ -41,11 +42,17 @@ def sweep_config(tmp_path, **extra):
 
 
 def test_best_response_prints_decision(capsys):
-    code = main(["best-response", "--alpha", "0.05", "--mu0", "0.6", *INSTANCE_FLAGS])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "participates: yes" in out
-    assert "n_star: 166" in out
+    # A weak belief (mu0 below fn-curves-062's mu_b = 0.5) takes
+    # best_response's one-size path.
+    for flags, lines in (
+        (["--alpha", "0.05", "--mu0", "0.6", *INSTANCE_FLAGS], ["participates: yes", "n_star: 166"]),
+        (["--config", "fn-curves-062", "--alpha", "0.3", "--mu0", "0.45"],
+         ["participates: yes", "n_star: 1", "pass_prob: 0.265151"]),
+    ):
+        code = main(["best-response", *flags])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert set(lines) <= set(out), out
 
 
 def test_best_response_writes_csv(tmp_path, capsys):
@@ -92,12 +99,19 @@ def test_quiet_suppresses_notes(tmp_path, capsys):
 
 
 def test_threshold_subcommand(capsys):
-    code = main(["threshold", "--alpha", "0.1", *INSTANCE_FLAGS])
-    out = capsys.readouterr().out
-    assert code == 0
-    th = participation_threshold(0.1, INST)
-    assert f"mu_tau: {th.mu_tau:.6g}" in out
-    assert "status: interior" in out
+    # Flags, a preset, and a single admissible size.
+    one_size = ["--R", "1", "--c0", "0.07", "--c", "0", "--mu-b", "0.3", "--n-min", "1", "--n-max", "1"]
+    for flags, alpha, inst in (
+        (INSTANCE_FLAGS, "0.1", INST),
+        (["--config", "cardiovascular"], "0.1", load_config(preset_path("cardiovascular")).instance),
+        (one_size, "0.01", EconomicInstance(R=1.0, c0=0.07, c=0.0, mu_b=0.3, n_min=1, n_max=1)),
+    ):
+        code = main(["threshold", *flags, "--alpha", alpha])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        th = participation_threshold(float(alpha), inst)
+        assert f"mu_tau: {th.mu_tau:.6g}" in out
+        assert "status: interior" in out
 
 
 def test_threshold_has_no_tolerance_option(capsys):
