@@ -275,10 +275,13 @@ def _respond(level: tuple, mu0: float, hint: int = 0) -> tuple[float, int, float
     is concave; and a certified size that the one-half bound does not
     settle reads it, to ask whether its piece starts at ``n_min`` and where
     to hand over.  ``k`` is taken only on a piece that runs Newton, so a
-    certified hint takes no log.  The kernel's counts on recorded sweep
-    calls are pinned once, in ``tests/test_agent.py``: ``erfc`` and ``log``
-    by ``test_recorded_sweep_calls_pin_the_kernels_counts``, and the window's
-    computations by the test after it.
+    certified hint takes no log.  Its costs are pinned once each:
+    ``erfc`` and ``log`` on recorded sweep calls by
+    ``tests/test_agent.py::test_recorded_sweep_calls_pin_the_kernels_counts``,
+    per hint rule on one row of three presets by
+    ``tests/test_loss.py::test_loss_hints_follow_the_geometric_rule``, and
+    the window's computations by
+    ``tests/test_agent.py::test_a_hinted_call_computes_the_convex_window_only_where_it_reads_it``.
 
     ``mu0`` is not checked: :func:`best_response` checks it once, and the
     other callers (``thresholds._threshold`` and ``_bracket``, the loss

@@ -245,7 +245,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
     return 0
-
-
-def run() -> None:
-    raise SystemExit(main())

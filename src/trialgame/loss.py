@@ -115,15 +115,14 @@ def loss_components(
     two ends ``a`` and ``b`` are solved and summed first, with no hint; the
     interior nodes follow in belief order, each passing the kernel
     (:func:`~trialgame.agent._respond`, by its name in this module, where
-    the tests swap it) a ``hint`` to check first: ``n1*n1 // n0`` from the
-    ``n_star`` of the two nodes before it, as near the participating end
-    ``n_star`` grows by a near-constant factor per node, or ``n1`` where
-    ``n0`` is 0.  The kernel's check alone judges it, so a prediction past
-    ``n_max`` solves cold.  The chain starts from ``a``'s size, so ``b``'s,
-    often far from its neighbours', predicts nothing.  On every 8th
-    ``cardiovascular`` row that settles 98% of the kernel's calls without a
-    Newton step.  A hint moves no answer: the kernel only checks it.  The
-    interior nodes lie inside the prior's support, and the loop weighs them
+    the tests swap it) a ``hint``: ``n1*n1 // n0`` from the ``n_star`` of
+    the two nodes before it, as near the participating end ``n_star`` grows
+    by a near-constant factor per node, or ``n1`` where ``n0`` is 0.  The
+    kernel alone judges a hint, and no hint moves an answer (see
+    ``_respond``).  The chain starts from ``a``'s size, so ``b``'s, often
+    far from its neighbours', predicts nothing.  What the hints save is
+    pinned by ``tests/test_loss.py::test_loss_hints_follow_the_geometric_rule``.
+    The interior nodes lie inside the prior's support, and the loop weighs them
     with ``pdf``'s expression inlined, bit for bit; the ends call ``pdf``.
     ``fn_abstain`` takes the prior mass between ``mu_b`` and ``mu_tau``.
     Both effective-side masses come from the prior's ``_sf``, which

@@ -9,15 +9,16 @@ derivation.  They are plain oracles: arguments are not validated, the slope
 and the partition apply only on the effective side ``mu0 > mu_b``, and the
 critical level only where ``(c0 + c * n_min) / R`` lies in ``(0, 1/2)``.
 
-Four helpers are not restated.  :func:`normal_pass` is the kernel's own
+Several helpers are not restated.  :func:`normal_pass` is the kernel's own
 scorer, ``agent._score``, at a unit instance: the model's normal-approximation
 pass chance, with the kernel's bits.  :func:`grid_optimal_alpha` searches the
 package's own loss (``sweep_alpha``) on a uniform grid of levels, so it pins
 where the least loss sits, not what the loss is.  :func:`participation_set`
 merges the package's closed-form pay sets, one per admissible size, and asks
 no best response, so it is independent of the kernel and the threshold
-search it checks.  :func:`record_sweep_calls` records the kernel's own calls
-for replay, and :func:`count_kernel_math` counts what they ask of ``math``.
+search it checks.  :func:`record_row_calls` and :func:`record_sweep_calls`
+record the kernel's own calls for replay, and :func:`count_kernel_math`
+counts what they ask of ``math``.
 
 :func:`simpson` is the composite rule the loss applies to its effective
 side, in the loss's summation order.
@@ -101,8 +102,15 @@ def convex_window(alpha, mu0, inst):
     its roots are real and positive they bound the window; otherwise there
     is none, reported as ``(0.0, 0.0)``.  Takes ``mu0 > mu_b``.
     """
-    dmu = mu0 - inst.mu_b
-    b = -std_normal_quantile(alpha) * math.sqrt(inst.mu_b * (1.0 - inst.mu_b)) / dmu
+    mu_b = inst.mu_b
+    return level_convex_window((mu_b, -std_normal_quantile(alpha) * math.sqrt(mu_b * (1.0 - mu_b))), mu0)
+
+
+def level_convex_window(level, mu0):
+    """:func:`convex_window` from a level's first two entries, ``mu_b`` and ``d*s_b``."""
+    mu_b, ds = level[:2]
+    dmu = mu0 - mu_b
+    b = ds / dmu
     disc = b * b - 4.0 * mu0 * (1.0 - mu0) / (dmu * dmu)
     if b > 0.0 and disc > 0.0:
         return ((b - math.sqrt(disc)) / 2.0) ** 2, ((b + math.sqrt(disc)) / 2.0) ** 2
@@ -194,39 +202,56 @@ def participation_set(alpha, inst):
     return merged
 
 
-def record_sweep_calls(presets, stride):
-    """Every kernel call of every ``stride``-th row of each preset's sweep.
+class KernelCall(NamedTuple):
+    """One kernel call of a loss row, as the loss or the threshold made it."""
 
-    The calls are recorded where ``loss`` and ``thresholds`` make them, as
-    ``(level, mu, hint, answer)`` in the order made, so a test can replay
+    level: tuple
+    mu: float
+    hint: int
+    answer: tuple
+    node: bool  # a Simpson node's, made through ``loss._respond``; else the threshold's
+
+
+def record_row_calls(cfg, alpha):
+    """Every kernel call of ``cfg``'s loss row at ``alpha``, as :class:`KernelCall` records in the order made.
+
+    The calls are recorded where ``thresholds`` and ``loss`` make them, by
+    swapping their names ``_respond`` for recorders, so a test can replay
     them with ``agent._respond``.  A row with an effective piece, one whose
     ``fn_particip`` is not 0, must make all ``panels + 1`` of its Simpson
     nodes' calls through the name ``loss._respond``: a kernel the loss
     reached by another name would escape this recorder and every test that
-    swaps that name.
+    replays its calls.
     """
-    calls, nodes, real = [], [], agent._respond
+    calls, real = [], agent._respond
 
-    def recorded(level, mu, hint=0):
-        answer = real(level, mu, hint)
-        calls.append((level, mu, hint, answer))
-        return answer
+    def recorder(node):
+        def recorded(level, mu, hint=0):
+            answer = real(level, mu, hint)
+            calls.append(KernelCall(level, mu, hint, answer, node))
+            return answer
+        return recorded
 
-    def recorded_node(level, mu, hint=0):
-        nodes.append(mu)
-        return recorded(level, mu, hint)
-
-    thresholds._respond, loss._respond = recorded, recorded_node
+    thresholds._respond, loss._respond = recorder(False), recorder(True)
     try:
-        for preset in presets:
-            cfg = load_config(preset_path(preset))
-            for alpha in cfg.alpha_grid[::stride]:
-                nodes.clear()
-                row = loss.loss_components(alpha, cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
-                assert len(nodes) in (0, cfg.quadrature.panels + 1) and (nodes or not row.fn_particip), (
-                    preset, alpha, len(nodes))
+        row = loss.loss_components(alpha, cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
     finally:
         thresholds._respond = loss._respond = real
+    nodes = sum(call.node for call in calls)
+    assert nodes in (0, cfg.quadrature.panels + 1) and (nodes or not row.fn_particip), (alpha, nodes)
+    return calls
+
+
+def record_sweep_calls(presets, stride):
+    """Every kernel call of every ``stride``-th row of each preset's sweep, as ``(level, mu, hint, answer)``.
+
+    Each row is recorded by :func:`record_row_calls`, whose node check it keeps.
+    """
+    calls = []
+    for preset in presets:
+        cfg = load_config(preset_path(preset))
+        for alpha in cfg.alpha_grid[::stride]:
+            calls += (call[:4] for call in record_row_calls(cfg, alpha))
     return calls
 
 

@@ -10,7 +10,6 @@ A size's pass chance is scored by the kernel's own scorer
 where the normal approximation is thin.
 """
 
-import functools
 import hashlib
 import math
 import random
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom, norm
 
-from trialgame import agent, loss
+from trialgame import agent
 from trialgame import (
     BELIEF_CEIL,
     BELIEF_FLOOR,
@@ -34,7 +33,6 @@ from trialgame import (
     best_response_bruteforce,
     critical_alpha,
     load_config,
-    loss_components,
     participation_threshold,
     preset_path,
     std_normal_quantile,
@@ -46,7 +44,9 @@ from reference import (
     curvature_regions,
     exact_binomial_pass,
     exact_critical_count,
+    level_convex_window,
     normal_pass,
+    record_row_calls,
     record_sweep_calls,
     utility_slope,
 )
@@ -1141,17 +1141,10 @@ def test_the_hint_check_jumps_once_to_a_peak_six_sizes_cannot_reach(monkeypatch)
     # the integers agent's math module takes square roots of, and logs as
     # None.
     cfg = load_config(preset_path("cardiovascular"))
-    real, calls = loss._respond, []
-
-    def recorded(level, mu, hint=0):
-        calls.append((level, mu, hint))
-        return real(level, mu, hint)
-
-    monkeypatch.setattr(loss, "_respond", recorded)
-    loss_components(cfg.alpha_grid[200], cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
+    nodes = [call for call in record_row_calls(cfg, cfg.alpha_grid[200]) if call.node]
     counted = count_kernel_math(monkeypatch)
     misses = []
-    for level, mu, hint in calls[4:14]:
+    for level, mu, hint, *_ in nodes[4:14]:
         cold = agent._respond(level, mu)
         counted.clear()
         assert repr(agent._respond(level, mu, hint)) == repr(cold), (mu, hint)
@@ -1193,74 +1186,72 @@ def test_the_stop_bound_never_settles_a_hint_that_the_half_bound_leaves(monkeypa
     assert settled > 1000 and stop > 10, (settled, stop)
 
 
-def test_warm_start_cuts_the_newton_steps_of_a_sweep_row(monkeypatch):
-    # Every Newton step takes one log, as do each concave piece's start, each
-    # check of a top end and the belief's constant, which is taken only where
-    # Newton runs: a hint that the kernel certifies takes no log.  Over the
-    # effective-side nodes of one row (alpha = 0.05, 401 Simpson nodes),
-    # checking the size predicted from the two nodes before each, n1*n1 // n0
-    # (n* grows by a near-constant factor per node near the participating
-    # end), takes a cardiovascular row from 2,337 logs to 79, as its Newton
-    # steps fall from 1,523 to 58, and an fn-curves-062 row from 2,465 logs
-    # to 201 (1,513 steps to 110).  The two ends pass no hint.  The pins
-    # count cost, not answers.
-    counted = count_kernel_math(monkeypatch)
-    real, nodes = loss._respond, []
-
-    def node(level, mu, hint=0, *, warm):
-        nodes.append(mu)
-        before = counted.log
-        answer = real(level, mu, hint if warm else 0)
-        logs[warm] += counted.log - before
-        return answer
-
-    pins = {"cardiovascular": {True: 79, False: 2337}, "fn-curves-062": {True: 201, False: 2465}}
-    for preset, pinned in pins.items():
-        cfg = load_config(preset_path(preset))
-        logs = {True: 0, False: 0}
-        for warm in (True, False):
-            nodes.clear()
-            monkeypatch.setattr(loss, "_respond", functools.partial(node, warm=warm))
-            loss_components(0.05, cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
-            assert len(nodes) == cfg.quadrature.panels + 1
-        assert logs == pinned, preset
-
-
 def test_recorded_sweep_calls_pin_the_kernels_counts(monkeypatch):
-    # Every kernel call of every 8th row of two sweeps, replayed with the
-    # hint it was given, counting erfc and log through agent's math module.
-    # Pinned per preset: calls, erfc, log, calls that take no log, and the
-    # sha256 of the answers' reprs, which is the same as before the hint
-    # check moved ahead of the pieces' set-up.  A hinted call that takes no
-    # log and scores a size at or below the convex window's top had its hint
-    # certified and went on walking: that handoff fires on both presets.
-    # The counts pin cost, and move with the loss's hint rule and the
-    # kernel's check (its jump to the parabola's vertex cut cardiovascular's
-    # logs from 7,489 to 2,792); the digest pins answers, which neither moves.
+    # Every kernel call of every 8th row of the cardiovascular and
+    # fn-curves-062 sweeps and every 16th of vaccine's, recorded where loss
+    # and thresholds make it.  The threshold's calls and the loss's two ends
+    # pass no hint; the interior nodes pass n1*n1 // n0 from the sizes of the
+    # two nodes before them, the first the lower end's size, which the kernel
+    # checks before any Newton step.
+    #
+    # Each call is replayed with the hint it was given, counting erfc and log
+    # through agent's math module.  Pinned per preset: calls, erfc, log,
+    # calls that take no log, handoffs, and the sha256 of the answers'
+    # reprs.  A hinted call that takes no log and scores a size at or below
+    # the convex window's top had its hint certified and went on walking:
+    # that handoff fires on cardiovascular and fn-curves-062.  The counts pin
+    # cost, and move with the loss's hint rule and the kernel's check; the
+    # digest pins answers, which neither moves.
+    #
+    # A hint moves no answer: each call must also give its recorded answer,
+    # by repr, with the retired 2*n1 - n0 (raw, as the loss passes its own
+    # prediction), with the previous call's n_star (the hint of the loss's
+    # parent design), with none, and with a size 7, 60 or 500 (in turn)
+    # either side of its answer, which the kernel reaches by its jump or not
+    # at all.  On vaccine, nodes reach n_max and some recorded hints exceed
+    # it, which the kernel's check refuses unscored.
     counted = count_kernel_math(monkeypatch)
     pins = {
-        "cardiovascular": (20_290, 74_601, 2_792, 19_897, 444,
-                           "4033a7de9bfa0e2fa3e8ea21345623b944a711c9734caa1503149addcaa3889e"),
-        "fn-curves-062": (10_146, 38_912, 1_646, 9_803, 3_144,
-                          "d55ea18eaa5d9121a3220da0dc1465454a10c77bf5ae9a2744e93b6bc6b643d4"),
+        ("cardiovascular", 8): (20_290, 74_601, 2_792, 19_897, 444,
+                                "4033a7de9bfa0e2fa3e8ea21345623b944a711c9734caa1503149addcaa3889e"),
+        ("fn-curves-062", 8): (10_146, 38_912, 1_646, 9_803, 3_144,
+                               "d55ea18eaa5d9121a3220da0dc1465454a10c77bf5ae9a2744e93b6bc6b643d4"),
+        ("vaccine", 16): (10_104, 41_459, 1_402, 9_826, 0,
+                          "6fbcca9777b7d800638eb6aee432843c0eaf2d09da12fd6761e48c6c9f261799"),
     }
-    for preset, pinned in pins.items():
-        calls = record_sweep_calls((preset,), 8)
-        counted.clear()
-        no_log = handoffs = 0
+    row, n0, n1, n_end = None, 0, 0, 0
+    i = hinted = overflows = 0
+    for (preset, stride), pinned in pins.items():
+        erfc = log = no_log = handoffs = 0
         digest = hashlib.sha256()
-        for level, mu, hint, _ in calls:
-            before = counted.log
-            counted.events.clear()
-            digest.update(repr(agent._respond(level, mu, hint)).encode())
-            no_log += counted.log == before
-            if hint and counted.log == before:
-                # The convex window's top, as reference.convex_window finds it.
-                mu_b, ds, n_min, n_max = level[0], level[1], level[5], level[6]
-                b, var0 = ds / (mu - mu_b), mu * (1.0 - mu) / (mu - mu_b) ** 2
-                n2 = ((b + math.sqrt(b * b - 4.0 * var0)) / 2.0) ** 2 if b > 0.0 and b * b > 4.0 * var0 else 0.0
+        calls = record_sweep_calls((preset,), stride)
+        for level, mu, hint, answer in calls:
+            n_min, n_max = level[5], level[6]
+            counted.clear()
+            replayed = repr(agent._respond(level, mu, hint))
+            assert replayed == repr(answer), (level, mu, hint)
+            digest.update(replayed.encode())
+            erfc += counted.erfc
+            log += counted.log
+            no_log += not counted.log
+            if hint and not counted.log:
+                n2 = level_convex_window(level, mu)[1]
                 handoffs += n_min < n2 < n_max and min(counted.sizes) <= n2
-        assert (len(calls), counted.erfc, counted.log, no_log, handoffs, digest.hexdigest()) == pinned, preset
+            hinted += hint > 0
+            overflows += hint > n_max
+            if level is not row:
+                row, last = level, 0
+            offset = min(n_max, max(n_min, answer[1] + (-500, -60, -7, 7, 60, 500)[i % 6]))
+            for other in (2 * n1 - n0, last, 0, offset):
+                assert repr(agent._respond(level, mu, other)) == replayed, (level, mu, hint, other)
+            if hint:
+                n0, n1 = n1, answer[1]
+            else:  # after the two ends, the chain holds the lower end's size
+                n0, n1, n_end = 0, n_end, answer[1]
+            last = answer[1]
+            i += 1
+        assert (len(calls), erfc, log, no_log, handoffs, digest.hexdigest()) == pinned, preset
+    assert (hinted, overflows) == (39_900, 20)
 
 
 def test_a_hinted_call_computes_the_convex_window_only_where_it_reads_it(monkeypatch):
@@ -1278,24 +1269,17 @@ def test_a_hinted_call_computes_the_convex_window_only_where_it_reads_it(monkeyp
     # them, take exactly the erfc and log counts and the square roots that
     # are not of a size that they took before.
     cfg = load_config(preset_path("cardiovascular"))
-    real, calls = loss._respond, []
-
-    def recorded(level, mu, hint=0):
-        calls.append((level, mu, hint))
-        return real(level, mu, hint)
-
-    monkeypatch.setattr(loss, "_respond", recorded)
-    loss_components(0.01, cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
+    nodes = [call for call in record_row_calls(cfg, 0.01) if call.node]
     counted = count_kernel_math(monkeypatch)
-    hinted = [(level, mu, hint) for level, mu, hint in calls if hint]
+    hinted = [call for call in nodes if call.hint]
     windowed = 0
-    for level, mu, hint in hinted:
+    for level, mu, hint, *_ in hinted:
         counted.clear()
         agent._respond(level, mu, hint)
         windowed += level[1] * level[1] - 4.0 * (mu * (1.0 - mu)) in counted.roots
-    assert (len(calls), len(hinted), windowed) == (401, 399, 14)
+    assert (len(nodes), len(hinted), windowed) == (401, 399, 14)
     counted.clear()
-    for level, mu, _ in calls:
+    for level, mu, *_ in nodes:
         agent._respond(level, mu)
     assert (counted.erfc, counted.log, len(counted.roots)) == (1_225, 2_071, 1_203)
     rng = random.Random(4242)

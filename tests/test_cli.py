@@ -410,3 +410,7 @@ def test_module_entry_point_help():
     assert result.returncode == 0
     for name in ("best-response", "threshold", "critical-alpha", "loss-sweep", "heatmap"):
         assert name in result.stdout
+    # The module entry exits with main's code.
+    result = subprocess.run([sys.executable, "-m", "trialgame", "no-such-command"],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2, result.stderr

@@ -19,7 +19,7 @@ import pytest
 from scipy import integrate, optimize
 from scipy import stats as sps
 
-from trialgame import agent, loss
+from trialgame import agent
 from trialgame import (
     BELIEF_CEIL,
     BELIEF_FLOOR,
@@ -41,7 +41,7 @@ from trialgame import (
 from trialgame.agent import _level
 from trialgame.loss import _gauss
 from trialgame.thresholds import _pay_interval
-from reference import count_kernel_math, grid_optimal_alpha, normal_pass, record_sweep_calls, simpson
+from reference import count_kernel_math, grid_optimal_alpha, normal_pass, record_row_calls, simpson
 
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
 PRIOR = TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
@@ -392,40 +392,20 @@ def test_loss_components_solves_the_weak_pay_set_once_per_row():
     assert statuses == {"interior", "all_participate", "none_participate"}
 
 
-def test_recorded_sweep_calls_answer_alike_with_any_hint():
-    # Every kernel call of every 8th row of the cardiovascular and
-    # fn-curves-062 sweeps and every 16th of vaccine's, recorded where loss
-    # and thresholds make it.  The threshold's calls and the loss's two ends
-    # pass no hint; the interior nodes pass n1*n1 // n0 from the sizes of the
-    # two nodes before them, the first the lower end's size, which the kernel
-    # checks before any Newton step.  Each call must give the same answer, by
-    # repr, with the hint it was given, with the retired 2*n1 - n0 (raw, as
-    # the loss now passes its own prediction), with the previous call's
-    # n_star (the hint of the loss's parent design), with none, and with a
-    # size 7, 60 or 500 (in turn) either side of its answer, which the kernel
-    # reaches by its jump or not at all.  On vaccine, nodes reach n_max and
-    # 20 recorded hints exceed it, which the kernel's check refuses unscored.
-    hinted, overflows, row, n0, n1, n_end = 0, 0, None, 0, 0, 0
-    calls = record_sweep_calls(("cardiovascular", "fn-curves-062"), 8) + record_sweep_calls(("vaccine",), 16)
-    for i, (level, mu, hint, answer) in enumerate(calls):
-        n_min, n_max = level[5], level[6]
-        if level is not row:
-            row, last = level, 0
-        retired = 2 * n1 - n0
-        overflows += hint > n_max
-        hinted += hint > 0
-        offset = min(n_max, max(n_min, answer[1] + (-500, -60, -7, 7, 60, 500)[i % 6]))
-        for other in (hint, retired, last, 0, offset):
-            assert repr(agent._respond(level, mu, other)) == repr(answer), (level, mu, hint, other)
-        if hint:
-            n0, n1 = n1, answer[1]
-        else:  # after the two ends, the chain holds the lower end's size
-            n0, n1, n_end = 0, n_end, answer[1]
-        last = answer[1]
-    assert (hinted, overflows) == (39_900, 20)
+# Per preset's row at alpha = 0.05: how often each hint rule of the loss
+# fires, and the [erfc, log] that the row's nodes take with each rule.
+HINT_COSTS = {
+    "cardiovascular": ({"end": 2, "start": 1, "ratio": 398, "above n_max": 0},
+                       {"geometric": [1545, 79], "linear": [1718, 70], "none": [1601, 2337]}),
+    "vaccine": ({"end": 2, "start": 1, "ratio": 398, "above n_max": 3},
+                {"geometric": [1646, 74], "linear": [1858, 158], "none": [1595, 2213]}),
+    "fn-curves-062": ({"end": 2, "start": 1, "ratio": 398, "above n_max": 0},
+                      {"geometric": [1359, 201], "linear": [1358, 201], "none": [1572, 2465]}),
+}
 
 
-def test_loss_hints_follow_the_geometric_rule(monkeypatch):
+@pytest.mark.parametrize("preset", HINT_COSTS)
+def test_loss_hints_follow_the_geometric_rule(monkeypatch, preset):
     # The two ends of the effective piece are solved first, with no hint.
     # Each interior node's hint, in belief order, is n1*n1 // n0 from the
     # sizes n0 and n1 of the two nodes before it, or n1 where n0 is 0, passed
@@ -433,50 +413,43 @@ def test_loss_hints_follow_the_geometric_rule(monkeypatch):
     # The chain starts from the lower end's size, so the first interior
     # node's hint is that size.  On cardiovascular at 0.05, n* grows by a
     # near-constant factor from the participating end (1, 2, 8, 19, 36, ...);
-    # on vaccine n* reaches n_max, and 3 predictions exceed it.  Each node is
-    # replayed with its hint and with the retired linear rule 2*n1 - n0 on
-    # the same chain; both give its answer.  Over the row's 401 nodes, ends
-    # included, the geometric rule takes fewer erfc than the linear one on
-    # both presets, and more logs on cardiovascular only.
-    real, calls = loss._respond, []
-
-    def recorded(level, mu, hint=0):
-        answer = real(level, mu, hint)
-        calls.append((level, mu, hint, answer))
-        return answer
-
-    monkeypatch.setattr(loss, "_respond", recorded)
+    # on vaccine n* reaches n_max, and some predictions exceed it.
+    #
+    # Each of the row's 401 nodes, ends included, is replayed with its hint,
+    # with the retired linear rule 2*n1 - n0 on the same chain, and with
+    # none; all three give its answer, and each rule's erfc and log are
+    # pinned.  Every Newton step takes one log, as do each concave piece's
+    # start, each check of a top end and the belief's constant, which is
+    # taken only where Newton runs: a hint that the kernel certifies takes no
+    # log, so the hinted rules take a small share of none's logs.  The
+    # geometric rule takes fewer erfc than the linear one on cardiovascular
+    # and vaccine, and more logs on cardiovascular only.  The pins count
+    # cost, not answers.
+    pinned, costs = HINT_COSTS[preset]
+    cfg = load_config(preset_path(preset))
+    nodes = [call for call in record_row_calls(cfg, 0.05) if call.node]
+    assert len(nodes) == cfg.quadrature.panels + 1
     counted = count_kernel_math(monkeypatch)
-    for preset, pinned, costs in (
-            ("cardiovascular", {"end": 2, "start": 1, "ratio": 398, "above n_max": 0},
-             {"geometric": [1545, 79], "linear": [1718, 70]}),
-            ("vaccine", {"end": 2, "start": 1, "ratio": 398, "above n_max": 3},
-             {"geometric": [1646, 74], "linear": [1858, 158]})):
-        cfg = load_config(preset_path(preset))
-        calls.clear()
-        loss_components(0.05, cfg.instance, cfg.prior, cfg.quadrature, cfg.weights)
-        assert len(calls) == cfg.quadrature.panels + 1
-        rules = dict.fromkeys(pinned, 0)
-        spent, n0, n1 = {"geometric": [0, 0], "linear": [0, 0]}, 0, 0
-        for i, (level, mu, hint, answer) in enumerate(calls):
-            if i < 2:
-                rule, expected, linear = "end", 0, 0
-            elif not n0:
-                rule, expected, linear = "start", n1, n1
-            else:
-                rule, expected, linear = "ratio", n1 * n1 // n0, 2 * n1 - n0
-            assert hint == expected, (preset, n0, n1, hint)
-            rules[rule] += 1
-            rules["above n_max"] += hint > cfg.instance.n_max
-            for name, other in (("geometric", hint), ("linear", linear)):
-                counted.clear()
-                assert repr(agent._respond(level, mu, other)) == repr(answer), (preset, mu, name, other)
-                spent[name][0] += counted.erfc
-                spent[name][1] += counted.log
-            if i != 1:
-                n0, n1 = n1, answer[1]
-        assert rules == pinned, preset
-        assert spent == costs, preset
+    rules = dict.fromkeys(pinned, 0)
+    spent, n0, n1 = {name: [0, 0] for name in costs}, 0, 0
+    for i, (level, mu, hint, answer, _) in enumerate(nodes):
+        if i < 2:
+            rule, expected, linear = "end", 0, 0
+        elif not n0:
+            rule, expected, linear = "start", n1, n1
+        else:
+            rule, expected, linear = "ratio", n1 * n1 // n0, 2 * n1 - n0
+        assert hint == expected, (n0, n1, hint)
+        rules[rule] += 1
+        rules["above n_max"] += hint > cfg.instance.n_max
+        for name, other in (("geometric", hint), ("linear", linear), ("none", 0)):
+            counted.clear()
+            assert repr(agent._respond(level, mu, other)) == repr(answer), (mu, name, other)
+            spent[name][0] += counted.erfc
+            spent[name][1] += counted.log
+        if i != 1:
+            n0, n1 = n1, answer[1]
+    assert (rules, spent) == (pinned, costs)
 
 
 def test_loss_components_weighted_total_identity():
