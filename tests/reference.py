@@ -29,6 +29,7 @@ the standard library alone: :func:`exact_critical_count` and
 thin.
 """
 
+import functools
 import math
 import types
 from typing import NamedTuple
@@ -242,17 +243,16 @@ def record_row_calls(cfg, alpha):
     return calls
 
 
-def record_sweep_calls(presets, stride):
-    """Every kernel call of every ``stride``-th row of each preset's sweep, as ``(level, mu, hint, answer)``.
+@functools.lru_cache(maxsize=None)
+def record_sweep_calls(preset, stride):
+    """Every kernel call of every ``stride``-th row of ``preset``'s sweep, as a tuple of ``(level, mu, hint, answer)``.
 
-    Each row is recorded by :func:`record_row_calls`, whose node check it keeps.
+    Each row is recorded by :func:`record_row_calls`, whose node check it
+    keeps.  A preset's corpus is recorded once per session and shared by
+    every test that replays it.
     """
-    calls = []
-    for preset in presets:
-        cfg = load_config(preset_path(preset))
-        for alpha in cfg.alpha_grid[::stride]:
-            calls += (call[:4] for call in record_row_calls(cfg, alpha))
-    return calls
+    cfg = load_config(preset_path(preset))
+    return tuple(call[:4] for alpha in cfg.alpha_grid[::stride] for call in record_row_calls(cfg, alpha))
 
 
 class KernelMath:

@@ -1201,15 +1201,9 @@ def test_recorded_sweep_calls_pin_the_kernels_counts(monkeypatch):
     # the convex window's top had its hint certified and went on walking:
     # that handoff fires on cardiovascular and fn-curves-062.  The counts pin
     # cost, and move with the loss's hint rule and the kernel's check; the
-    # digest pins answers, which neither moves.
-    #
-    # A hint moves no answer: each call must also give its recorded answer,
-    # by repr, with the retired 2*n1 - n0 (raw, as the loss passes its own
-    # prediction), with the previous call's n_star (the hint of the loss's
-    # parent design), with none, and with a size 7, 60 or 500 (in turn)
-    # either side of its answer, which the kernel reaches by its jump or not
-    # at all.  On vaccine, nodes reach n_max and some recorded hints exceed
-    # it, which the kernel's check refuses unscored.
+    # digest pins answers, which neither moves.  The same corpus is replayed
+    # with other hints by
+    # test_loss.py::test_recorded_sweep_calls_answer_alike_with_any_hint.
     counted = count_kernel_math(monkeypatch)
     pins = {
         ("cardiovascular", 8): (20_290, 74_601, 2_792, 19_897, 444,
@@ -1219,14 +1213,11 @@ def test_recorded_sweep_calls_pin_the_kernels_counts(monkeypatch):
         ("vaccine", 16): (10_104, 41_459, 1_402, 9_826, 0,
                           "6fbcca9777b7d800638eb6aee432843c0eaf2d09da12fd6761e48c6c9f261799"),
     }
-    row, n0, n1, n_end = None, 0, 0, 0
-    i = hinted = overflows = 0
     for (preset, stride), pinned in pins.items():
         erfc = log = no_log = handoffs = 0
         digest = hashlib.sha256()
-        calls = record_sweep_calls((preset,), stride)
+        calls = record_sweep_calls(preset, stride)
         for level, mu, hint, answer in calls:
-            n_min, n_max = level[5], level[6]
             counted.clear()
             replayed = repr(agent._respond(level, mu, hint))
             assert replayed == repr(answer), (level, mu, hint)
@@ -1236,22 +1227,8 @@ def test_recorded_sweep_calls_pin_the_kernels_counts(monkeypatch):
             no_log += not counted.log
             if hint and not counted.log:
                 n2 = level_convex_window(level, mu)[1]
-                handoffs += n_min < n2 < n_max and min(counted.sizes) <= n2
-            hinted += hint > 0
-            overflows += hint > n_max
-            if level is not row:
-                row, last = level, 0
-            offset = min(n_max, max(n_min, answer[1] + (-500, -60, -7, 7, 60, 500)[i % 6]))
-            for other in (2 * n1 - n0, last, 0, offset):
-                assert repr(agent._respond(level, mu, other)) == replayed, (level, mu, hint, other)
-            if hint:
-                n0, n1 = n1, answer[1]
-            else:  # after the two ends, the chain holds the lower end's size
-                n0, n1, n_end = 0, n_end, answer[1]
-            last = answer[1]
-            i += 1
+                handoffs += level[5] < n2 < level[6] and min(counted.sizes) <= n2
         assert (len(calls), erfc, log, no_log, handoffs, digest.hexdigest()) == pinned, preset
-    assert (hinted, overflows) == (39_900, 20)
 
 
 def test_a_hinted_call_computes_the_convex_window_only_where_it_reads_it(monkeypatch):

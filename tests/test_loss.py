@@ -41,7 +41,14 @@ from trialgame import (
 from trialgame.agent import _level
 from trialgame.loss import _gauss
 from trialgame.thresholds import _pay_interval
-from reference import count_kernel_math, grid_optimal_alpha, normal_pass, record_row_calls, simpson
+from reference import (
+    count_kernel_math,
+    grid_optimal_alpha,
+    normal_pass,
+    record_row_calls,
+    record_sweep_calls,
+    simpson,
+)
 
 INST = EconomicInstance(R=1.0, c0=0.05, c=0.002, mu_b=0.5, n_min=1, n_max=500)
 PRIOR = TruncatedNormalPrior(mean=0.62, sd=0.04, lo=0.4, hi=0.7)
@@ -390,6 +397,37 @@ def test_loss_components_solves_the_weak_pay_set_once_per_row():
         assert solved.count(inst.n_min) == 1, (alpha, inst, solved)
         statuses.add(bd.threshold_status)
     assert statuses == {"interior", "all_participate", "none_participate"}
+
+
+def test_recorded_sweep_calls_answer_alike_with_any_hint():
+    # The corpus of test_agent.py::test_recorded_sweep_calls_pin_the_kernels_counts:
+    # every kernel call of every 8th row of the cardiovascular and
+    # fn-curves-062 sweeps and every 16th of vaccine's, recorded with the
+    # hint the loss gave it.  A hint moves no answer: each call must give its
+    # recorded answer, by repr, with the retired 2*n1 - n0 (raw, as the loss
+    # passes its own prediction), with the previous call's n_star (the hint
+    # of the loss's parent design), with none, and with a size 7, 60 or 500
+    # (in turn) either side of its answer, which the kernel reaches by its
+    # jump or not at all.  On vaccine, nodes reach n_max and 20 recorded
+    # hints exceed it, which the kernel's check refuses unscored.
+    hinted, overflows, row, n0, n1, n_end = 0, 0, None, 0, 0, 0
+    calls = sum((record_sweep_calls(preset, stride)
+                 for preset, stride in (("cardiovascular", 8), ("fn-curves-062", 8), ("vaccine", 16))), ())
+    for i, (level, mu, hint, answer) in enumerate(calls):
+        n_min, n_max = level[5], level[6]
+        if level is not row:
+            row, last = level, 0
+        overflows += hint > n_max
+        hinted += hint > 0
+        offset = min(n_max, max(n_min, answer[1] + (-500, -60, -7, 7, 60, 500)[i % 6]))
+        for other in (2 * n1 - n0, last, 0, offset):
+            assert repr(agent._respond(level, mu, other)) == repr(answer), (level, mu, hint, other)
+        if hint:
+            n0, n1 = n1, answer[1]
+        else:  # after the two ends, the chain holds the lower end's size
+            n0, n1, n_end = 0, n_end, answer[1]
+        last = answer[1]
+    assert (hinted, overflows) == (39_900, 20)
 
 
 # Per preset's row at alpha = 0.05: how often each hint rule of the loss
